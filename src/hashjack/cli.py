@@ -2,8 +2,10 @@
 
 Every subcommand operates on a run directory (``--run-dir``, default the
 current directory) except ``synth``, which writes wherever it is told.
-Global flags may be given before or after the subcommand. Exit codes:
-0 success, 2 input or configuration errors, 1 internal failures.
+Global flags may be given before or after the subcommand. The stage
+subcommands and ``pipeline`` dispatch through one ``_run_stage``, so
+``pipeline`` prints the same line per stage. Exit codes: 0 success,
+2 usage, input or stage errors, 1 internal errors.
 """
 
 from __future__ import annotations
@@ -167,10 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _say(name: str, ran: bool, detail: str) -> None:
-    print(f"{name}: {detail}" if ran else f"{name}: up to date")
-
-
 def _run_synth(args, fmt: str, seed: int | None) -> int:
     config = SynthConfig.from_dict(_load_user_json(args.config))
     if seed is not None:
@@ -189,53 +187,71 @@ def _run_synth(args, fmt: str, seed: int | None) -> int:
     return 0
 
 
-def _run_pipeline(run, args, seed: int, strict: bool, fmt: str) -> int:
+def _pipeline_stages(names: list[str]) -> list[str]:
     known = pl.STAGE_ORDER + ("report",)
-    stages = list(dict.fromkeys(args.stages))
-    for stage in stages:
+    for stage in names:
         if stage not in known:
             raise StageError(
                 f"unknown pipeline stage {stage!r}; choose from: " + ", ".join(known)
             )
-    stages.sort(key=known.index)
-    for stage in stages:
-        if stage == "ingest":
-            if not args.input or not args.tracked:
-                raise StageError("pipeline stage ingest needs --input and --tracked")
-            ran, _ = pl.stage_ingest(
-                run, args.input, _split_tags(args.tracked), fmt=fmt, strict=strict
-            )
-        elif stage == "build":
-            ran, _ = pl.stage_build(run)
-        elif stage == "communities":
-            ran, _ = pl.stage_communities(
-                run, None, resolution=args.resolution, seed=seed
-            )
-        elif stage == "label":
-            if not args.labels:
-                raise StageError("pipeline stage label needs --labels")
-            ran, _ = pl.stage_label(run, _label_requests(args.labels))
-        elif stage == "polarisation":
-            ran, _ = pl.stage_polarisation(
-                run, threshold=args.threshold, compare=args.compare
-            )
-        elif stage == "odds":
-            if not args.targets:
-                raise StageError("pipeline stage odds needs --targets")
-            ran, _ = pl.stage_odds(run, _split_tags(args.targets))
-        elif stage == "activity":
-            targets = _split_tags(args.targets) if args.targets else None
-            fractions = (
-                _split_fractions(args.fractions)
-                if args.fractions
-                else pl.DEFAULT_FRACTIONS
-            )
-            ran, _ = pl.stage_activity(run, targets, fractions)
-        else:
-            pl.write_report(run, top_k=args.top_k)
-            ran = True
-        _say(stage, ran, "done")
-    return 0
+    return sorted(set(names), key=known.index)
+
+
+def _need(args, flag: str, stage: str):
+    """A flag that `pipeline` leaves optional but `stage` requires."""
+    value = getattr(args, flag)
+    if value is None:
+        raise StageError(f"pipeline stage {stage} needs --{flag}")
+    return value
+
+
+def _run_stage(stage: str, run, args, seed: int, strict: bool, fmt: str) -> None:
+    """Run one stage for its subcommand or for `pipeline` and print its line.
+
+    A subcommand passes its --out; `pipeline` has none, so each stage
+    writes to its default location.
+    """
+    out = {"out": args.out} if "out" in args else {}
+    if stage == "report":
+        print(f"report: -> {pl.write_report(run, top_k=args.top_k, **out)}")
+        return
+    count = None  # a stage writing a directory counts what it wrote there
+    if stage == "ingest":
+        ran, entry = pl.stage_ingest(
+            run, _need(args, "input", stage), _split_tags(_need(args, "tracked", stage)),
+            fmt=fmt, strict=strict, **out,
+        )
+        count = f"{len(entry['outputs'])} artifacts"
+    elif stage == "build":
+        ran, entry = pl.stage_build(run, **out)
+        count = f"{len(entry['outputs']) - 1} networks"
+    elif stage == "communities":
+        network = getattr(args, "network", None)
+        ran, entry = pl.stage_communities(
+            run, [network] if network else None, resolution=args.resolution,
+            seed=seed, **out,
+        )
+        count = f"{len(entry['params']['networks'])} partitions"
+    elif stage == "label":
+        ran, entry = pl.stage_label(
+            run, _label_requests(_need(args, "labels", stage)), **out
+        )
+        count = f"{len(entry['outputs'])} labelings"
+    elif stage == "polarisation":
+        ran, entry = pl.stage_polarisation(
+            run, threshold=args.threshold, compare=args.compare, **out
+        )
+    elif stage == "odds":
+        ran, entry = pl.stage_odds(run, _split_tags(_need(args, "targets", stage)), **out)
+    else:
+        targets = _split_tags(args.targets) if args.targets else None
+        fractions = (
+            _split_fractions(args.fractions) if args.fractions else pl.DEFAULT_FRACTIONS
+        )
+        ran, entry = pl.stage_activity(run, targets, fractions, **out)
+    dest = entry["params"]["out"]
+    detail = f"{count} -> {dest}/" if count else f"-> {dest}"
+    print(f"{stage}: {detail}" if ran else f"{stage}: up to date")
 
 
 def main(argv=None) -> int:
@@ -247,57 +263,16 @@ def main(argv=None) -> int:
     run = pl.RunDir(getattr(args, "run_dir", "."))
     command = args.command
 
-    if command == "ingest":
-        ran, entry = pl.stage_ingest(
-            run, args.input, _split_tags(args.tracked),
-            fmt=fmt, strict=strict, out=args.out,
-        )
-        _say("ingest", ran, f"{len(entry['outputs'])} artifacts -> {args.out}/")
-    elif command == "build":
-        ran, entry = pl.stage_build(run, out=args.out)
-        _say("build", ran, f"{len(entry['outputs']) - 1} networks -> {args.out}/")
-    elif command == "communities":
-        networks = [args.network] if args.network else None
-        ran, entry = pl.stage_communities(
-            run, networks, resolution=args.resolution, seed=seed, out=args.out
-        )
-        _say(
-            "communities", ran,
-            f"{len(entry['params']['networks'])} partitions -> {args.out}/",
-        )
-    elif command == "label":
-        if args.action == "report":
-            sys.stdout.write(pl.label_report(run, args.network, top=args.top))
-        else:
-            ran, entry = pl.stage_label(run, _label_requests(args.labels), out=args.out)
-            _say("label", ran, f"{len(entry['outputs'])} labelings -> {args.out}/")
-    elif command == "polarisation":
-        ran, _ = pl.stage_polarisation(
-            run, threshold=args.threshold, compare=args.compare, out=args.out
-        )
-        _say("polarisation", ran, f"-> {args.out}")
-    elif command == "odds":
-        ran, _ = pl.stage_odds(run, _split_tags(args.targets), out=args.out)
-        _say("odds", ran, f"-> {args.out}")
-    elif command == "activity":
-        targets = _split_tags(args.targets) if args.targets else None
-        fractions = (
-            _split_fractions(args.fractions)
-            if args.fractions
-            else pl.DEFAULT_FRACTIONS
-        )
-        ran, _ = pl.stage_activity(run, targets, fractions, out=args.out)
-        _say("activity", ran, f"-> {args.out}")
-    elif command == "report":
-        path = pl.write_report(run, out=args.out, top_k=args.top_k)
-        print(f"report: -> {path}")
-    elif command == "export":
-        path = pl.write_gexf(run, args.network, args.gexf)
-        print(f"export: -> {path}")
-    elif command == "synth":
+    if command == "synth":
         return _run_synth(args, fmt, seed if seed_given else None)
+    if command == "export":
+        print(f"export: -> {pl.write_gexf(run, args.network, args.gexf)}")
+    elif command == "label" and args.action == "report":
+        sys.stdout.write(pl.label_report(run, args.network, top=args.top))
     else:
-        return _run_pipeline(run, args, seed, strict, fmt)
+        stages = _pipeline_stages(args.stages) if command == "pipeline" else [command]
+        for stage in stages:
+            _run_stage(stage, run, args, seed, strict, fmt)
     return 0
 
 

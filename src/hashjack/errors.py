@@ -17,6 +17,13 @@ class RejectRateError(IngestError):
     """More than half of the input lines were rejected under --strict."""
 
 
+class HashtagError(HashjackError, ValueError):
+    """A hashtag is not [a-z0-9_]+ after normalization.
+
+    Also a ValueError, so per-line record parsing rejects the line.
+    """
+
+
 class EdgelessGraphError(HashjackError):
     """Modularity is undefined on a graph with zero total edge weight."""
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import IO, Iterable, Iterator
 
-from .errors import IngestError, RejectRateError
+from .errors import HashtagError, IngestError, RejectRateError
 
 log = logging.getLogger(__name__)
 
@@ -30,12 +30,12 @@ CSV_COLUMNS = ("tweet_id", "author", "retweeted_author", "hashtags", "timestamp"
 
 
 def normalize_hashtag(tag: str) -> str:
-    """Lowercase, strip a leading '#'. Raises ValueError if the rest is not [a-z0-9_]+."""
+    """Lowercase, strip a leading '#'. Raises HashtagError if the rest is not [a-z0-9_]+."""
     tag = tag.strip().lower()
     if tag.startswith("#"):
         tag = tag[1:]
     if not _HASHTAG_RE.match(tag):
-        raise ValueError(f"invalid hashtag: {tag!r}")
+        raise HashtagError(f"invalid hashtag: {tag!r}")
     return tag
 
 

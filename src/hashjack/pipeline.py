@@ -37,7 +37,7 @@ from .labeling import DEFAULT_MIN_COMMUNITY_SIZE, PRO, CONTRA, OTHER, \
 from .metrics import BASIS_ACCOUNTS, BASIS_VOLUME, PolarisationProfile, \
     cluster_composition, concentration, polarisation, polarisation_shift
 from .odds import hashjack_matrix
-from .store import dump_json, file_digest, load_json, obj_digest, \
+from .store import dump_json, file_digest, load_json, obj_digest, write_text_atomic, \
     labeling_from_obj, labeling_to_obj, network_from_obj, network_to_obj, \
     partition_from_obj, partition_to_obj, registry_from_obj, registry_to_obj
 
@@ -52,6 +52,17 @@ PREREQS: dict[str, tuple[str, ...]] = {
     "polarisation": ("label",),
     "odds": ("label",),
     "activity": ("label",),
+}
+# The stages whose artifacts each stage loads. run_stage verifies them once
+# and hands their entries to the stage; only PREREQS enter the fingerprint.
+READS: dict[str, tuple[str, ...]] = {
+    "ingest": (),
+    "build": ("ingest",),
+    "communities": ("build",),
+    "label": ("build", "communities"),
+    "polarisation": ("build", "communities", "label"),
+    "odds": ("build", "communities", "label"),
+    "activity": ("build", "communities", "label"),
 }
 DEFAULT_FRACTIONS = (0.01, 0.05, 0.1, 0.25, 0.5, 1.0)
 EVIDENCE_K = 10
@@ -151,11 +162,16 @@ def _drop_stale(manifest: dict) -> None:
             del manifest["stages"][name]
 
 
+def _valid_entry(manifest: Mapping, name: str) -> dict:
+    """The entry of a stage whose upstream chain holds, or an actionable error."""
+    if not _chain_valid(manifest, name):
+        raise StageError(f"stage '{name}' has not been run; run `hashjack {name}` first")
+    return manifest["stages"][name]
+
+
 def require_stage(run: RunDir, manifest: Mapping, name: str) -> dict:
     """The valid manifest entry for a prerequisite, or an actionable error."""
-    entry = manifest["stages"].get(name)
-    if entry is None or not _chain_valid(manifest, name):
-        raise StageError(f"stage '{name}' has not been run; run `hashjack {name}` first")
+    entry = _valid_entry(manifest, name)
     if not _outputs_ok(run, entry):
         raise StageError(
             f"artifacts of stage '{name}' are missing or modified; "
@@ -168,21 +184,24 @@ def run_stage(run, name, params, execute, inputs=None, source=None):
     """Execute one writer stage under the run lock.
 
     Returns (ran, entry). A stage whose fingerprint matches the recorded
-    entry and whose outputs are intact is skipped. After a real run every
-    stage whose upstream chain no longer matches is dropped from the
-    manifest.
+    entry and whose outputs are intact is skipped. Otherwise each stage in
+    READS[name] is verified once and `execute(run, manifest, params, deps)`
+    gets their entries by name. After a real run every stage whose upstream
+    chain no longer matches is dropped from the manifest.
     """
     inputs = inputs or {}
     with RunLock(run.root):
         manifest = run.load_manifest()
-        upstream = {}
-        for dep in PREREQS[name]:
-            upstream[dep] = require_stage(run, manifest, dep)["fingerprint"]
+        deps = {dep: require_stage(run, manifest, dep) for dep in PREREQS[name]}
+        upstream = {dep: entry["fingerprint"] for dep, entry in deps.items()}
         fp = _fingerprint(name, params, inputs, upstream)
         entry = manifest["stages"].get(name)
         if entry is not None and entry["fingerprint"] == fp and _outputs_ok(run, entry):
             return False, entry
-        outputs = execute(run, manifest, params)
+        for dep in READS[name]:
+            if dep not in deps:
+                deps[dep] = require_stage(run, manifest, dep)
+        outputs = execute(run, manifest, params, deps)
         entry = {
             "params": params,
             "inputs": inputs,
@@ -245,6 +264,44 @@ def _labeled_tags(entry: Mapping) -> list[str]:
     return sorted(rel[len(out) + 1: -len(".json")] for rel in entry["outputs"])
 
 
+def _merged_networks(manifest: Mapping, name: str, out: str, requested: Mapping) -> dict:
+    """Params of a per-network stage: `requested` over the previous entry's
+    networks, kept when that entry is valid and wrote to the same `out`."""
+    merged: dict[str, dict] = {}
+    if _chain_valid(manifest, name):
+        prev = manifest["stages"][name]["params"]
+        if prev["out"] == out:
+            merged = dict(prev["networks"])
+    merged.update(requested)
+    return {"networks": dict(sorted(merged.items())), "out": out}
+
+
+def _per_network(run: RunDir, manifest: Mapping, name: str, params: Mapping, make):
+    """Write one JSON artifact per network as `make(tag, opts)`.
+
+    A network whose opts equal the previous entry's and whose file is
+    intact keeps that file.
+    """
+    prev = manifest["stages"].get(name, {})
+    prev_networks = prev.get("params", {}).get("networks", {})
+    prev_outputs = prev.get("outputs", {})
+    outputs = {}
+    for tag, opts in params["networks"].items():
+        rel = f"{params['out']}/{tag}.json"
+        path = run.root / rel
+        if (
+            prev_networks.get(tag) == opts
+            and rel in prev_outputs
+            and path.exists()
+            and file_digest(path) == prev_outputs[rel]
+        ):
+            outputs[rel] = prev_outputs[rel]
+            continue
+        dump_json(make(tag, opts), path)
+        outputs[rel] = file_digest(path)
+    return outputs
+
+
 def _read_corpus(run: RunDir, ingest_entry: Mapping):
     rel = ingest_entry["params"]["out"] + "/corpus.jsonl"
     with open(run.root / rel, encoding="utf-8") as fh:
@@ -267,7 +324,7 @@ def stage_ingest(run, input_path, tracked, fmt="jsonl", strict=False, out="store
     params = {"format": fmt, "tracked": tags, "strict": bool(strict), "out": out}
     inputs = {"corpus": file_digest(input_path)}
 
-    def execute(run, manifest, params):
+    def execute(run, manifest, params, deps):
         with open(input_path, encoding="utf-8") as fh:
             records, rejects = parse_records(fh, fmt, strict=strict)
         if rejects:
@@ -279,9 +336,7 @@ def stage_ingest(run, input_path, tracked, fmt="jsonl", strict=False, out="store
         corpus_rel = f"{out}/corpus.jsonl"
         buffer = io.StringIO()
         write_jsonl(records, buffer)
-        target = run.root / corpus_rel
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(buffer.getvalue(), encoding="utf-8")
+        target = write_text_atomic(run.root / corpus_rel, buffer.getvalue())
         stats_rel = f"{out}/stats.json"
         stats = corpus_stats(records).to_dict()
         stats["reject_count"] = len(rejects)
@@ -301,8 +356,8 @@ def stage_build(run, out="networks"):
     """Split the corpus into per-hashtag streams and build the networks."""
     params = {"out": out}
 
-    def execute(run, manifest, params):
-        ingest_entry = require_stage(run, manifest, "ingest")
+    def execute(run, manifest, params, deps):
+        ingest_entry = deps["ingest"]
         records = _read_corpus(run, ingest_entry)
         streams, _ = split_streams(records, ingest_entry["params"]["tracked"])
         streams = {tag: recs for tag, recs in streams.items() if recs}
@@ -327,8 +382,7 @@ def stage_communities(run, networks=None, resolution=1.0, seed=42, out="partitio
     if resolution <= 0:
         raise StageError("resolution must be positive")
     manifest = run.load_manifest()
-    build_entry = require_stage(run, manifest, "build")
-    built = _built_tags(build_entry)
+    built = _built_tags(_valid_entry(manifest, "build"))
     targets = built if networks is None else sorted(
         {normalize_hashtag(t) for t in networks}
     )
@@ -338,33 +392,14 @@ def stage_communities(run, networks=None, resolution=1.0, seed=42, out="partitio
                 f"#{tag} is not a built network; available: "
                 + ", ".join("#" + t for t in built)
             )
-    merged: dict[str, dict] = {}
-    if _chain_valid(manifest, "communities"):
-        prev = manifest["stages"]["communities"]
-        if prev["params"]["out"] == out:
-            merged = dict(prev["params"]["networks"])
-    for tag in targets:
-        merged[tag] = {"resolution": float(resolution), "seed": int(seed)}
-    params = {"networks": dict(sorted(merged.items())), "out": out}
+    opts = {"resolution": float(resolution), "seed": int(seed)}
+    params = _merged_networks(manifest, "communities", out, dict.fromkeys(targets, opts))
 
-    def execute(run, manifest, params):
-        build_entry = require_stage(run, manifest, "build")
+    def execute(run, manifest, params, deps):
+        build_entry = deps["build"]
         registry = _load_registry(run, build_entry)
-        prev = manifest["stages"].get("communities", {})
-        prev_networks = prev.get("params", {}).get("networks", {})
-        prev_outputs = prev.get("outputs", {})
-        outputs = {}
-        for tag, opts in params["networks"].items():
-            rel = f"{out}/{tag}.json"
-            path = run.root / rel
-            if (
-                prev_networks.get(tag) == opts
-                and rel in prev_outputs
-                and path.exists()
-                and file_digest(path) == prev_outputs[rel]
-            ):
-                outputs[rel] = prev_outputs[rel]
-                continue
+
+        def make(tag, opts):
             net = _load_network(run, build_entry, tag)
             try:
                 partition = louvain(
@@ -373,9 +408,9 @@ def stage_communities(run, networks=None, resolution=1.0, seed=42, out="partitio
                 )
             except EdgelessGraphError:
                 raise StageError(f"#{tag} has no retweet edges to cluster") from None
-            dump_json(partition_to_obj(partition, registry, tag), path)
-            outputs[rel] = file_digest(path)
-        return outputs
+            return partition_to_obj(partition, registry, tag)
+
+        return _per_network(run, manifest, "communities", params, make)
 
     return run_stage(run, "communities", params, execute)
 
@@ -388,22 +423,36 @@ def normalize_label_request(obj: Mapping) -> tuple[str, dict]:
         raise LabelingError(f"unknown labels.json keys: {sorted(unknown)}")
     if "network" not in obj:
         raise LabelingError("labels.json entry is missing 'network'")
+    if not isinstance(obj["network"], str):
+        raise LabelingError(f"labels.json 'network' must be a string, got {obj['network']!r}")
     tag = normalize_hashtag(obj["network"])
     request: dict = {"seeds": {"pro": [], "contra": []}, "labels": {}}
     seeds = obj.get("seeds") or {}
-    for side in seeds:
+    if not isinstance(seeds, dict):
+        raise LabelingError(f"#{tag}: 'seeds' must map pro/contra to account lists")
+    for side, accounts in seeds.items():
         if side not in (PRO, CONTRA):
             raise LabelingError(f"seed side must be pro or contra, got {side!r}")
-        request["seeds"][side] = sorted(map(str, seeds[side]))
+        if not isinstance(accounts, list):
+            raise LabelingError(f"#{tag}: seeds.{side} must be a list of account ids")
+        request["seeds"][side] = sorted(map(str, accounts))
     labels = obj.get("labels") or {}
+    if not isinstance(labels, dict):
+        raise LabelingError(f"#{tag}: 'labels' must map community ids to labels")
     for cid, label in labels.items():
         if label not in (PRO, CONTRA, OTHER):
             raise LabelingError(f"community label must be pro/contra/other, got {label!r}")
-        request["labels"][str(int(cid))] = label
+        try:
+            request["labels"][str(int(cid))] = label
+        except ValueError:
+            raise LabelingError(f"#{tag}: community id must be an integer, got {cid!r}") from None
     if not (request["labels"] or request["seeds"]["pro"] or request["seeds"]["contra"]):
         raise LabelingError(f"labels.json entry for #{tag} has neither seeds nor labels")
     if "min_community_size" in obj:
-        request["min_community_size"] = int(obj["min_community_size"])
+        size = obj["min_community_size"]
+        if not isinstance(size, int) or isinstance(size, bool):
+            raise LabelingError(f"#{tag}: min_community_size must be an integer, got {size!r}")
+        request["min_community_size"] = size
     return tag, request
 
 
@@ -412,34 +461,13 @@ def stage_label(run, requests: Sequence[Mapping], out="labels"):
     normalized = dict(normalize_label_request(obj) for obj in requests)
     if not normalized:
         raise StageError("labels.json contains no entries")
-    manifest = run.load_manifest()
-    merged: dict[str, dict] = {}
-    if _chain_valid(manifest, "label"):
-        prev = manifest["stages"]["label"]
-        if prev["params"]["out"] == out:
-            merged = dict(prev["params"]["networks"])
-    merged.update(normalized)
-    params = {"networks": dict(sorted(merged.items())), "out": out}
+    params = _merged_networks(run.load_manifest(), "label", out, normalized)
 
-    def execute(run, manifest, params):
-        build_entry = require_stage(run, manifest, "build")
-        communities_entry = require_stage(run, manifest, "communities")
+    def execute(run, manifest, params, deps):
+        build_entry, communities_entry = deps["build"], deps["communities"]
         registry = _load_registry(run, build_entry)
-        prev = manifest["stages"].get("label", {})
-        prev_networks = prev.get("params", {}).get("networks", {})
-        prev_outputs = prev.get("outputs", {})
-        outputs = {}
-        for tag, request in params["networks"].items():
-            rel = f"{out}/{tag}.json"
-            path = run.root / rel
-            if (
-                prev_networks.get(tag) == request
-                and rel in prev_outputs
-                and path.exists()
-                and file_digest(path) == prev_outputs[rel]
-            ):
-                outputs[rel] = prev_outputs[rel]
-                continue
+
+        def make(tag, request):
             partition = _load_partition(run, communities_entry, tag, registry)
             net = _load_network(run, build_entry, tag)
             ranked = top_retweeted(net, partition, EVIDENCE_K, registry)
@@ -464,9 +492,9 @@ def stage_label(run, requests: Sequence[Mapping], out="labels"):
                 labeling = manual_labeling(
                     partition, overrides, network=tag, evidence=evidence
                 )
-            dump_json(labeling_to_obj(labeling, seeds=seeds), path)
-            outputs[rel] = file_digest(path)
-        return outputs
+            return labeling_to_obj(labeling, seeds=seeds)
+
+        return _per_network(run, manifest, "label", params, make)
 
     return run_stage(run, "label", params, execute)
 
@@ -492,10 +520,10 @@ def stage_polarisation(run, threshold=0.05, compare=None, out="polarisation.json
             raise StageError(f"comparison file not found: {compare}")
         inputs["compare"] = file_digest(compare)
 
-    def execute(run, manifest, params):
-        build_entry = require_stage(run, manifest, "build")
-        communities_entry = require_stage(run, manifest, "communities")
-        label_entry = require_stage(run, manifest, "label")
+    def execute(run, manifest, params, deps):
+        build_entry = deps["build"]
+        communities_entry = deps["communities"]
+        label_entry = deps["label"]
         registry = _load_registry(run, build_entry)
         rows = []
         for tag in _labeled_tags(label_entry):
@@ -537,10 +565,14 @@ def stage_polarisation(run, threshold=0.05, compare=None, out="polarisation.json
     )
 
 
-def _split_parties(run, manifest, targets):
-    """(partisan sets of the non-target labeled networks, loaded targets)."""
-    build_entry = require_stage(run, manifest, "build")
-    label_entry = require_stage(run, manifest, "label")
+def _split_parties(run, deps, targets):
+    """(registry, partisan sets of the non-target labeled networks, loaded targets).
+
+    `deps` maps build, communities and label to their verified entries.
+    """
+    build_entry = deps["build"]
+    communities_entry = deps["communities"]
+    label_entry = deps["label"]
     registry = _load_registry(run, build_entry)
     labeled = _labeled_tags(label_entry)
     for tag in targets:
@@ -553,7 +585,6 @@ def _split_parties(run, manifest, targets):
         raise StageError(
             "every labeled network is a target; label at least one party network"
         )
-    communities_entry = require_stage(run, manifest, "communities")
     psets = []
     for tag in parties:
         partition = _load_partition(run, communities_entry, tag, registry)
@@ -575,8 +606,8 @@ def stage_odds(run, targets, out="odds.json"):
         raise StageError("at least one target hashtag is required")
     params = {"targets": tags, "out": out}
 
-    def execute(run, manifest, params):
-        _, psets, loaded = _split_parties(run, manifest, tags)
+    def execute(run, manifest, params, deps):
+        _, psets, loaded = _split_parties(run, deps, tags)
         estimates = hashjack_matrix(psets, loaded)
         obj = {
             "targets": ["#" + t for t in tags],
@@ -603,11 +634,10 @@ def stage_activity(run, targets=None, fractions=DEFAULT_FRACTIONS, out="activity
         raise StageError("fractions must lie in (0, 1]")
     params = {"targets": tags, "fractions": fracs, "out": out}
 
-    def execute(run, manifest, params):
-        build_entry = require_stage(run, manifest, "build")
-        registry, psets, _ = _split_parties(run, manifest, tags)
+    def execute(run, manifest, params, deps):
+        registry, psets, _ = _split_parties(run, deps, tags)
         nets = [
-            _load_network(run, build_entry, tag) for tag in _built_tags(build_entry)
+            _load_network(run, deps["build"], tag) for tag in _built_tags(deps["build"])
         ]
         curves = [
             concentration(pset, nets, fracs, registry).to_dict()
@@ -634,17 +664,16 @@ def _csv_text(header, rows) -> str:
 def write_report(run: RunDir, out="report.json", top_k=100):
     """Bundle every metric artifact plus one plot-ready CSV per figure."""
     manifest = run.load_manifest()
-    for name in ("polarisation", "odds", "activity"):
-        require_stage(run, manifest, name)
-    build_entry = manifest["stages"]["build"]
-    registry = _load_registry(run, build_entry)
+    deps = {
+        name: require_stage(run, manifest, name)
+        for name in ("polarisation", "odds", "activity", "build", "communities", "label")
+    }
+    polar = load_json(run.root / deps["polarisation"]["params"]["out"])
+    odds_obj = load_json(run.root / deps["odds"]["params"]["out"])
+    act = load_json(run.root / deps["activity"]["params"]["out"])
 
-    polar = load_json(run.root / manifest["stages"]["polarisation"]["params"]["out"])
-    odds_obj = load_json(run.root / manifest["stages"]["odds"]["params"]["out"])
-    act = load_json(run.root / manifest["stages"]["activity"]["params"]["out"])
-
-    targets = manifest["stages"]["odds"]["params"]["targets"]
-    _, psets, loaded = _split_parties(run, manifest, targets)
+    targets = deps["odds"]["params"]["targets"]
+    registry, psets, loaded = _split_parties(run, deps, targets)
     pset_map = {p.party: p for p in psets}
     compositions = {}
     for tag in targets:
@@ -707,9 +736,9 @@ def write_report(run: RunDir, out="report.json", top_k=100):
         ],
     )
     base = report_path.parent
-    (base / "fig1.csv").write_text(fig1, encoding="utf-8")
-    (base / "fig3a.csv").write_text(fig3a, encoding="utf-8")
-    (base / "fig3b.csv").write_text(fig3b, encoding="utf-8")
+    write_text_atomic(base / "fig1.csv", fig1)
+    write_text_atomic(base / "fig3a.csv", fig3a)
+    write_text_atomic(base / "fig3b.csv", fig3b)
     return report_path
 
 
@@ -722,35 +751,25 @@ def write_gexf(run: RunDir, network: str, out_path: Path | str):
     net = _load_network(run, build_entry, tag)
 
     partition = labeling = None
-    if _chain_valid(manifest, "communities"):
-        rel = manifest["stages"]["communities"]["params"]["out"] + f"/{tag}.json"
-        if (run.root / rel).exists():
-            partition = partition_from_obj(load_json(run.root / rel), registry)
-    if partition is not None and _chain_valid(manifest, "label"):
-        rel = manifest["stages"]["label"]["params"]["out"] + f"/{tag}.json"
-        if (run.root / rel).exists():
-            labeling, _ = labeling_from_obj(load_json(run.root / rel))
-
     psets = []
+    if _chain_valid(manifest, "communities"):
+        communities_entry = manifest["stages"]["communities"]
+        if tag in communities_entry["params"]["networks"]:
+            partition = _load_partition(run, communities_entry, tag, registry)
     if partition is not None and _chain_valid(manifest, "label"):
         label_entry = manifest["stages"]["label"]
-        communities_entry = manifest["stages"]["communities"]
         for other in _labeled_tags(label_entry):
-            if other == tag:
-                continue
             other_labeling = _load_labeling(run, label_entry, other)
-            if other_labeling.pro_community is None:
-                continue
-            other_partition = _load_partition(run, communities_entry, other, registry)
-            psets.append(partisans(other_labeling, other_partition))
+            if other == tag:
+                labeling = other_labeling
+            elif other_labeling.pro_community is not None:
+                other_partition = _load_partition(run, communities_entry, other, registry)
+                psets.append(partisans(other_labeling, other_partition))
 
     doc = gexf_document(
         net, registry, partition=partition, labeling=labeling, partisan_sets=psets
     )
-    out_path = Path(out_path)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(doc, encoding="utf-8")
-    return out_path
+    return write_text_atomic(out_path, doc)
 
 
 def label_report(run: RunDir, network: str, top=50) -> str:

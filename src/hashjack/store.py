@@ -36,15 +36,26 @@ def _finite(value):
     return value
 
 
-def dump_json(obj, path: Path | str) -> Path:
-    """Write canonical JSON, creating parent directories as needed."""
+def write_text_atomic(path: Path | str, text: str) -> Path:
+    """Write UTF-8 text so readers see the old file or the new one, never a part.
+
+    The temporary name carries the pid, so two processes writing the same
+    file do not write into one temporary file.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(_finite(obj), **JSON_KWARGS) + "\n"
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
     return path
+
+
+def dump_json(obj, path: Path | str) -> Path:
+    """Write canonical JSON atomically, creating parent directories as needed."""
+    return write_text_atomic(path, json.dumps(_finite(obj), **JSON_KWARGS) + "\n")
 
 
 def load_json(path: Path | str):

@@ -257,3 +257,150 @@ class TestPipelineCommand:
 
     def test_unknown_stage_rejected(self, corpus, tmp_path):
         assert run_cli("pipeline", "fetch", "--run-dir", tmp_path / "x") == 2
+
+
+def manifest_stages(run):
+    return load_json(run / "manifest.json")["stages"]
+
+
+@pytest.fixture(scope="module")
+def clustered(corpus, tmp_path_factory):
+    """A run directory driven up to communities; tests only read it."""
+    run = tmp_path_factory.mktemp("clustered") / "run"
+    bootstrap(run, corpus, upto="communities")
+    return run
+
+
+BAD_LABELS = [
+    {"network": "party1", "labels": {"x": "pro"}},
+    {"network": "party1", "seeds": ["pro"]},
+    {"network": "party1", "seeds": {"pro": "abc"}},
+    {"network": "party1", "labels": ["pro"]},
+    {"network": 5, "labels": {"0": "pro"}},
+    {"network": "party1", "labels": {"0": "pro"}, "min_community_size": "x"},
+    {"network": "bad tag!", "labels": {"0": "pro"}},
+]
+BAD_TAGS = [
+    ("ingest", "{corpus}", "--tracked", "a,bad tag"),
+    ("odds", "--targets", "x y"),
+    ("export", "--network", "no such!", "--gexf", "{tmp}/x.gexf"),
+    ("label", "report", "--network", "bad!"),
+]
+
+
+BAD_INPUTS = [(("label", "apply", "--labels", "{labels}"), obj) for obj in BAD_LABELS]
+BAD_INPUTS += [(argv, None) for argv in BAD_TAGS]
+
+
+class TestBadInputExits2:
+    @pytest.mark.parametrize("argv, labels_obj", BAD_INPUTS)
+    def test_exit_2_without_internal_error(
+        self, argv, labels_obj, corpus, clustered, tmp_path, capsys
+    ):
+        labels = tmp_path / "labels.json"
+        labels.write_text(json.dumps(labels_obj))
+        before = (clustered / "manifest.json").read_bytes()
+        fields = {"corpus": corpus["corpus"], "tmp": tmp_path, "labels": labels}
+        code = run_cli(*(a.format(**fields) for a in argv), "--run-dir", clustered)
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "internal error" not in err
+        assert (clustered / "manifest.json").read_bytes() == before
+
+
+class TestPerNetworkReuse:
+    def test_one_network_reclustered(self, corpus, tmp_path):
+        run = tmp_path / "run"
+        bootstrap(run, corpus, upto="communities")
+        parts = run / "partitions"
+        before = {p.name: p.read_bytes() for p in parts.iterdir()}
+        digests = manifest_stages(run)["communities"]["outputs"]
+        assert run_cli("communities", "--network", "party1", "--seed", "7",
+                       "--run-dir", run) == 0
+        after = manifest_stages(run)["communities"]
+        assert after["params"]["networks"]["party1"]["seed"] == 7
+        assert after["params"]["networks"]["agenda"]["seed"] == 42
+        assert (parts / "party1.json").read_bytes() != before["party1.json"]
+        for name in ("agenda.json", "party2.json"):
+            assert (parts / name).read_bytes() == before[name]
+            assert after["outputs"][f"partitions/{name}"] == digests[f"partitions/{name}"]
+
+    def test_one_labeling_reapplied(self, corpus, tmp_path):
+        run = tmp_path / "run"
+        bootstrap(run, corpus, upto="label")
+        labels = run / "labels"
+        before = {p.name: p.read_bytes() for p in labels.iterdir()}
+        digests = manifest_stages(run)["label"]["outputs"]
+        one = [json.loads(corpus["labels"].read_text())[0]]
+        one[0]["seeds"]["pro"] = one[0]["seeds"]["pro"][:3]
+        assert one[0]["network"] == "party1"
+        (tmp_path / "one.json").write_text(json.dumps(one))
+        assert run_cli("label", "apply", "--labels", tmp_path / "one.json",
+                       "--run-dir", run) == 0
+        after = manifest_stages(run)["label"]["outputs"]
+        assert sorted(after) == sorted(digests)
+        assert (labels / "party1.json").read_bytes() != before["party1.json"]
+        for name in ("agenda.json", "party2.json"):
+            assert (labels / name).read_bytes() == before[name]
+            assert after[f"labels/{name}"] == digests[f"labels/{name}"]
+
+    def test_hand_edited_partition_is_rewritten(self, corpus, tmp_path, capsys):
+        run = tmp_path / "run"
+        bootstrap(run, corpus, upto="communities")
+        path = run / "partitions" / "party2.json"
+        original = path.read_bytes()
+        path.write_bytes(original.replace(b'"seed": 42', b'"seed": 43'))
+        capsys.readouterr()
+        assert run_cli("communities", "--resolution", "0.5", "--run-dir", run) == 0
+        assert capsys.readouterr().out == "communities: 3 partitions -> partitions/\n"
+        assert path.read_bytes() == original
+
+
+PIPELINE_FLAGS = (
+    "--input", "{corpus}", "--tracked", TRACKED, "--resolution", "0.5",
+    "--labels", "{labels}", "--targets", "agenda",
+)
+SUBCOMMANDS = [
+    ("ingest", ("ingest", "{corpus}", "--tracked", TRACKED)),
+    ("build", ("build",)),
+    ("communities", ("communities", "--resolution", "0.5")),
+    ("label", ("label", "apply", "--labels", "{labels}")),
+    ("polarisation", ("polarisation",)),
+    ("odds", ("odds", "--targets", "agenda")),
+    ("activity", ("activity",)),
+    ("report", ("report",)),
+]
+
+
+class TestPipelineDispatch:
+    def test_each_stage_matches_its_subcommand(self, corpus, tmp_path, capsys):
+        fields = {"corpus": corpus["corpus"], "labels": corpus["labels"]}
+        sub, pipe = tmp_path / "sub", tmp_path / "pipe"
+        for stage, argv in SUBCOMMANDS:
+            capsys.readouterr()
+            assert run_cli(*(a.format(**fields) for a in argv), "--run-dir", sub) == 0
+            sub_line = capsys.readouterr().out.replace(str(sub), "RUN")
+            assert run_cli("pipeline", stage, *(a.format(**fields) for a in PIPELINE_FLAGS),
+                           "--run-dir", pipe) == 0
+            pipe_line = capsys.readouterr().out.replace(str(pipe), "RUN")
+            assert pipe_line == sub_line and pipe_line.startswith(f"{stage}: ")
+            if stage != "report":
+                a, b = manifest_stages(sub)[stage], manifest_stages(pipe)[stage]
+                a.pop("completed")
+                b.pop("completed")
+                assert a == b
+
+    @pytest.mark.parametrize(
+        "stage, given, flag",
+        [
+            ("ingest", ("--tracked", TRACKED), "--input"),
+            ("ingest", ("--input", "{corpus}"), "--tracked"),
+            ("label", (), "--labels"),
+            ("odds", (), "--targets"),
+        ],
+    )
+    def test_missing_flag_exits_2(self, stage, given, flag, corpus, tmp_path, capsys):
+        given = [a.format(corpus=corpus["corpus"]) for a in given]
+        assert run_cli("pipeline", stage, *given, "--run-dir", tmp_path / "r") == 2
+        err = capsys.readouterr().err
+        assert f"needs {flag}" in err and "internal error" not in err

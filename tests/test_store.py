@@ -22,6 +22,7 @@ from hashjack.store import (
     partition_to_obj,
     registry_from_obj,
     registry_to_obj,
+    write_text_atomic,
 )
 
 TS = datetime(2020, 3, 1, tzinfo=timezone.utc)
@@ -73,6 +74,13 @@ class TestDumpJson:
     def test_no_temp_file_left_behind(self, tmp_path):
         dump_json({"k": 1}, tmp_path / "x.json")
         assert [p.name for p in tmp_path.iterdir()] == ["x.json"]
+
+    def test_failed_write_keeps_old_file(self, tmp_path):
+        path = write_text_atomic(tmp_path / "f.csv", "old\n")
+        with pytest.raises(UnicodeEncodeError):
+            write_text_atomic(path, "\ud800")
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["f.csv"]
 
     def test_digests_agree_on_equivalent_objects(self, tmp_path):
         path = dump_json({"b": 2, "a": 1}, tmp_path / "d.json")
