@@ -10,7 +10,7 @@ compared index-for-index. Clustering consumes the symmetrized projection.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .ingest import TweetRecord, normalize_hashtag
 
@@ -87,6 +87,49 @@ class RetweetNetwork:
         return self.retweets_received.get(node, 0)
 
 
+ORIGINAL = -1  # retweeted index of an original tweet in an event pair
+
+
+def network_from_events(hashtag: str, pairs: Iterable[Sequence[int]]) -> RetweetNetwork:
+    """Aggregate one hashtag's (author, retweeted) registry-index pairs.
+
+    retweeted is ORIGINAL for an original tweet, which adds its author as a
+    node but no edge. Every pair counts as one event; nothing is deduplicated.
+    """
+    net = RetweetNetwork(hashtag=hashtag)
+    nodes = net.nodes
+    edges = net.edges
+    made = net.retweets_made
+    received = net.retweets_received
+    for author, target in pairs:
+        nodes.add(author)
+        if target == ORIGINAL:
+            net.original_count += 1
+            continue
+        nodes.add(target)
+        key = (author, target)
+        edges[key] = edges.get(key, 0) + 1
+        made[author] = made.get(author, 0) + 1
+        received[target] = received.get(target, 0) + 1
+        net.retweet_count += 1
+    return net
+
+
+def event_pairs(
+    stream: Iterable[TweetRecord], registry: AccountRegistry
+) -> list[tuple[int, int]]:
+    """(author, retweeted) index per record, interning accounts in stream order."""
+    intern = registry.intern
+    return [
+        (
+            intern(record.author),
+            ORIGINAL if record.retweeted_author is None
+            else intern(record.retweeted_author),
+        )
+        for record in stream
+    ]
+
+
 def build_network(
     stream: Iterable[TweetRecord], registry: AccountRegistry, hashtag: str
 ) -> RetweetNetwork:
@@ -98,33 +141,21 @@ def build_network(
     network.
     """
     tag = normalize_hashtag(hashtag)
-    net = RetweetNetwork(hashtag=tag)
     seen: set[str] = set()
-    nodes = net.nodes
-    edges = net.edges
-    made = net.retweets_made
-    received = net.retweets_received
+    kept: list[TweetRecord] = []
+    dedup = 0
     for record in stream:
         if tag not in record.hashtags:
             raise ValueError(
                 f"record {record.tweet_id} does not carry #{tag}; stream is mixed"
             )
         if record.tweet_id in seen:
-            net.dedup_count += 1
+            dedup += 1
             continue
         seen.add(record.tweet_id)
-        author = registry.intern(record.author)
-        nodes.add(author)
-        if record.retweeted_author is None:
-            net.original_count += 1
-            continue
-        target = registry.intern(record.retweeted_author)
-        nodes.add(target)
-        key = (author, target)
-        edges[key] = edges.get(key, 0) + 1
-        made[author] = made.get(author, 0) + 1
-        received[target] = received.get(target, 0) + 1
-        net.retweet_count += 1
+        kept.append(record)
+    net = network_from_events(tag, event_pairs(kept, registry))
+    net.dedup_count = dedup
     return net
 
 

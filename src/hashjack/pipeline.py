@@ -4,13 +4,18 @@ A run directory holds one manifest plus the artifacts of seven stages:
 
     ingest -> build -> communities -> label -> polarisation | odds | activity
 
+The corpus is parsed once, by ingest, which stores each tracked hashtag's
+stream as registry-index pairs; build aggregates those pairs into networks
+without reading the corpus again.
+
 Each manifest entry records the stage's parameters, input digests, the
 fingerprints of its prerequisite stages, and a digest per output file.
 A stage fingerprint is the hash of (name, params, input digests, upstream
 fingerprints), so rerunning with identical parameters is a no-op and any
 parameter or input change invalidates everything downstream. `report` and
 `export` are derived read-only views: they write no manifest entry and
-take no lock, so they may run next to a writer.
+take no lock, so they may run next to a writer. Writers take a kernel lock
+on `.lock`, which a killed writer cannot leave behind.
 
 Timestamps appear only in the manifest, never in fingerprints or in
 report.json; equal inputs and parameters give byte-equal artifacts.
@@ -19,7 +24,9 @@ report.json; equal inputs and parameters give byte-equal artifacts.
 from __future__ import annotations
 
 import csv
+import fcntl
 import io
+import math
 import os
 import uuid
 from datetime import datetime, timezone
@@ -29,17 +36,17 @@ from typing import Mapping, Sequence
 from .community import louvain
 from .errors import EdgelessGraphError, LabelingError, StageError, RunLockError
 from .gexf import gexf_document
-from .graph import build_networks, undirected_projection
+from .graph import AccountRegistry, event_pairs, network_from_events, undirected_projection
 from .ingest import normalize_hashtag, parse_records, split_streams, corpus_stats, \
-    write_jsonl, write_rejects
+    write_rejects
 from .labeling import DEFAULT_MIN_COMMUNITY_SIZE, PRO, CONTRA, OTHER, \
     apply_overrides, label_by_seeds, manual_labeling, partisans, top_retweeted
 from .metrics import BASIS_ACCOUNTS, BASIS_VOLUME, PolarisationProfile, \
     cluster_composition, concentration, polarisation, polarisation_shift
 from .odds import hashjack_matrix
-from .store import dump_json, file_digest, load_json, obj_digest, write_text_atomic, \
-    labeling_from_obj, labeling_to_obj, network_from_obj, network_to_obj, \
-    partition_from_obj, partition_to_obj, registry_from_obj, registry_to_obj
+from .store import dump_json, dump_pairs, file_digest, load_json, load_pairs, \
+    obj_digest, write_text_atomic, labeling_from_obj, labeling_to_obj, network_from_obj, \
+    network_to_obj, partition_from_obj, partition_to_obj, registry_from_obj, registry_to_obj
 
 STAGE_ORDER = (
     "ingest", "build", "communities", "label", "polarisation", "odds", "activity"
@@ -75,30 +82,36 @@ def _now() -> str:
 
 
 class RunLock:
-    """Exclusive writer lock on a run directory, held via a pid file."""
+    """Exclusive writer lock on a run directory.
+
+    The lock is a kernel lock (flock) on `.lock`, so it is released when its
+    holder exits or is killed. The file holds the last holder's pid for the
+    error message and is never removed.
+    """
 
     def __init__(self, root: Path):
         self.path = Path(root) / ".lock"
+        self.fd: int | None = None
 
     def __enter__(self):
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(self.path, os.O_RDWR | os.O_CREAT, 0o644)
         try:
-            fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            try:
-                owner = self.path.read_text().strip() or "unknown"
-            except OSError:
-                owner = "unknown"
-            raise RunLockError(
-                f"run directory is locked by process {owner}; "
-                f"remove {self.path} if that run is gone"
-            ) from None
-        with os.fdopen(fd, "w") as fh:
-            fh.write(str(os.getpid()))
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            owner = os.read(fd, 32).decode("ascii", "replace").strip() or "unknown"
+            os.close(fd)
+            raise RunLockError(f"run directory is locked by process {owner}") from None
+        except BaseException:
+            os.close(fd)
+            raise
+        os.ftruncate(fd, 0)
+        os.write(fd, str(os.getpid()).encode("ascii"))
+        self.fd = fd
         return self
 
     def __exit__(self, *exc):
-        self.path.unlink(missing_ok=True)
+        os.close(self.fd)  # releases the flock
         return False
 
 
@@ -302,22 +315,19 @@ def _per_network(run: RunDir, manifest: Mapping, name: str, params: Mapping, mak
     return outputs
 
 
-def _read_corpus(run: RunDir, ingest_entry: Mapping):
-    rel = ingest_entry["params"]["out"] + "/corpus.jsonl"
-    with open(run.root / rel, encoding="utf-8") as fh:
-        records, rejects = parse_records(fh, "jsonl")
-    if rejects:
-        raise StageError(f"stored corpus {rel} is corrupt; rerun `hashjack ingest`")
-    return records
-
-
 # -- writer stages ------------------------------------------------------
 
 def stage_ingest(run, input_path, tracked, fmt="jsonl", strict=False, out="store"):
-    """Parse, validate and normalize a corpus into the run directory."""
+    """Parse and validate a corpus once; store each tracked stream as index pairs.
+
+    The store holds `registry.json` (the sorted ids of every account in a
+    tracked stream), one `<tag>.npy` of (author, retweeted) registry indices
+    per tracked hashtag, `stats.json`, and `rejects.jsonl` when lines were
+    rejected.
+    """
     input_path = Path(input_path)
-    if not input_path.exists():
-        raise StageError(f"input file not found: {input_path}")
+    if not input_path.is_file():
+        raise StageError(f"no such input file: {input_path}")
     tags = sorted({normalize_hashtag(t) for t in tracked})
     if not tags:
         raise StageError("at least one tracked hashtag is required")
@@ -327,25 +337,34 @@ def stage_ingest(run, input_path, tracked, fmt="jsonl", strict=False, out="store
     def execute(run, manifest, params, deps):
         with open(input_path, encoding="utf-8") as fh:
             records, rejects = parse_records(fh, fmt, strict=strict)
+        store = run.root / out
         if rejects:
-            reject_path = input_path.with_name(input_path.name + ".rejects.jsonl")
-            with open(reject_path, "w", encoding="utf-8") as fh:
-                write_rejects(rejects, fh)
+            buffer = io.StringIO()
+            write_rejects(rejects, buffer)
+            write_text_atomic(store / "rejects.jsonl", buffer.getvalue())
+        else:
+            (store / "rejects.jsonl").unlink(missing_ok=True)
         if not records:
             raise StageError("no valid records in input")
-        corpus_rel = f"{out}/corpus.jsonl"
-        buffer = io.StringIO()
-        write_jsonl(records, buffer)
-        target = write_text_atomic(run.root / corpus_rel, buffer.getvalue())
-        stats_rel = f"{out}/stats.json"
+        streams, _ = split_streams(records, tags)
+        registry = AccountRegistry(sorted({
+            account
+            for stream in streams.values()
+            for record in stream
+            for account in (record.author, record.retweeted_author)
+            if account is not None
+        }))
+        dump_json(registry_to_obj(registry), store / "registry.json")
+        for tag, stream in streams.items():
+            dump_pairs(event_pairs(stream, registry), store / f"{tag}.npy")
         stats = corpus_stats(records).to_dict()
         stats["reject_count"] = len(rejects)
-        dump_json(stats, run.root / stats_rel)
+        dump_json(stats, store / "stats.json")
         manifest["tracked"] = tags
-        return {
-            corpus_rel: file_digest(target),
-            stats_rel: file_digest(run.root / stats_rel),
-        }
+        names = ["registry.json", "stats.json", *(f"{tag}.npy" for tag in tags)]
+        if rejects:
+            names.append("rejects.jsonl")
+        return {f"{out}/{name}": file_digest(store / name) for name in names}
 
     return run_stage(
         run, "ingest", params, execute, inputs=inputs, source=str(input_path)
@@ -353,17 +372,25 @@ def stage_ingest(run, input_path, tracked, fmt="jsonl", strict=False, out="store
 
 
 def stage_build(run, out="networks"):
-    """Split the corpus into per-hashtag streams and build the networks."""
+    """Build each tracked hashtag's network from the stored index pairs."""
     params = {"out": out}
 
     def execute(run, manifest, params, deps):
         ingest_entry = deps["ingest"]
-        records = _read_corpus(run, ingest_entry)
-        streams, _ = split_streams(records, ingest_entry["params"]["tracked"])
-        streams = {tag: recs for tag, recs in streams.items() if recs}
-        if not streams:
+        store = ingest_entry["params"]["out"]
+        if f"{store}/registry.json" not in ingest_entry["outputs"]:
+            raise StageError(
+                "the ingest store was written by an older hashjack; "
+                "ingest into a new run directory"
+            )
+        registry = registry_from_obj(load_json(run.root / store / "registry.json"))
+        nets = {}
+        for tag in ingest_entry["params"]["tracked"]:
+            pairs = load_pairs(run.root / store / f"{tag}.npy")
+            if pairs:
+                nets[tag] = network_from_events(tag, pairs)
+        if not nets:
             raise StageError("no tracked hashtag appears in the corpus")
-        nets, registry = build_networks(streams)
         outputs = {}
         rel = f"{out}/registry.json"
         dump_json(registry_to_obj(registry), run.root / rel)
@@ -379,8 +406,8 @@ def stage_build(run, out="networks"):
 
 def stage_communities(run, networks=None, resolution=1.0, seed=42, out="partitions"):
     """Cluster the requested networks; untouched ones keep their artifacts."""
-    if resolution <= 0:
-        raise StageError("resolution must be positive")
+    if not (math.isfinite(resolution) and resolution > 0):
+        raise StageError(f"resolution must be a positive number, got {resolution}")
     manifest = run.load_manifest()
     built = _built_tags(_valid_entry(manifest, "build"))
     targets = built if networks is None else sorted(
@@ -512,12 +539,14 @@ def _profile_from_row(row: Mapping) -> PolarisationProfile:
 
 def stage_polarisation(run, threshold=0.05, compare=None, out="polarisation.json"):
     """Pro/contra/other shares for every labeled network, on both bases."""
+    if not (math.isfinite(threshold) and threshold >= 0):
+        raise StageError(f"threshold must be a number >= 0, got {threshold}")
     params: dict = {"threshold": float(threshold), "out": out}
     inputs = {}
     if compare is not None:
         compare = Path(compare)
-        if not compare.exists():
-            raise StageError(f"comparison file not found: {compare}")
+        if not compare.is_file():
+            raise StageError(f"no such comparison file: {compare}")
         inputs["compare"] = file_digest(compare)
 
     def execute(run, manifest, params, deps):
@@ -630,7 +659,7 @@ def stage_activity(run, targets=None, fractions=DEFAULT_FRACTIONS, out="activity
     else:
         tags = sorted({normalize_hashtag(t) for t in targets})
     fracs = sorted({float(q) for q in fractions})
-    if not fracs or fracs[0] <= 0 or fracs[-1] > 1:
+    if not fracs or not all(0 < q <= 1 for q in fracs):
         raise StageError("fractions must lie in (0, 1]")
     params = {"targets": tags, "fractions": fracs, "out": out}
 
@@ -663,6 +692,8 @@ def _csv_text(header, rows) -> str:
 
 def write_report(run: RunDir, out="report.json", top_k=100):
     """Bundle every metric artifact plus one plot-ready CSV per figure."""
+    if top_k < 1:
+        raise StageError(f"top-k must be at least 1, got {top_k}")
     manifest = run.load_manifest()
     deps = {
         name: require_stage(run, manifest, name)
@@ -774,6 +805,8 @@ def write_gexf(run: RunDir, network: str, out_path: Path | str):
 
 def label_report(run: RunDir, network: str, top=50) -> str:
     """Human-readable evidence listing used to pick seeds; writes nothing."""
+    if top < 1:
+        raise StageError(f"top must be at least 1, got {top}")
     tag = normalize_hashtag(network)
     manifest = run.load_manifest()
     build_entry = require_stage(run, manifest, "build")

@@ -1,21 +1,27 @@
-"""Serialization of run artifacts to deterministic JSON files.
+"""Serialization of run artifacts to deterministic files.
 
-Every writer here produces byte-identical output for equal inputs: keys are
-sorted, indentation is fixed, floats go through repr, and files end with a
-newline. Artifacts reference accounts by string id where the file is meant
-to be read by people (partitions, labels) and by registry index where
-compactness matters (network edge lists); the registry file pins the
-index order either way.
+Every writer here produces byte-identical output for equal inputs. JSON
+keys are sorted, indentation is fixed, floats go through repr, and files
+end with a newline. The ingest store keeps each tracked hashtag's events
+as an (n, 2) little-endian int32 .npy array of (author, retweeted) registry
+indices, -1 for an original tweet. Artifacts reference accounts by string
+id where the file is meant to be read by people (partitions, labels) and by
+registry index where compactness matters (event pairs, network edge lists);
+the registry file pins the index order either way. Every file is written
+atomically.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
 import os
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Sequence
+
+import numpy as np
 
 from .community import CommunityPartition
 from .graph import AccountRegistry, RetweetNetwork
@@ -36,8 +42,9 @@ def _finite(value):
     return value
 
 
-def write_text_atomic(path: Path | str, text: str) -> Path:
-    """Write UTF-8 text so readers see the old file or the new one, never a part.
+def write_text_atomic(path: Path | str, data: str | bytes) -> Path:
+    """Write UTF-8 text or raw bytes so readers see the old file or the new
+    one, never a part.
 
     The temporary name carries the pid, so two processes writing the same
     file do not write into one temporary file.
@@ -46,7 +53,10 @@ def write_text_atomic(path: Path | str, text: str) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(text, encoding="utf-8")
+        if isinstance(data, bytes):
+            tmp.write_bytes(data)
+        else:
+            tmp.write_text(data, encoding="utf-8")
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -76,6 +86,21 @@ def obj_digest(obj) -> str:
     """Hex SHA-256 of an object's canonical JSON form."""
     text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+# -- event index pairs --------------------------------------------------
+
+def dump_pairs(pairs: Sequence[Sequence[int]], path: Path | str) -> Path:
+    """Write (author, retweeted) index pairs as an (n, 2) int32 .npy file."""
+    array = np.asarray(pairs, dtype="<i4").reshape(-1, 2)
+    buffer = io.BytesIO()
+    np.save(buffer, array, allow_pickle=False)
+    return write_text_atomic(path, buffer.getvalue())
+
+
+def load_pairs(path: Path | str) -> list[list[int]]:
+    """The pairs of a dump_pairs file as Python ints."""
+    return np.load(path, allow_pickle=False).tolist()
 
 
 # -- account registry ---------------------------------------------------

@@ -1,11 +1,20 @@
 """End-to-end pipeline tests driven through the CLI entrypoint in-process."""
 
+import fcntl
 import json
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hashjack.pipeline
 from hashjack.cli import entrypoint
-from hashjack.store import load_json
+from hashjack.graph import build_networks
+from hashjack.ingest import parse_records, split_streams
+from hashjack.store import load_json, network_to_obj, registry_to_obj
 
 
 def run_cli(*argv):
@@ -149,14 +158,43 @@ class TestStageChain:
     def test_lock_blocks_writers_not_report(self, corpus, tmp_path, capsys):
         run = tmp_path / "run"
         bootstrap(run, corpus)
-        lock = run / ".lock"
-        lock.write_text("424242")
-        try:
+        with open(run / ".lock", "w") as holder:
+            holder.write("424242")
+            holder.flush()
+            fcntl.flock(holder, fcntl.LOCK_EX)
             assert run_cli("build", "--run-dir", run) == 2
             assert "locked by process 424242" in capsys.readouterr().err
             assert run_cli("report", "--run-dir", run) == 0
+
+    def test_killed_writer_releases_lock(self, corpus, tmp_path, capsys):
+        run = tmp_path / "run"
+        bootstrap(run, corpus, upto="ingest")
+        src = str(Path(hashjack.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        hold = (
+            "import sys, time\n"
+            "from hashjack.pipeline import RunLock\n"
+            "RunLock(sys.argv[1]).__enter__()\n"
+            "print('held', flush=True)\n"
+            "time.sleep(60)\n"
+        )
+        holder = subprocess.Popen(
+            [sys.executable, "-c", hold, str(run)], stdout=subprocess.PIPE, text=True,
+            env=env,
+        )
+        try:
+            assert holder.stdout.readline() == "held\n"
+            assert run_cli("build", "--run-dir", run) == 2
+            assert f"locked by process {holder.pid}" in capsys.readouterr().err
+            os.kill(holder.pid, signal.SIGKILL)
+            assert holder.wait(timeout=30) == -signal.SIGKILL
         finally:
-            lock.unlink()
+            holder.kill()
+            holder.wait(timeout=30)
+            holder.stdout.close()
+        assert (run / ".lock").exists()
+        assert run_cli("build", "--run-dir", run) == 0
 
     def test_missing_input_file_exits_2(self, tmp_path):
         code = run_cli(
@@ -205,13 +243,21 @@ class TestIngestDetails:
         dirty_corpus.write_text("\n".join(lines) + "\n")
         dirty = tmp_path / "dirty-run"
         assert run_cli("ingest", dirty_corpus, "--tracked", TRACKED, "--run-dir", dirty) == 0
-        rejects = tmp_path / "dirty.jsonl.rejects.jsonl"
-        assert rejects.exists()
+        assert not list(tmp_path.glob("*.rejects.jsonl"))
+        rejects = dirty / "store" / "rejects.jsonl"
+        assert "store/rejects.jsonl" in manifest_stages(dirty)["ingest"]["outputs"]
         row = json.loads(rejects.read_text().splitlines()[0])
         assert row["line"] == 4
         assert "bad" in row["raw"]
         stats = load_json(dirty / "store" / "stats.json")
         assert stats["reject_count"] == 1
+
+        del lines[3]
+        dirty_corpus.write_text("\n".join(lines) + "\n")
+        assert run_cli("ingest", dirty_corpus, "--tracked", TRACKED, "--run-dir", dirty) == 0
+        assert not rejects.exists()
+        assert "store/rejects.jsonl" not in manifest_stages(dirty)["ingest"]["outputs"]
+        assert load_json(dirty / "store" / "stats.json")["reject_count"] == 0
 
     def test_stats_written(self, corpus, tmp_path):
         run = tmp_path / "run"
@@ -264,10 +310,10 @@ def manifest_stages(run):
 
 
 @pytest.fixture(scope="module")
-def clustered(corpus, tmp_path_factory):
-    """A run directory driven up to communities; tests only read it."""
-    run = tmp_path_factory.mktemp("clustered") / "run"
-    bootstrap(run, corpus, upto="communities")
+def finished(corpus, tmp_path_factory):
+    """A run directory driven through every stage; tests only read it."""
+    run = tmp_path_factory.mktemp("finished") / "run"
+    bootstrap(run, corpus)
     return run
 
 
@@ -286,26 +332,36 @@ BAD_TAGS = [
     ("export", "--network", "no such!", "--gexf", "{tmp}/x.gexf"),
     ("label", "report", "--network", "bad!"),
 ]
+BAD_VALUES = [
+    ("communities", "--resolution", "nan"),
+    ("communities", "--resolution", "inf"),
+    ("polarisation", "--threshold", "nan"),
+    ("report", "--top-k", "0"),
+    ("report", "--top-k", "-3"),
+    ("label", "report", "--network", "party1", "--top", "-2"),
+    ("activity", "--fractions", "nan,0.5"),
+    ("ingest", "{tmp}", "--tracked", TRACKED),
+]
 
 
 BAD_INPUTS = [(("label", "apply", "--labels", "{labels}"), obj) for obj in BAD_LABELS]
-BAD_INPUTS += [(argv, None) for argv in BAD_TAGS]
+BAD_INPUTS += [(argv, None) for argv in BAD_TAGS + BAD_VALUES]
 
 
 class TestBadInputExits2:
     @pytest.mark.parametrize("argv, labels_obj", BAD_INPUTS)
     def test_exit_2_without_internal_error(
-        self, argv, labels_obj, corpus, clustered, tmp_path, capsys
+        self, argv, labels_obj, corpus, finished, tmp_path, capsys
     ):
         labels = tmp_path / "labels.json"
         labels.write_text(json.dumps(labels_obj))
-        before = (clustered / "manifest.json").read_bytes()
+        before = (finished / "manifest.json").read_bytes()
         fields = {"corpus": corpus["corpus"], "tmp": tmp_path, "labels": labels}
-        code = run_cli(*(a.format(**fields) for a in argv), "--run-dir", clustered)
+        code = run_cli(*(a.format(**fields) for a in argv), "--run-dir", finished)
         err = capsys.readouterr().err
         assert code == 2, err
         assert "internal error" not in err
-        assert (clustered / "manifest.json").read_bytes() == before
+        assert (finished / "manifest.json").read_bytes() == before
 
 
 class TestPerNetworkReuse:
@@ -404,3 +460,93 @@ class TestPipelineDispatch:
         assert run_cli("pipeline", stage, *given, "--run-dir", tmp_path / "r") == 2
         err = capsys.readouterr().err
         assert f"needs {flag}" in err and "internal error" not in err
+
+
+EVENTS = [
+    # tweet_id, author, retweeted_author, hashtags
+    ("t1", "alice", "bob", ["#a", "#b"]),
+    ("t2", "carol", None, ["#a"]),
+    ("t3", "dave", "alice", ["#b"]),
+    ("t4", "erin", "frank", ["#elsewhere"]),
+    ("t5", "bob", "alice", ["#a", "#elsewhere"]),
+    ("t6", "carol", None, ["#b"]),
+    ("t7", "alice", "bob", ["#a"]),
+]
+
+
+@pytest.fixture
+def small_corpus(tmp_path):
+    """Two tracked tags sharing an event, an original-only author, accounts
+    seen only under an untracked tag, and a tracked tag with no events."""
+    path = tmp_path / "small.jsonl"
+    lines = []
+    for tweet_id, author, target, tags in EVENTS:
+        obj = {"tweet_id": tweet_id, "author": author, "hashtags": tags,
+               "timestamp": "2020-05-01T12:00:00Z"}
+        if target is not None:
+            obj["retweeted_author"] = target
+        lines.append(json.dumps(obj))
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+class TestStoredEvents:
+    def test_pipeline_parses_corpus_once(self, corpus, tmp_path, monkeypatch):
+        calls = []
+        real = hashjack.pipeline.parse_records
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(hashjack.pipeline, "parse_records", counting)
+        assert run_cli("pipeline", "ingest", "build", "--input", corpus["corpus"],
+                       "--tracked", TRACKED, "--run-dir", tmp_path / "run") == 0
+        assert len(calls) == 1
+
+    def test_networks_equal_library_chain(self, small_corpus, tmp_path):
+        run = tmp_path / "run"
+        assert run_cli("pipeline", "ingest", "build", "--input", small_corpus,
+                       "--tracked", "a,b,empty", "--run-dir", run) == 0
+        records, _ = parse_records(small_corpus.read_text())
+        streams, _ = split_streams(records, ["a", "b", "empty"])
+        nets, registry = build_networks(streams)
+        assert sorted(p.name for p in (run / "networks").iterdir()) == [
+            "a.json", "b.json", "registry.json"
+        ]
+        for tag in ("a", "b"):
+            assert load_json(run / "networks" / f"{tag}.json") == network_to_obj(nets[tag])
+        expected = registry_to_obj(registry)
+        assert expected["accounts"] == ["alice", "bob", "carol", "dave"]
+        assert load_json(run / "networks" / "registry.json") == expected
+        assert load_json(run / "store" / "registry.json") == expected
+
+    def test_store_is_byte_stable(self, corpus, tmp_path):
+        stores = []
+        for name in ("one", "two"):
+            bootstrap(tmp_path / name, corpus, upto="ingest")
+            store = tmp_path / name / "store"
+            stores.append({p.name: p.read_bytes() for p in store.iterdir()})
+        assert sorted(stores[0]) == [
+            "agenda.npy", "party1.npy", "party2.npy", "registry.json", "stats.json"
+        ]
+        assert stores[0] == stores[1]
+
+    def test_edited_pairs_block_build(self, corpus, tmp_path, capsys):
+        run = tmp_path / "run"
+        bootstrap(run, corpus, upto="ingest")
+        path = run / "store" / "party1.npy"
+        data = bytearray(path.read_bytes())
+        data[-1] ^= 1
+        path.write_bytes(bytes(data))
+        assert run_cli("build", "--run-dir", run) == 2
+        assert "artifacts of stage 'ingest' are missing or modified" in capsys.readouterr().err
+
+    def test_store_without_pairs_exits_2(self, corpus, tmp_path, capsys):
+        run = tmp_path / "run"
+        bootstrap(run, corpus, upto="ingest")
+        manifest = load_json(run / "manifest.json")
+        del manifest["stages"]["ingest"]["outputs"]["store/registry.json"]
+        (run / "manifest.json").write_text(json.dumps(manifest))
+        assert run_cli("build", "--run-dir", run) == 2
+        assert "older hashjack" in capsys.readouterr().err
