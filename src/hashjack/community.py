@@ -94,29 +94,33 @@ def modularity(
     return q
 
 
+def _strengths(adj: list[list[tuple[int, float]]], selfw: list[float]) -> list[float]:
+    """Weighted degree of each compact node; a self-loop counts twice."""
+    return [sum(w for _, w in row) + 2.0 * s for row, s in zip(adj, selfw)]
+
+
 def _local_move(
     adj: list[list[tuple[int, float]]],
     selfw: list[float],
     m: float,
     resolution: float,
     rng: random.Random,
-) -> tuple[list[int], bool, float]:
+) -> tuple[list[int], bool]:
     """One level of local moving over a compact 0..n-1 node space.
 
-    Returns (community of each node, whether any move was accepted, total
-    modularity gain of the accepted moves). Community ids start as node
-    ids; ties between equally good candidates resolve to the lowest id.
+    Returns (community of each node, whether any move was accepted).
+    Community ids start as node ids; ties between equally good candidates
+    resolve to the lowest id.
     """
     n = len(adj)
     order = list(range(n))
     rng.shuffle(order)
     comm = list(range(n))
-    strength = [sum(w for _, w in row) + 2.0 * s for row, s in zip(adj, selfw)]
+    strength = _strengths(adj, selfw)
     tot = strength.copy()
     two_m = 2.0 * m
     threshold = MIN_GAIN * m
     moved_any = False
-    gain_total = 0.0
     improved = True
     while improved:
         improved = False
@@ -142,12 +146,11 @@ def _local_move(
             if best_c != c0 and best_g - g_stay > threshold:
                 comm[v] = best_c
                 tot[best_c] += kv
-                gain_total += (best_g - g_stay) / m
                 improved = True
                 moved_any = True
             else:
                 tot[c0] += kv
-    return comm, moved_any, gain_total
+    return comm, moved_any
 
 
 def _aggregate(
@@ -200,20 +203,19 @@ def louvain(
     levels = 0
     level_q: list[float] = []
     while True:
-        comm, moved, _ = _local_move(adj, selfw, m, resolution, rng)
+        comm, moved = _local_move(adj, selfw, m, resolution, rng)
         if not moved:
             break
         levels += 1
         relabel = {label: idx for idx, label in enumerate(sorted(set(comm)))}
         membership = [relabel[comm[v]] for v in membership]
-        level_q.append(
-            modularity(
-                graph,
-                {node: membership[i] for i, node in enumerate(node_ids)},
-                resolution,
-            )
-        )
         adj, selfw = _aggregate(adj, selfw, comm, relabel)
+        # Singleton modularity of the aggregate is Q of this level's partition:
+        # a supernode's self-loop weight is its community's internal weight.
+        level_q.append(sum(
+            s / m - resolution * (k / (2.0 * m)) ** 2
+            for s, k in zip(selfw, _strengths(adj, selfw))
+        ))
 
     if levels == 0:
         assignment = {node: i for i, node in enumerate(node_ids)}

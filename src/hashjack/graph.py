@@ -49,26 +49,14 @@ class AccountRegistry:
     def ids(self) -> tuple[str, ...]:
         return tuple(self._ids)
 
-    def sorted_remap(self) -> tuple["AccountRegistry", list[int]]:
-        """New registry sorted by account id plus the old->new index map.
-
-        Applying the remap makes indices independent of insertion order,
-        which is what keeps multi-stream builds deterministic.
-        """
-        order = sorted(range(len(self._ids)), key=self._ids.__getitem__)
-        mapping = [0] * len(order)
-        for new, old in enumerate(order):
-            mapping[old] = new
-        return AccountRegistry(self._ids[old] for old in order), mapping
-
 
 @dataclass
 class RetweetNetwork:
     """Directed weighted retweet graph for one hashtag.
 
     edges maps (retweeter, retweeted) index pairs to event counts; the sum
-    of all weights equals the number of deduplicated retweet records in the
-    stream. Self-edges cannot occur (self-retweets are rejected upstream).
+    of all weights equals the number of retweet records in the stream.
+    Self-edges cannot occur (self-retweets are rejected upstream).
     """
 
     hashtag: str
@@ -78,7 +66,6 @@ class RetweetNetwork:
     retweets_received: dict[int, int] = field(default_factory=dict)
     retweet_count: int = 0
     original_count: int = 0
-    dedup_count: int = 0
 
     def made(self, node: int) -> int:
         return self.retweets_made.get(node, 0)
@@ -90,7 +77,24 @@ class RetweetNetwork:
 ORIGINAL = -1  # retweeted index of an original tweet in an event pair
 
 
-def network_from_events(hashtag: str, pairs: Iterable[Sequence[int]]) -> RetweetNetwork:
+def add_edges(net: RetweetNetwork, weighted: Iterable[Sequence[int]]) -> None:
+    """Add (retweeter, retweeted, count) edges to net with their tallies.
+
+    This is the one place where edge weights, retweets_made,
+    retweets_received and retweet_count are accumulated.
+    """
+    edges = net.edges
+    made = net.retweets_made
+    received = net.retweets_received
+    for i, j, w in weighted:
+        key = (i, j)
+        edges[key] = edges.get(key, 0) + w
+        made[i] = made.get(i, 0) + w
+        received[j] = received.get(j, 0) + w
+        net.retweet_count += w
+
+
+def network_from_events(hashtag: str, pairs: Sequence[Sequence[int]]) -> RetweetNetwork:
     """Aggregate one hashtag's (author, retweeted) registry-index pairs.
 
     retweeted is ORIGINAL for an original tweet, which adds its author as a
@@ -98,21 +102,26 @@ def network_from_events(hashtag: str, pairs: Iterable[Sequence[int]]) -> Retweet
     """
     net = RetweetNetwork(hashtag=hashtag)
     nodes = net.nodes
-    edges = net.edges
-    made = net.retweets_made
-    received = net.retweets_received
     for author, target in pairs:
         nodes.add(author)
         if target == ORIGINAL:
             net.original_count += 1
-            continue
-        nodes.add(target)
-        key = (author, target)
-        edges[key] = edges.get(key, 0) + 1
-        made[author] = made.get(author, 0) + 1
-        received[target] = received.get(target, 0) + 1
-        net.retweet_count += 1
+        else:
+            nodes.add(target)
+    add_edges(net, ((a, t, 1) for a, t in pairs if t != ORIGINAL))
     return net
+
+
+def stream_registry(streams: Iterable[Iterable[TweetRecord]]) -> AccountRegistry:
+    """Registry of every author and retweeted account in the streams, in
+    account-id order, so indices do not depend on stream order."""
+    return AccountRegistry(sorted({
+        account
+        for stream in streams
+        for record in stream
+        for account in (record.author, record.retweeted_author)
+        if account is not None
+    }))
 
 
 def event_pairs(
@@ -135,62 +144,30 @@ def build_network(
 ) -> RetweetNetwork:
     """Build one hashtag's network from its stream.
 
-    Every record must carry the hashtag. Duplicate tweet_ids are skipped
-    (first occurrence wins) and counted as dedup events. Original tweets add
+    Every record must carry the hashtag and counts as one event; duplicate
+    tweet ids are rejected by parse_records, not here. Original tweets add
     their author as a node but no edge; an empty stream yields an empty
     network.
     """
     tag = normalize_hashtag(hashtag)
-    seen: set[str] = set()
-    kept: list[TweetRecord] = []
-    dedup = 0
+    stream = list(stream)
     for record in stream:
         if tag not in record.hashtags:
             raise ValueError(
                 f"record {record.tweet_id} does not carry #{tag}; stream is mixed"
             )
-        if record.tweet_id in seen:
-            dedup += 1
-            continue
-        seen.add(record.tweet_id)
-        kept.append(record)
-    net = network_from_events(tag, event_pairs(kept, registry))
-    net.dedup_count = dedup
-    return net
-
-
-def remap_network(net: RetweetNetwork, mapping: list[int]) -> RetweetNetwork:
-    """Apply an old->new index map (from AccountRegistry.sorted_remap)."""
-    return RetweetNetwork(
-        hashtag=net.hashtag,
-        nodes={mapping[i] for i in net.nodes},
-        edges={(mapping[i], mapping[j]): w for (i, j), w in net.edges.items()},
-        retweets_made={mapping[i]: c for i, c in net.retweets_made.items()},
-        retweets_received={mapping[i]: c for i, c in net.retweets_received.items()},
-        retweet_count=net.retweet_count,
-        original_count=net.original_count,
-        dedup_count=net.dedup_count,
-    )
+    return network_from_events(tag, event_pairs(stream, registry))
 
 
 def build_networks(
     streams: Mapping[str, Iterable[TweetRecord]],
-    registry: AccountRegistry | None = None,
-    sort_accounts: bool = True,
 ) -> tuple[dict[str, RetweetNetwork], AccountRegistry]:
-    """Build all hashtag networks over one shared registry.
-
-    With sort_accounts (the default) the registry is remapped to account-id
-    order afterwards, so the result does not depend on the order streams
-    were ingested in.
-    """
-    registry = registry if registry is not None else AccountRegistry()
+    """Build all hashtag networks over one registry in account-id order."""
+    streams = {tag: list(stream) for tag, stream in streams.items()}
+    registry = stream_registry(streams.values())
     nets = {
         tag: build_network(stream, registry, tag) for tag, stream in sorted(streams.items())
     }
-    if sort_accounts:
-        registry, mapping = registry.sorted_remap()
-        nets = {tag: remap_network(net, mapping) for tag, net in nets.items()}
     return nets, registry
 
 

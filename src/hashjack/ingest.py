@@ -112,7 +112,7 @@ def _build_record(
     tweet_id: object,
     author: object,
     retweeted_author: object,
-    hashtags: Iterable[object],
+    hashtags: Iterable[str],
     timestamp: object,
 ) -> TweetRecord:
     if not isinstance(tweet_id, str) or not tweet_id:
@@ -125,7 +125,7 @@ def _build_record(
         raise ValueError("retweeted_author must be a non-empty string when present")
     if retweeted_author == author:
         raise ValueError("self-retweet")
-    tags = frozenset(normalize_hashtag(str(tag)) for tag in hashtags)
+    tags = frozenset(normalize_hashtag(tag) for tag in hashtags)
     if not tags:
         raise ValueError("hashtags must be non-empty")
     if not isinstance(timestamp, str):
@@ -148,8 +148,8 @@ def _parse_jsonl_line(line: str) -> TweetRecord:
     if unknown:
         raise ValueError(f"unknown fields: {sorted(unknown)}")
     hashtags = obj.get("hashtags")
-    if not isinstance(hashtags, list):
-        raise ValueError("hashtags must be a list")
+    if not isinstance(hashtags, list) or not all(isinstance(t, str) for t in hashtags):
+        raise ValueError("hashtags must be a list of strings")
     return _build_record(
         obj.get("tweet_id"),
         obj.get("author"),

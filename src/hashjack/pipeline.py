@@ -36,7 +36,7 @@ from typing import Mapping, Sequence
 from .community import louvain
 from .errors import EdgelessGraphError, LabelingError, StageError, RunLockError
 from .gexf import gexf_document
-from .graph import AccountRegistry, event_pairs, network_from_events, undirected_projection
+from .graph import event_pairs, network_from_events, stream_registry, undirected_projection
 from .ingest import normalize_hashtag, parse_records, split_streams, corpus_stats, \
     write_rejects
 from .labeling import DEFAULT_MIN_COMMUNITY_SIZE, PRO, CONTRA, OTHER, \
@@ -200,7 +200,12 @@ def run_stage(run, name, params, execute, inputs=None, source=None):
     entry and whose outputs are intact is skipped. Otherwise each stage in
     READS[name] is verified once and `execute(run, manifest, params, deps)`
     gets their entries by name. After a real run every stage whose upstream
-    chain no longer matches is dropped from the manifest.
+    chain no longer matches is dropped from the manifest. When the stage
+    wrote to the same `out` as before, the files inside the run directory
+    that its previous entry listed and no remaining entry lists are removed;
+    a file-output stage given a new `--out` removes nothing, so an earlier
+    output stays usable as `polarisation --compare`. Outputs of dropped
+    entries stay on disk.
     """
     inputs = inputs or {}
     with RunLock(run.root):
@@ -208,9 +213,9 @@ def run_stage(run, name, params, execute, inputs=None, source=None):
         deps = {dep: require_stage(run, manifest, dep) for dep in PREREQS[name]}
         upstream = {dep: entry["fingerprint"] for dep, entry in deps.items()}
         fp = _fingerprint(name, params, inputs, upstream)
-        entry = manifest["stages"].get(name)
-        if entry is not None and entry["fingerprint"] == fp and _outputs_ok(run, entry):
-            return False, entry
+        prev = manifest["stages"].get(name)
+        if prev is not None and prev["fingerprint"] == fp and _outputs_ok(run, prev):
+            return False, prev
         for dep in READS[name]:
             if dep not in deps:
                 deps[dep] = require_stage(run, manifest, dep)
@@ -228,6 +233,13 @@ def run_stage(run, name, params, execute, inputs=None, source=None):
         manifest["stages"][name] = entry
         _drop_stale(manifest)
         run.save_manifest(manifest)
+        if prev is not None and prev["params"]["out"] == params["out"]:
+            root = run.root.resolve()
+            listed = {rel for kept in manifest["stages"].values() for rel in kept["outputs"]}
+            for rel in prev["outputs"].keys() - listed:
+                path = (run.root / rel).resolve()
+                if path.is_relative_to(root):
+                    path.unlink(missing_ok=True)
         return True, entry
 
 
@@ -331,29 +343,27 @@ def stage_ingest(run, input_path, tracked, fmt="jsonl", strict=False, out="store
     tags = sorted({normalize_hashtag(t) for t in tracked})
     if not tags:
         raise StageError("at least one tracked hashtag is required")
+    if "registry" in tags:
+        raise StageError(
+            "#registry is a reserved name (build writes registry.json); "
+            "it cannot be tracked"
+        )
     params = {"format": fmt, "tracked": tags, "strict": bool(strict), "out": out}
     inputs = {"corpus": file_digest(input_path)}
 
     def execute(run, manifest, params, deps):
         with open(input_path, encoding="utf-8") as fh:
             records, rejects = parse_records(fh, fmt, strict=strict)
+        if not records:
+            detail = f" (line {rejects[0].line}: {rejects[0].reason})" if rejects else ""
+            raise StageError(f"no valid records in input{detail}")
         store = run.root / out
         if rejects:
             buffer = io.StringIO()
             write_rejects(rejects, buffer)
             write_text_atomic(store / "rejects.jsonl", buffer.getvalue())
-        else:
-            (store / "rejects.jsonl").unlink(missing_ok=True)
-        if not records:
-            raise StageError("no valid records in input")
         streams, _ = split_streams(records, tags)
-        registry = AccountRegistry(sorted({
-            account
-            for stream in streams.values()
-            for record in stream
-            for account in (record.author, record.retweeted_author)
-            if account is not None
-        }))
+        registry = stream_registry(streams.values())
         dump_json(registry_to_obj(registry), store / "registry.json")
         for tag, stream in streams.items():
             dump_pairs(event_pairs(stream, registry), store / f"{tag}.npy")
@@ -784,11 +794,11 @@ def write_gexf(run: RunDir, network: str, out_path: Path | str):
     partition = labeling = None
     psets = []
     if _chain_valid(manifest, "communities"):
-        communities_entry = manifest["stages"]["communities"]
+        communities_entry = require_stage(run, manifest, "communities")
         if tag in communities_entry["params"]["networks"]:
             partition = _load_partition(run, communities_entry, tag, registry)
     if partition is not None and _chain_valid(manifest, "label"):
-        label_entry = manifest["stages"]["label"]
+        label_entry = require_stage(run, manifest, "label")
         for other in _labeled_tags(label_entry):
             other_labeling = _load_labeling(run, label_entry, other)
             if other == tag:

@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .community import CommunityPartition
-from .graph import AccountRegistry, RetweetNetwork
+from .graph import AccountRegistry, RetweetNetwork, add_edges
 from .ingest import normalize_hashtag
 from .labeling import ClusterLabeling
 
@@ -110,10 +110,7 @@ def registry_to_obj(registry: AccountRegistry) -> dict:
 
 
 def registry_from_obj(obj: Mapping) -> AccountRegistry:
-    registry = AccountRegistry()
-    for account in obj["accounts"]:
-        registry.intern(account)
-    return registry
+    return AccountRegistry(obj["accounts"])
 
 
 # -- retweet networks ---------------------------------------------------
@@ -129,7 +126,6 @@ def network_to_obj(net: RetweetNetwork) -> dict:
         "nodes": sorted(net.nodes),
         "edges": [[i, j, w] for (i, j), w in sorted(net.edges.items())],
         "original_count": net.original_count,
-        "dedup_count": net.dedup_count,
     }
 
 
@@ -137,14 +133,7 @@ def network_from_obj(obj: Mapping) -> RetweetNetwork:
     net = RetweetNetwork(hashtag=obj["hashtag"])
     net.nodes.update(obj["nodes"])
     net.original_count = obj["original_count"]
-    net.dedup_count = obj["dedup_count"]
-    made = net.retweets_made
-    received = net.retweets_received
-    for i, j, w in obj["edges"]:
-        net.edges[(i, j)] = w
-        made[i] = made.get(i, 0) + w
-        received[j] = received.get(j, 0) + w
-        net.retweet_count += w
+    add_edges(net, obj["edges"])
     return net
 
 

@@ -120,6 +120,9 @@ class SynthConfig:
         if not isinstance(self.seed, int) or self.seed < 0:
             raise SynthConfigError("seed must be a non-negative integer")
         names = [s.name for s in self.parties] + [s.name for s in self.publics]
+        for name in names:
+            if not isinstance(name, str):
+                raise SynthConfigError(f"hashtag name {name!r} is not a string")
         if len(set(names)) != len(names):
             raise SynthConfigError("hashtag names must be distinct")
         for name in names:
@@ -254,9 +257,16 @@ class SynthConfig:
             "participation",
             "hijack",
         }
+        if not isinstance(obj, Mapping):
+            raise SynthConfigError("a synth config must be a JSON object")
         unknown = set(obj) - known
         if unknown:
             raise SynthConfigError(f"unknown config keys: {sorted(unknown)}")
+        hijack_obj = obj.get("hijack", {})
+        if not isinstance(hijack_obj, Mapping) or not all(
+            isinstance(targets, Mapping) for targets in hijack_obj.values()
+        ):
+            raise SynthConfigError("hijack must map each party to an object {public: h}")
         try:
             parties = tuple(
                 PartySpec(p["name"], int(p["partisans"]), int(p["contras"]))
@@ -278,7 +288,7 @@ class SynthConfig:
             mixing = MixingSpec(p_in=float(mix["p_in"]), p_out=float(mix["p_out"]))
             hijack = {
                 (party, public): float(h)
-                for party, targets in obj.get("hijack", {}).items()
+                for party, targets in hijack_obj.items()
                 for public, h in targets.items()
             }
             config = cls(

@@ -3,6 +3,7 @@
 import fcntl
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -21,24 +22,26 @@ def run_cli(*argv):
     return entrypoint([str(a) for a in argv])
 
 
+SYNTH_CFG = {
+    "seed": 11,
+    "parties": [
+        {"name": "party1", "partisans": 120, "contras": 40},
+        {"name": "party2", "partisans": 100, "contras": 30},
+    ],
+    "public_hashtags": [{"name": "agenda", "pro": 200, "contra": 30}],
+    "activity": {"zipf_s": 1.05, "events_per_member": 8, "attention_s": 2.0},
+    "mixing": {"p_in": 0.95, "p_out": 0.001},
+    "participation": 0.8,
+    "hijack": {"party1": {"agenda": 0.25}},
+}
+
+
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
     """One small hijacked corpus shared by the module's tests."""
     root = tmp_path_factory.mktemp("corpus")
-    cfg = {
-        "seed": 11,
-        "parties": [
-            {"name": "party1", "partisans": 120, "contras": 40},
-            {"name": "party2", "partisans": 100, "contras": 30},
-        ],
-        "public_hashtags": [{"name": "agenda", "pro": 200, "contra": 30}],
-        "activity": {"zipf_s": 1.05, "events_per_member": 8, "attention_s": 2.0},
-        "mixing": {"p_in": 0.95, "p_out": 0.001},
-        "participation": 0.8,
-        "hijack": {"party1": {"agenda": 0.25}},
-    }
     cfg_path = root / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg))
+    cfg_path.write_text(json.dumps(SYNTH_CFG))
     out = root / "corpus.jsonl"
     truth = root / "truth.json"
     assert run_cli("synth", "--config", cfg_path, "--out", out, "--truth", truth) == 0
@@ -221,6 +224,22 @@ class TestStageChain:
         assert dest.read_text().startswith("<?xml")
         assert "partisan_#party1" in dest.read_text()
 
+    def test_export_refuses_edited_partition(self, corpus, tmp_path, capsys):
+        run = tmp_path / "run"
+        bootstrap(run, corpus, upto="label")
+        path = run / "partitions" / "agenda.json"
+        path.write_bytes(path.read_bytes().replace(b'"seed": 42', b'"seed": 43'))
+        capsys.readouterr()
+        code = run_cli(
+            "export", "--network", "agenda", "--gexf", tmp_path / "net.gexf",
+            "--run-dir", run,
+        )
+        assert code == 2
+        assert "artifacts of stage 'communities' are missing or modified" in (
+            capsys.readouterr().err
+        )
+        assert not (tmp_path / "net.gexf").exists()
+
     def test_global_flags_work_before_subcommand(self, corpus, tmp_path):
         run = tmp_path / "flagorder"
         code = run_cli(
@@ -258,6 +277,44 @@ class TestIngestDetails:
         assert not rejects.exists()
         assert "store/rejects.jsonl" not in manifest_stages(dirty)["ingest"]["outputs"]
         assert load_json(dirty / "store" / "stats.json")["reject_count"] == 0
+
+    def test_failed_ingest_writes_nothing(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"tweet_id": "x"}\n["no"]\n')
+        run = tmp_path / "run"
+        assert run_cli("ingest", bad, "--tracked", "a", "--run-dir", run) == 2
+        assert "no valid records in input (line 1:" in capsys.readouterr().err
+        assert not (run / "store").exists()
+
+    def test_rerun_removes_files_it_stops_listing(self, corpus, tmp_path):
+        run = tmp_path / "run"
+        assert run_cli("ingest", corpus["corpus"], "--tracked", "party1,party2",
+                       "--run-dir", run) == 0
+        assert (run / "store" / "party1.npy").exists()
+        assert run_cli("ingest", corpus["corpus"], "--tracked", "party2",
+                       "--run-dir", run) == 0
+        listed = manifest_stages(run)["ingest"]["outputs"]
+        assert sorted(f"store/{p.name}" for p in (run / "store").iterdir()) == sorted(listed)
+        assert "store/party1.npy" not in listed
+
+    def test_rerun_keeps_compare_source(self, finished, tmp_path):
+        run = tmp_path / "run"
+        shutil.copytree(finished, run)
+        assert run_cli("polarisation", "--out", "a.json", "--run-dir", run) == 0
+        assert run_cli("polarisation", "--threshold", "0.1", "--compare", run / "a.json",
+                       "--out", "b.json", "--run-dir", run) == 0
+        assert (run / "a.json").exists()
+        assert run_cli("polarisation", "--threshold", "0.1", "--compare", run / "a.json",
+                       "--out", "b.json", "--run-dir", run) == 0
+
+    def test_rerun_leaves_files_outside_run(self, finished, tmp_path):
+        run = tmp_path / "run"
+        shutil.copytree(finished, run)
+        outside = tmp_path / "shared" / "p.json"
+        outside.parent.mkdir()
+        assert run_cli("polarisation", "--out", outside, "--run-dir", run) == 0
+        assert run_cli("polarisation", "--threshold", "0.1", "--run-dir", run) == 0
+        assert outside.exists()
 
     def test_stats_written(self, corpus, tmp_path):
         run = tmp_path / "run"
@@ -331,6 +388,7 @@ BAD_TAGS = [
     ("odds", "--targets", "x y"),
     ("export", "--network", "no such!", "--gexf", "{tmp}/x.gexf"),
     ("label", "report", "--network", "bad!"),
+    ("ingest", "{corpus}", "--tracked", "a,registry"),
 ]
 BAD_VALUES = [
     ("communities", "--resolution", "nan"),
@@ -346,6 +404,16 @@ BAD_VALUES = [
 
 BAD_INPUTS = [(("label", "apply", "--labels", "{labels}"), obj) for obj in BAD_LABELS]
 BAD_INPUTS += [(argv, None) for argv in BAD_TAGS + BAD_VALUES]
+BAD_SYNTH_CONFIGS = [
+    {**SYNTH_CFG, "parties": [{"name": 5, "partisans": 10, "contras": 5}]},
+    {**SYNTH_CFG, "hijack": {"p": 0.5}},
+    5,
+    {**SYNTH_CFG, "public_hashtags": [{"name": [1], "pro": 10, "contra": 5}]},
+]
+BAD_INPUTS += [
+    (("synth", "--config", "{labels}", "--out", "{tmp}/o.jsonl"), cfg)
+    for cfg in BAD_SYNTH_CONFIGS
+]
 
 
 class TestBadInputExits2:

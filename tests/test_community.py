@@ -9,6 +9,7 @@ from _oracles import (
     naive_modularity,
     set_partitions,
 )
+import hashjack.community
 from hashjack.community import CommunityPartition, louvain, modularity
 from hashjack.errors import EdgelessGraphError
 from hashjack.graph import UndirectedGraph
@@ -129,6 +130,21 @@ class TestLouvain:
         assert len(levels) == part.levels >= 1
         assert all(b >= a - 1e-12 for a, b in zip(levels, levels[1:]))
         assert part.modularity == pytest.approx(levels[-1], abs=1e-9)
+
+    def test_full_modularity_computed_once(self, monkeypatch):
+        calls = []
+        real = hashjack.community.modularity
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(hashjack.community, "modularity", counting)
+        g, _ = planted_partition_graph([10] * 12, 0.5, 0.02, seed=4)
+        part = louvain(g)
+        assert part.levels == 3
+        assert len(calls) == 1
+        assert part.modularity == pytest.approx(part.level_modularity[-1], abs=1e-12)
 
     def test_two_cliques_with_bridge(self):
         g = UndirectedGraph()

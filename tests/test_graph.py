@@ -36,16 +36,6 @@ class TestAccountRegistry:
         assert reg.index_of("bob") == 0
         assert "alice" in reg and "carol" not in reg
 
-    def test_sorted_remap_orders_ids(self):
-        reg = AccountRegistry()
-        for name in ["carol", "alice", "bob"]:
-            reg.intern(name)
-        sorted_reg, mapping = reg.sorted_remap()
-        assert list(sorted_reg.ids) == ["alice", "bob", "carol"]
-        # carol was index 0 and must now sit wherever "carol" sorts to
-        assert mapping[0] == sorted_reg.index_of("carol") == 2
-        assert list(reg.ids) == ["carol", "alice", "bob"]  # original untouched
-
 
 class TestBuildNetwork:
     def test_edge_weights_accumulate(self):
@@ -70,13 +60,6 @@ class TestBuildNetwork:
         assert net.original_count == 1
         assert net.retweet_count == 1
 
-    def test_duplicate_tweet_ids_deduped_first_wins(self):
-        reg = AccountRegistry()
-        net = build_network([rt("t1", "a", "b"), rt("t1", "c", "d")], reg, "afd")
-        assert net.retweet_count == 1
-        assert net.dedup_count == 1
-        assert "c" not in reg
-
     def test_stream_must_carry_the_hashtag(self):
         reg = AccountRegistry()
         with pytest.raises(ValueError):
@@ -97,15 +80,6 @@ class TestBuildNetworks:
         assert list(reg.ids) == sorted(reg.ids)
         anna = reg.index_of("anna")
         assert anna in nets["afd"].nodes and anna in nets["noafd"].nodes
-
-    def test_existing_registry_is_reused(self):
-        reg = AccountRegistry()
-        reg.intern("zz")
-        nets, reg2 = build_networks(
-            {"afd": [rt("t1", "a", "b")]}, registry=reg, sort_accounts=False
-        )
-        assert reg2 is reg
-        assert reg.index_of("zz") == 0
 
 
 class TestUndirectedProjection:

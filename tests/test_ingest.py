@@ -88,6 +88,8 @@ class TestParseJsonl:
             jl(timestamp="not-a-time"),
             jl(retweeted_author="alice"),  # self-retweet
             jl(author=""),
+            jl(hashtags=[None]),
+            jl(hashtags=[5]),
         ],
     )
     def test_bad_lines_become_rejects(self, line):

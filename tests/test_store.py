@@ -110,7 +110,6 @@ class TestNetworkRoundTrip:
         assert again.retweets_received == net.retweets_received
         assert again.retweet_count == net.retweet_count
         assert again.original_count == net.original_count
-        assert again.dedup_count == net.dedup_count
 
     def test_obj_shape_is_sorted_lists(self):
         reg, net = sample_network()
