@@ -37,7 +37,6 @@ from .odds import (
     HashjackEstimate,
     contingency,
     hashjack_matrix,
-    fit_logistic,
     odds_ratio,
 )
 from .synth import GroundTruth, SynthConfig, generate, planted_partition_graph
@@ -64,7 +63,6 @@ __all__ = [
     "generate",
     "hashjack_matrix",
     "label_by_seeds",
-    "fit_logistic",
     "louvain",
     "manual_labeling",
     "modularity",

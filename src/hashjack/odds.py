@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -201,27 +201,6 @@ def fit_logistic_counts(table: ContingencyTable2x2) -> LogisticFit:
     return LogisticFit(
         beta0=beta0, beta1=beta1, converged=converged, iterations=iterations, separation=False
     )
-
-
-def fit_logistic(
-    outcomes: Sequence[int] | np.ndarray, predictor: Sequence[int] | np.ndarray
-) -> LogisticFit:
-    """Fit on per-account binary vectors (contra membership ~ partisan flag)."""
-    y = np.asarray(outcomes, dtype=int)
-    x = np.asarray(predictor, dtype=int)
-    if y.shape != x.shape or y.ndim != 1:
-        raise ValueError("outcomes and predictor must be equal-length vectors")
-    if not (set(np.unique(y)) <= {0, 1} and set(np.unique(x)) <= {0, 1}):
-        raise ValueError("outcomes and predictor must be binary")
-    if y.min() == y.max():
-        raise ValueError("outcomes must contain at least one positive and one negative")
-    table = ContingencyTable2x2(
-        a=int(np.sum((x == 1) & (y == 1))),
-        b=int(np.sum((x == 1) & (y == 0))),
-        c=int(np.sum((x == 0) & (y == 1))),
-        d=int(np.sum((x == 0) & (y == 0))),
-    )
-    return fit_logistic_counts(table)
 
 
 def estimate_cell(

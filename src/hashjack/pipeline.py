@@ -17,6 +17,12 @@ parameter or input change invalidates everything downstream. `report` and
 take no lock, so they may run next to a writer. Writers take a kernel lock
 on `.lock`, which a killed writer cannot leave behind.
 
+`RunDir.write` and `RunDir.read` are the only way artifacts enter and leave
+a run directory. A write records the SHA-256 of the bytes it wrote. A read
+decodes only bytes whose digest matches the manifest entry the caller
+verified, at most once per RunDir, so a view running next to a writer
+either refuses (exit 2) or sees one consistent version of every artifact.
+
 Timestamps appear only in the manifest, never in fingerprints or in
 report.json; equal inputs and parameters give byte-equal artifacts.
 """
@@ -25,9 +31,12 @@ from __future__ import annotations
 
 import csv
 import fcntl
+import hashlib
 import io
+import json
 import math
 import os
+import re
 import uuid
 from datetime import datetime, timezone
 from pathlib import Path
@@ -44,8 +53,8 @@ from .labeling import DEFAULT_MIN_COMMUNITY_SIZE, PRO, CONTRA, OTHER, \
 from .metrics import BASIS_ACCOUNTS, BASIS_VOLUME, PolarisationProfile, \
     cluster_composition, concentration, polarisation, polarisation_shift
 from .odds import hashjack_matrix
-from .store import dump_json, dump_pairs, file_digest, load_json, load_pairs, \
-    obj_digest, write_text_atomic, labeling_from_obj, labeling_to_obj, network_from_obj, \
+from .store import file_digest, json_text, load_json, obj_digest, pairs_from_npy, \
+    pairs_to_npy, write_text_atomic, labeling_from_obj, labeling_to_obj, network_from_obj, \
     network_to_obj, partition_from_obj, partition_to_obj, registry_from_obj, registry_to_obj
 
 STAGE_ORDER = (
@@ -73,6 +82,7 @@ READS: dict[str, tuple[str, ...]] = {
 }
 DEFAULT_FRACTIONS = (0.01, 0.05, 0.1, 0.25, 0.5, 1.0)
 EVIDENCE_K = 10
+TEMPORARY = re.compile(r".+\.([1-9]\d{0,8})\.tmp")  # write_text_atomic's temporaries
 
 
 def _now() -> str:
@@ -115,19 +125,22 @@ class RunLock:
         return False
 
 
+def _modified(stage: str) -> StageError:
+    return StageError(
+        f"artifacts of stage '{stage}' are missing or modified; rerun `hashjack {stage}`"
+    )
+
+
 class RunDir:
-    """Paths and manifest access for one run directory."""
+    """The manifest of one run directory and its artifact reader and writer."""
 
     def __init__(self, root: Path | str):
         self.root = Path(root)
-
-    @property
-    def manifest_path(self) -> Path:
-        return self.root / "manifest.json"
+        self._decoded: dict[str, tuple] = {}  # rel -> (digest and key, object)
 
     def load_manifest(self) -> dict:
-        if self.manifest_path.exists():
-            return load_json(self.manifest_path)
+        if (self.root / "manifest.json").exists():
+            return load_json(self.root / "manifest.json")
         return {
             "run_id": uuid.uuid4().hex[:12],
             "created": _now(),
@@ -136,7 +149,35 @@ class RunDir:
         }
 
     def save_manifest(self, manifest: dict) -> None:
-        dump_json(manifest, self.manifest_path)
+        self.write("manifest.json", json_text(manifest))
+
+    def write(self, rel: Path | str, data: str | bytes) -> str:
+        """Write `rel` atomically; the SHA-256 of the bytes written."""
+        if isinstance(data, str):
+            data = data.encode("utf-8")
+        write_text_atomic(self.root / rel, data)
+        return hashlib.sha256(data).hexdigest()
+
+    def intact(self, rel: str, digest: str) -> bool:
+        path = self.root / rel
+        return path.is_file() and file_digest(path) == digest
+
+    def read(self, stage: str, entry: Mapping, rel: str, decode, *key):
+        """`decode(bytes)` of output `rel` of `stage`'s entry, decoded only from
+        bytes with the recorded digest. The result is kept, one per path, for
+        the life of this RunDir and shared by every caller, which must not
+        change it; `key` is what else `decode` depends on."""
+        key = (entry["outputs"][rel], *key)
+        cached = self._decoded.get(rel)
+        if cached is None or cached[0] != key:
+            try:
+                data = (self.root / rel).read_bytes()
+            except OSError:
+                raise _modified(stage) from None
+            if hashlib.sha256(data).hexdigest() != key[0]:
+                raise _modified(stage)
+            self._decoded[rel] = cached = (key, decode(data))
+        return cached[1]
 
 
 # -- manifest bookkeeping -----------------------------------------------
@@ -148,11 +189,7 @@ def _fingerprint(name: str, params, inputs, upstream) -> str:
 
 
 def _outputs_ok(run: RunDir, entry: Mapping) -> bool:
-    for rel, digest in entry["outputs"].items():
-        path = run.root / rel
-        if not path.exists() or file_digest(path) != digest:
-            return False
-    return True
+    return all(run.intact(rel, digest) for rel, digest in entry["outputs"].items())
 
 
 def _chain_valid(manifest: Mapping, name: str) -> bool:
@@ -186,11 +223,21 @@ def require_stage(run: RunDir, manifest: Mapping, name: str) -> dict:
     """The valid manifest entry for a prerequisite, or an actionable error."""
     entry = _valid_entry(manifest, name)
     if not _outputs_ok(run, entry):
-        raise StageError(
-            f"artifacts of stage '{name}' are missing or modified; "
-            f"rerun `hashjack {name}`"
-        )
+        raise _modified(name)
     return entry
+
+
+def _remove_orphans(root: Path) -> None:
+    """Remove the temporary files of writers that were killed mid-write."""
+    for path in root.rglob("*.tmp"):
+        match = TEMPORARY.fullmatch(path.name)
+        try:
+            if match:
+                os.kill(int(match[1]), 0)  # signal 0 only asks whether the pid lives
+        except ProcessLookupError:
+            path.unlink(missing_ok=True)
+        except PermissionError:
+            pass  # alive, but another user's
 
 
 def run_stage(run, name, params, execute, inputs=None, source=None):
@@ -205,10 +252,12 @@ def run_stage(run, name, params, execute, inputs=None, source=None):
     that its previous entry listed and no remaining entry lists are removed;
     a file-output stage given a new `--out` removes nothing, so an earlier
     output stays usable as `polarisation --compare`. Outputs of dropped
-    entries stay on disk.
+    entries stay on disk. Before anything else it removes every
+    `<name>.<pid>.tmp` in the run directory whose pid is not alive.
     """
     inputs = inputs or {}
     with RunLock(run.root):
+        _remove_orphans(run.root)
         manifest = run.load_manifest()
         deps = {dep: require_stage(run, manifest, dep) for dep in PREREQS[name]}
         upstream = {dep: entry["fingerprint"] for dep, entry in deps.items()}
@@ -245,48 +294,37 @@ def run_stage(run, name, params, execute, inputs=None, source=None):
 
 # -- artifact loading ---------------------------------------------------
 
-def _built_tags(entry: Mapping) -> list[str]:
-    out = entry["params"]["out"]
-    tags = []
-    for rel in entry["outputs"]:
-        name = rel[len(out) + 1:]
-        if name != "registry.json":
-            tags.append(name[: -len(".json")])
-    return sorted(tags)
-
-
-def _load_registry(run: RunDir, build_entry: Mapping):
-    path = run.root / build_entry["params"]["out"] / "registry.json"
-    return registry_from_obj(load_json(path))
-
-
-def _load_network(run: RunDir, build_entry: Mapping, tag: str):
-    path = run.root / build_entry["params"]["out"] / f"{tag}.json"
-    if not path.exists():
-        raise StageError(f"no network built for #{tag}; check `--tracked` at ingest")
-    return network_from_obj(load_json(path))
-
-
-def _load_partition(run, communities_entry, tag, registry):
-    path = run.root / communities_entry["params"]["out"] / f"{tag}.json"
-    if not path.exists():
-        raise StageError(
-            f'no partition for #{tag}; run `hashjack communities --network "#{tag}"`'
-        )
-    return partition_from_obj(load_json(path), registry)
-
-
-def _load_labeling(run, label_entry, tag):
-    path = run.root / label_entry["params"]["out"] / f"{tag}.json"
-    if not path.exists():
-        raise StageError(f"no labeling for #{tag}; run `hashjack label apply` on it")
-    labeling, _ = labeling_from_obj(load_json(path))
-    return labeling
-
-
-def _labeled_tags(entry: Mapping) -> list[str]:
+def _tags(entry: Mapping) -> list[str]:
+    """The sorted tags of an entry's `<out>/<tag>.json` outputs."""
     out = entry["params"]["out"]
     return sorted(rel[len(out) + 1: -len(".json")] for rel in entry["outputs"])
+
+
+def _built_tags(entry: Mapping) -> list[str]:
+    return [tag for tag in _tags(entry) if tag != "registry"]
+
+
+_MISSING = {
+    "build": "no network built for #{tag}; check `--tracked` at ingest",
+    "communities": 'no partition for #{tag}; run `hashjack communities --network "#{tag}"`',
+    "label": "no labeling for #{tag}; run `hashjack label apply` on it",
+}
+
+
+def _load(run: RunDir, deps: Mapping, stage: str, tag: str = "registry"):
+    """`<tag>.json` of a verified entry in `deps`, decoded: build's registry
+    (the default) or network, a communities partition or a label labeling."""
+    entry = deps[stage]
+    rel = f"{entry['params']['out']}/{tag}.json"
+    if rel not in entry["outputs"]:
+        raise StageError(_MISSING[stage].format(tag=tag))
+    registry = _load(run, deps, "build") if stage == "communities" else None
+    decode = {
+        "build": registry_from_obj if tag == "registry" else network_from_obj,
+        "communities": lambda obj: partition_from_obj(obj, registry),
+        "label": lambda obj: labeling_from_obj(obj)[0],
+    }[stage]
+    return run.read(stage, entry, rel, lambda data: decode(json.loads(data)), registry)
 
 
 def _merged_networks(manifest: Mapping, name: str, out: str, requested: Mapping) -> dict:
@@ -313,17 +351,14 @@ def _per_network(run: RunDir, manifest: Mapping, name: str, params: Mapping, mak
     outputs = {}
     for tag, opts in params["networks"].items():
         rel = f"{params['out']}/{tag}.json"
-        path = run.root / rel
         if (
             prev_networks.get(tag) == opts
             and rel in prev_outputs
-            and path.exists()
-            and file_digest(path) == prev_outputs[rel]
+            and run.intact(rel, prev_outputs[rel])
         ):
             outputs[rel] = prev_outputs[rel]
-            continue
-        dump_json(make(tag, opts), path)
-        outputs[rel] = file_digest(path)
+        else:
+            outputs[rel] = run.write(rel, json_text(make(tag, opts)))
     return outputs
 
 
@@ -357,24 +392,25 @@ def stage_ingest(run, input_path, tracked, fmt="jsonl", strict=False, out="store
         if not records:
             detail = f" (line {rejects[0].line}: {rejects[0].reason})" if rejects else ""
             raise StageError(f"no valid records in input{detail}")
-        store = run.root / out
+        outputs = {}
+
+        def write(name, data):
+            outputs[f"{out}/{name}"] = run.write(f"{out}/{name}", data)
+
         if rejects:
             buffer = io.StringIO()
             write_rejects(rejects, buffer)
-            write_text_atomic(store / "rejects.jsonl", buffer.getvalue())
+            write("rejects.jsonl", buffer.getvalue())
         streams, _ = split_streams(records, tags)
         registry = stream_registry(streams.values())
-        dump_json(registry_to_obj(registry), store / "registry.json")
+        write("registry.json", json_text(registry_to_obj(registry)))
         for tag, stream in streams.items():
-            dump_pairs(event_pairs(stream, registry), store / f"{tag}.npy")
+            write(f"{tag}.npy", pairs_to_npy(event_pairs(stream, registry)))
         stats = corpus_stats(records).to_dict()
         stats["reject_count"] = len(rejects)
-        dump_json(stats, store / "stats.json")
+        write("stats.json", json_text(stats))
         manifest["tracked"] = tags
-        names = ["registry.json", "stats.json", *(f"{tag}.npy" for tag in tags)]
-        if rejects:
-            names.append("rejects.jsonl")
-        return {f"{out}/{name}": file_digest(store / name) for name in names}
+        return outputs
 
     return run_stage(
         run, "ingest", params, execute, inputs=inputs, source=str(input_path)
@@ -393,22 +429,19 @@ def stage_build(run, out="networks"):
                 "the ingest store was written by an older hashjack; "
                 "ingest into a new run directory"
             )
-        registry = registry_from_obj(load_json(run.root / store / "registry.json"))
         nets = {}
         for tag in ingest_entry["params"]["tracked"]:
-            pairs = load_pairs(run.root / store / f"{tag}.npy")
-            if pairs:
-                nets[tag] = network_from_events(tag, pairs)
+            pairs = run.read("ingest", ingest_entry, f"{store}/{tag}.npy", pairs_from_npy)
+            if len(pairs):
+                nets[tag] = network_from_events(tag, pairs.tolist())
         if not nets:
             raise StageError("no tracked hashtag appears in the corpus")
-        outputs = {}
-        rel = f"{out}/registry.json"
-        dump_json(registry_to_obj(registry), run.root / rel)
-        outputs[rel] = file_digest(run.root / rel)
+        # The registry is copied byte for byte: build never needs it decoded.
+        registry = run.read("ingest", ingest_entry, f"{store}/registry.json", bytes)
+        outputs = {f"{out}/registry.json": run.write(f"{out}/registry.json", registry)}
         for tag in sorted(nets):
             rel = f"{out}/{tag}.json"
-            dump_json(network_to_obj(nets[tag]), run.root / rel)
-            outputs[rel] = file_digest(run.root / rel)
+            outputs[rel] = run.write(rel, json_text(network_to_obj(nets[tag])))
         return outputs
 
     return run_stage(run, "build", params, execute)
@@ -433,11 +466,10 @@ def stage_communities(run, networks=None, resolution=1.0, seed=42, out="partitio
     params = _merged_networks(manifest, "communities", out, dict.fromkeys(targets, opts))
 
     def execute(run, manifest, params, deps):
-        build_entry = deps["build"]
-        registry = _load_registry(run, build_entry)
+        registry = _load(run, deps, "build")
 
         def make(tag, opts):
-            net = _load_network(run, build_entry, tag)
+            net = _load(run, deps, "build", tag)
             try:
                 partition = louvain(
                     undirected_projection(net), resolution=opts["resolution"],
@@ -501,12 +533,11 @@ def stage_label(run, requests: Sequence[Mapping], out="labels"):
     params = _merged_networks(run.load_manifest(), "label", out, normalized)
 
     def execute(run, manifest, params, deps):
-        build_entry, communities_entry = deps["build"], deps["communities"]
-        registry = _load_registry(run, build_entry)
+        registry = _load(run, deps, "build")
 
         def make(tag, request):
-            partition = _load_partition(run, communities_entry, tag, registry)
-            net = _load_network(run, build_entry, tag)
+            partition = _load(run, deps, "communities", tag)
+            net = _load(run, deps, "build", tag)
             ranked = top_retweeted(net, partition, EVIDENCE_K, registry)
             evidence = {cid: tuple(rows) for cid, rows in ranked.items()}
             seeds = request["seeds"]
@@ -536,15 +567,12 @@ def stage_label(run, requests: Sequence[Mapping], out="labels"):
     return run_stage(run, "label", params, execute)
 
 
-def _profile_from_row(row: Mapping) -> PolarisationProfile:
-    return PolarisationProfile(
-        network=normalize_hashtag(row["network"]),
-        basis=row["basis"],
-        share_pro=row["share_pro"],
-        share_contra=row["share_contra"],
-        share_other=row["share_other"],
-        total=row["total"],
-    )
+def _profile_from_row(row: Mapping, source) -> PolarisationProfile:
+    """A profile row of the comparison file `source`, or an exit-2 error."""
+    values = [row.get(k) for k in ("share_pro", "share_contra", "share_other", "total")]
+    if not all(type(v) is int or (type(v) is float and math.isfinite(v)) for v in values):
+        raise StageError(f"{source} is not a polarisation artifact")
+    return PolarisationProfile(normalize_hashtag(row["network"]), row["basis"], *values)
 
 
 def stage_polarisation(run, threshold=0.05, compare=None, out="polarisation.json"):
@@ -555,48 +583,42 @@ def stage_polarisation(run, threshold=0.05, compare=None, out="polarisation.json
     inputs = {}
     if compare is not None:
         compare = Path(compare)
-        if not compare.is_file():
-            raise StageError(f"no such comparison file: {compare}")
-        inputs["compare"] = file_digest(compare)
+        try:
+            earlier_bytes = compare.read_bytes()
+        except OSError:
+            raise StageError(f"no such comparison file: {compare}") from None
+        inputs["compare"] = hashlib.sha256(earlier_bytes).hexdigest()
 
     def execute(run, manifest, params, deps):
-        build_entry = deps["build"]
-        communities_entry = deps["communities"]
-        label_entry = deps["label"]
-        registry = _load_registry(run, build_entry)
-        rows = []
-        for tag in _labeled_tags(label_entry):
-            net = _load_network(run, build_entry, tag)
-            partition = _load_partition(run, communities_entry, tag, registry)
-            labeling = _load_labeling(run, label_entry, tag)
-            for basis in (BASIS_VOLUME, BASIS_ACCOUNTS):
-                rows.append(polarisation(net, partition, labeling, basis).to_dict())
-        obj: dict = {"profiles": rows}
+        profiles = [
+            polarisation(
+                _load(run, deps, "build", tag), _load(run, deps, "communities", tag),
+                _load(run, deps, "label", tag), basis,
+            )
+            for tag in _tags(deps["label"])
+            for basis in (BASIS_VOLUME, BASIS_ACCOUNTS)
+        ]
+        obj: dict = {"profiles": [profile.to_dict() for profile in profiles]}
         if compare is not None:
             try:
                 earlier = {
                     (r["network"], r["basis"]): r
-                    for r in load_json(compare)["profiles"]
+                    for r in json.loads(earlier_bytes)["profiles"]
                 }
-            except (OSError, ValueError, KeyError, TypeError):
+            except (ValueError, KeyError, TypeError):
                 raise StageError(
                     f"{compare} is not a polarisation artifact"
                 ) from None
             shifts = []
-            for row in rows:
-                old = earlier.get((row["network"], row["basis"]))
-                if old is None:
-                    continue
-                shifts.append(
-                    polarisation_shift(
-                        _profile_from_row(old),
-                        _profile_from_row(row),
+            for profile in profiles:
+                old = earlier.get(("#" + profile.network, profile.basis))
+                if old is not None:
+                    shifts.append(polarisation_shift(
+                        _profile_from_row(old, compare), profile,
                         threshold=params["threshold"],
-                    )
-                )
+                    ))
             obj["shift"] = shifts
-        dump_json(obj, run.root / out)
-        return {out: file_digest(run.root / out)}
+        return {out: run.write(out, json_text(obj))}
 
     return run_stage(
         run, "polarisation", params, execute, inputs=inputs,
@@ -609,11 +631,7 @@ def _split_parties(run, deps, targets):
 
     `deps` maps build, communities and label to their verified entries.
     """
-    build_entry = deps["build"]
-    communities_entry = deps["communities"]
-    label_entry = deps["label"]
-    registry = _load_registry(run, build_entry)
-    labeled = _labeled_tags(label_entry)
+    labeled = _tags(deps["label"])
     for tag in targets:
         if tag not in labeled:
             raise StageError(
@@ -624,18 +642,15 @@ def _split_parties(run, deps, targets):
         raise StageError(
             "every labeled network is a target; label at least one party network"
         )
-    psets = []
-    for tag in parties:
-        partition = _load_partition(run, communities_entry, tag, registry)
-        labeling = _load_labeling(run, label_entry, tag)
-        psets.append(partisans(labeling, partition))
-    loaded = {}
-    for tag in targets:
-        net = _load_network(run, build_entry, tag)
-        partition = _load_partition(run, communities_entry, tag, registry)
-        labeling = _load_labeling(run, label_entry, tag)
-        loaded[tag] = (net, partition, labeling)
-    return registry, psets, loaded
+    psets = [
+        partisans(_load(run, deps, "label", tag), _load(run, deps, "communities", tag))
+        for tag in parties
+    ]
+    loaded = {
+        tag: tuple(_load(run, deps, stage, tag) for stage in ("build", "communities", "label"))
+        for tag in targets
+    }
+    return _load(run, deps, "build"), psets, loaded
 
 
 def stage_odds(run, targets, out="odds.json"):
@@ -652,8 +667,7 @@ def stage_odds(run, targets, out="odds.json"):
             "targets": ["#" + t for t in tags],
             "rows": [estimate.to_dict() for estimate in estimates],
         }
-        dump_json(obj, run.root / out)
-        return {out: file_digest(run.root / out)}
+        return {out: run.write(out, json_text(obj))}
 
     return run_stage(run, "odds", params, execute)
 
@@ -675,16 +689,13 @@ def stage_activity(run, targets=None, fractions=DEFAULT_FRACTIONS, out="activity
 
     def execute(run, manifest, params, deps):
         registry, psets, _ = _split_parties(run, deps, tags)
-        nets = [
-            _load_network(run, deps["build"], tag) for tag in _built_tags(deps["build"])
-        ]
+        nets = [_load(run, deps, "build", tag) for tag in _built_tags(deps["build"])]
         curves = [
             concentration(pset, nets, fracs, registry).to_dict()
             for pset in sorted(psets, key=lambda p: p.party)
         ]
         obj = {"fractions": fracs, "curves": curves}
-        dump_json(obj, run.root / out)
-        return {out: file_digest(run.root / out)}
+        return {out: run.write(out, json_text(obj))}
 
     return run_stage(run, "activity", params, execute)
 
@@ -709,9 +720,10 @@ def write_report(run: RunDir, out="report.json", top_k=100):
         name: require_stage(run, manifest, name)
         for name in ("polarisation", "odds", "activity", "build", "communities", "label")
     }
-    polar = load_json(run.root / deps["polarisation"]["params"]["out"])
-    odds_obj = load_json(run.root / deps["odds"]["params"]["out"])
-    act = load_json(run.root / deps["activity"]["params"]["out"])
+    polar, odds_obj, act = (
+        run.read(name, deps[name], deps[name]["params"]["out"], json.loads)
+        for name in ("polarisation", "odds", "activity")
+    )
 
     targets = deps["odds"]["params"]["targets"]
     registry, psets, loaded = _split_parties(run, deps, targets)
@@ -737,8 +749,7 @@ def write_report(run: RunDir, out="report.json", top_k=100):
             if name in manifest["stages"]
         },
     }
-    report_path = run.root / out
-    dump_json(bundle, report_path)
+    run.write(out, json_text(bundle))
 
     fig1 = _csv_text(
         (
@@ -776,39 +787,39 @@ def write_report(run: RunDir, out="report.json", top_k=100):
             for point in curve["points"]
         ],
     )
-    base = report_path.parent
-    write_text_atomic(base / "fig1.csv", fig1)
-    write_text_atomic(base / "fig3a.csv", fig3a)
-    write_text_atomic(base / "fig3b.csv", fig3b)
-    return report_path
+    base = Path(out).parent
+    run.write(base / "fig1.csv", fig1)
+    run.write(base / "fig3a.csv", fig3a)
+    run.write(base / "fig3b.csv", fig3b)
+    return run.root / out
 
 
 def write_gexf(run: RunDir, network: str, out_path: Path | str):
     """Export one network with cluster, side and partisan annotations."""
     tag = normalize_hashtag(network)
     manifest = run.load_manifest()
-    build_entry = require_stage(run, manifest, "build")
-    registry = _load_registry(run, build_entry)
-    net = _load_network(run, build_entry, tag)
+    deps = {"build": require_stage(run, manifest, "build")}
+    net = _load(run, deps, "build", tag)
 
     partition = labeling = None
     psets = []
     if _chain_valid(manifest, "communities"):
-        communities_entry = require_stage(run, manifest, "communities")
-        if tag in communities_entry["params"]["networks"]:
-            partition = _load_partition(run, communities_entry, tag, registry)
+        deps["communities"] = require_stage(run, manifest, "communities")
+        if tag in deps["communities"]["params"]["networks"]:
+            partition = _load(run, deps, "communities", tag)
     if partition is not None and _chain_valid(manifest, "label"):
-        label_entry = require_stage(run, manifest, "label")
-        for other in _labeled_tags(label_entry):
-            other_labeling = _load_labeling(run, label_entry, other)
+        deps["label"] = require_stage(run, manifest, "label")
+        for other in _tags(deps["label"]):
+            other_labeling = _load(run, deps, "label", other)
             if other == tag:
                 labeling = other_labeling
             elif other_labeling.pro_community is not None:
-                other_partition = _load_partition(run, communities_entry, other, registry)
+                other_partition = _load(run, deps, "communities", other)
                 psets.append(partisans(other_labeling, other_partition))
 
     doc = gexf_document(
-        net, registry, partition=partition, labeling=labeling, partisan_sets=psets
+        net, _load(run, deps, "build"), partition=partition, labeling=labeling,
+        partisan_sets=psets,
     )
     return write_text_atomic(out_path, doc)
 
@@ -819,12 +830,10 @@ def label_report(run: RunDir, network: str, top=50) -> str:
         raise StageError(f"top must be at least 1, got {top}")
     tag = normalize_hashtag(network)
     manifest = run.load_manifest()
-    build_entry = require_stage(run, manifest, "build")
-    communities_entry = require_stage(run, manifest, "communities")
-    registry = _load_registry(run, build_entry)
-    net = _load_network(run, build_entry, tag)
-    partition = _load_partition(run, communities_entry, tag, registry)
-    ranked = top_retweeted(net, partition, top, registry)
+    deps = {name: require_stage(run, manifest, name) for name in ("build", "communities")}
+    net = _load(run, deps, "build", tag)
+    partition = _load(run, deps, "communities", tag)
+    ranked = top_retweeted(net, partition, top, _load(run, deps, "build"))
     sizes = {cid: len(members) for cid, members in partition.communities().items()}
     lines = [
         f"#{tag}: {len(net.nodes)} accounts, {partition.n_communities} communities, "

@@ -8,8 +8,9 @@ indices, -1 for an original tweet. Artifacts reference accounts by string
 id where the file is meant to be read by people (partitions, labels) and by
 registry index where compactness matters (event pairs, network edge lists);
 the registry file pins the index order either way. Every file is written
-atomically.
-"""
+atomically. The encoders return text or bytes and the decoders take the
+parsed file, so a run directory (`pipeline.RunDir`) can hash exactly the
+bytes it writes and decode only bytes whose digest it has checked."""
 
 from __future__ import annotations
 
@@ -47,7 +48,8 @@ def write_text_atomic(path: Path | str, data: str | bytes) -> Path:
     one, never a part.
 
     The temporary name carries the pid, so two processes writing the same
-    file do not write into one temporary file.
+    file do not write into one temporary file, and a writer stage can tell
+    the temporaries of killed writers from those of live ones.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -63,9 +65,14 @@ def write_text_atomic(path: Path | str, data: str | bytes) -> Path:
     return path
 
 
+def json_text(obj) -> str:
+    """The canonical JSON text of an artifact."""
+    return json.dumps(_finite(obj), **JSON_KWARGS) + "\n"
+
+
 def dump_json(obj, path: Path | str) -> Path:
     """Write canonical JSON atomically, creating parent directories as needed."""
-    return write_text_atomic(path, json.dumps(_finite(obj), **JSON_KWARGS) + "\n")
+    return write_text_atomic(path, json_text(obj))
 
 
 def load_json(path: Path | str):
@@ -90,17 +97,16 @@ def obj_digest(obj) -> str:
 
 # -- event index pairs --------------------------------------------------
 
-def dump_pairs(pairs: Sequence[Sequence[int]], path: Path | str) -> Path:
-    """Write (author, retweeted) index pairs as an (n, 2) int32 .npy file."""
-    array = np.asarray(pairs, dtype="<i4").reshape(-1, 2)
+def pairs_to_npy(pairs: Sequence[Sequence[int]]) -> bytes:
+    """(author, retweeted) index pairs as the bytes of an (n, 2) int32 .npy file."""
     buffer = io.BytesIO()
-    np.save(buffer, array, allow_pickle=False)
-    return write_text_atomic(path, buffer.getvalue())
+    np.save(buffer, np.asarray(pairs, dtype="<i4").reshape(-1, 2), allow_pickle=False)
+    return buffer.getvalue()
 
 
-def load_pairs(path: Path | str) -> list[list[int]]:
-    """The pairs of a dump_pairs file as Python ints."""
-    return np.load(path, allow_pickle=False).tolist()
+def pairs_from_npy(data: bytes) -> np.ndarray:
+    """The (n, 2) array of a pairs_to_npy file."""
+    return np.load(io.BytesIO(data), allow_pickle=False)
 
 
 # -- account registry ---------------------------------------------------

@@ -13,6 +13,7 @@ import pytest
 
 import hashjack.pipeline
 from hashjack.cli import entrypoint
+from hashjack.errors import StageError
 from hashjack.graph import build_networks
 from hashjack.ingest import parse_records, split_streams
 from hashjack.store import load_json, network_to_obj, registry_to_obj
@@ -103,6 +104,12 @@ class TestSynthCommand:
         assert "error:" in capsys.readouterr().err
 
 
+def _child_env():
+    src = str(Path(hashjack.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 class TestStageChain:
     def test_full_chain_produces_report(self, corpus, tmp_path):
         run = tmp_path / "run"
@@ -172,9 +179,6 @@ class TestStageChain:
     def test_killed_writer_releases_lock(self, corpus, tmp_path, capsys):
         run = tmp_path / "run"
         bootstrap(run, corpus, upto="ingest")
-        src = str(Path(hashjack.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
         hold = (
             "import sys, time\n"
             "from hashjack.pipeline import RunLock\n"
@@ -184,7 +188,7 @@ class TestStageChain:
         )
         holder = subprocess.Popen(
             [sys.executable, "-c", hold, str(run)], stdout=subprocess.PIPE, text=True,
-            env=env,
+            env=_child_env(),
         )
         try:
             assert holder.stdout.readline() == "held\n"
@@ -414,6 +418,17 @@ BAD_INPUTS += [
     (("synth", "--config", "{labels}", "--out", "{tmp}/o.jsonl"), cfg)
     for cfg in BAD_SYNTH_CONFIGS
 ]
+# Comparison files whose #agenda row lacks a share, or holds a string or null.
+BAD_COMPARE_ROWS = [
+    {"share_contra": 0.5, "share_other": 0.2, "total": 10},
+    {"share_pro": "0.3", "share_contra": 0.5, "share_other": 0.2, "total": 10},
+    {"share_pro": None, "share_contra": 0.5, "share_other": 0.2, "total": 10},
+]
+BAD_INPUTS += [
+    (("polarisation", "--compare", "{labels}"),
+     {"profiles": [{"network": "#agenda", "basis": "retweet-volume", **row}]})
+    for row in BAD_COMPARE_ROWS
+]
 
 
 class TestBadInputExits2:
@@ -618,3 +633,147 @@ class TestStoredEvents:
         (run / "manifest.json").write_text(json.dumps(manifest))
         assert run_cli("build", "--run-dir", run) == 2
         assert "older hashjack" in capsys.readouterr().err
+
+
+class TestArtifactIO:
+    def test_relabel_decodes_once_and_never_reads_back(
+        self, corpus, tmp_path, monkeypatch
+    ):
+        run = tmp_path / "run"
+        bootstrap(run, corpus)
+        relabel = json.loads(corpus["labels"].read_text())
+        for entry in relabel:
+            entry["seeds"]["pro"] = entry["seeds"]["pro"][:3]
+        (tmp_path / "relabel.json").write_text(json.dumps(relabel))
+
+        decodes = {}
+        for name, key in (
+            ("registry_from_obj", lambda obj: "registry"),
+            ("network_from_obj", lambda obj: "network " + obj["hashtag"]),
+            ("partition_from_obj", lambda obj: "partition " + obj["network"]),
+            ("labeling_from_obj", lambda obj: "labeling " + obj["network"]),
+        ):
+            def counting(obj, *args, _real=getattr(hashjack.pipeline, name), _key=key):
+                decodes[_key(obj)] = decodes.get(_key(obj), 0) + 1
+                return _real(obj, *args)
+
+            monkeypatch.setattr(hashjack.pipeline, name, counting)
+
+        # Events per stage: a ("read", path) after a ("write", path) in the
+        # same stage means the stage read back what it wrote.
+        spans, events = [], []
+
+        def log(kind, real):
+            def logged(path, *args, **kwargs):
+                events.append((kind, Path(path).resolve()))
+                return real(path, *args, **kwargs)
+            return logged
+
+        def span(real):
+            def spanned(*args, **kwargs):
+                events.clear()
+                try:
+                    return real(*args, **kwargs)
+                finally:
+                    spans.append(list(events))
+            return spanned
+
+        for module in (hashjack.pipeline, hashjack.store):
+            monkeypatch.setattr(module, "write_text_atomic",
+                                log("write", module.write_text_atomic))
+        monkeypatch.setattr(hashjack.pipeline, "file_digest",
+                            log("read", hashjack.pipeline.file_digest))
+        monkeypatch.setattr(Path, "read_bytes", log("read", Path.read_bytes))
+        monkeypatch.setattr(hashjack.pipeline, "run_stage",
+                            span(hashjack.pipeline.run_stage))
+        monkeypatch.setattr(hashjack.pipeline, "write_report",
+                            span(hashjack.pipeline.write_report))
+
+        assert run_cli(
+            "pipeline", "ingest", "build", "communities", "label", "polarisation",
+            "odds", "activity", "report", "--input", corpus["corpus"],
+            "--tracked", TRACKED, "--resolution", "0.5", "--labels",
+            tmp_path / "relabel.json", "--targets", "agenda", "--run-dir", run,
+        ) == 0
+        assert len(spans) == 8
+        assert decodes and max(decodes.values()) == 1, decodes
+        for stage_events in spans:
+            written = set()
+            for kind, path in stage_events:
+                if kind == "write":
+                    written.add(path)
+                else:
+                    assert path not in written, f"{path} read back after its write"
+        assert any(kind == "write" for stage_events in spans for kind, _ in stage_events)
+
+    def test_report_refuses_bytes_swapped_after_check(
+        self, corpus, tmp_path, monkeypatch, capsys
+    ):
+        run = tmp_path / "run"
+        bootstrap(run, corpus, upto="activity")
+        real = hashjack.pipeline.require_stage
+
+        def check_then_swap(run_dir, manifest, name):
+            entry = real(run_dir, manifest, name)
+            if name == "label":  # the last check before report loads anything
+                (run / "polarisation.json").write_text('{"profiles": []}\n')
+            return entry
+
+        monkeypatch.setattr(hashjack.pipeline, "require_stage", check_then_swap)
+        capsys.readouterr()
+        assert run_cli("report", "--run-dir", run) == 2
+        assert "artifacts of stage 'polarisation' are missing or modified" in (
+            capsys.readouterr().err
+        )
+        assert not (run / "report.json").exists()
+
+    def test_cache_still_refuses_an_edit(self, corpus, tmp_path):
+        root = tmp_path / "run"
+        bootstrap(root, corpus, upto="label")
+        run = hashjack.pipeline.RunDir(root)
+        assert hashjack.pipeline.stage_polarisation(run)[0]
+        path = root / "partitions" / "agenda.json"
+        original = path.read_bytes()
+        path.write_bytes(original.replace(b'"seed": 42', b'"seed": 43'))
+        with pytest.raises(StageError, match="stage 'communities' are missing or modified"):
+            hashjack.pipeline.stage_odds(run, ["agenda"])
+        assert run_cli("odds", "--targets", "agenda", "--run-dir", root) == 2
+        path.write_bytes(original)
+        assert hashjack.pipeline.stage_odds(run, ["agenda"])[0]
+        # A rewritten partition is decoded again, as a new process would.
+        assert run_cli("communities", "--network", "agenda", "--seed", "7",
+                       "--run-dir", root) == 0
+        assert path.read_bytes() != original
+        shutil.copytree(root, tmp_path / "fresh")
+        labels = json.loads(corpus["labels"].read_text())
+        assert hashjack.pipeline.stage_label(run, labels)[0]
+        assert run_cli("label", "apply", "--labels", corpus["labels"],
+                       "--run-dir", tmp_path / "fresh") == 0
+        assert (root / "labels" / "agenda.json").read_bytes() == (
+            tmp_path / "fresh" / "labels" / "agenda.json").read_bytes()
+
+    def test_killed_writer_leaves_no_temporary_file(self, corpus, tmp_path):
+        run = tmp_path / "run"
+        die_in_replace = (
+            "import os, signal, sys\n"
+            "from hashjack.cli import entrypoint\n"
+            "real = os.replace\n"
+            "def replace(src, dst):\n"
+            "    if str(dst).endswith('stats.json'):\n"
+            "        os.kill(os.getpid(), signal.SIGKILL)\n"
+            "    real(src, dst)\n"
+            "os.replace = replace\n"
+            "entrypoint(sys.argv[1:])\n"
+        )
+        child = subprocess.Popen(
+            [sys.executable, "-c", die_in_replace, "ingest", str(corpus["corpus"]),
+             "--tracked", TRACKED, "--run-dir", str(run)],
+            env=_child_env(), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        assert child.wait(timeout=120) == -signal.SIGKILL
+        assert list(run.rglob("*.tmp")) == [run / "store" / f"stats.json.{child.pid}.tmp"]
+        live = run / f"report.json.{os.getpid()}.tmp"
+        live.write_text("a writer that is still running\n")
+        assert run_cli("ingest", corpus["corpus"], "--tracked", TRACKED,
+                       "--run-dir", run) == 0
+        assert list(run.rglob("*.tmp")) == [live]

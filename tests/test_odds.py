@@ -17,7 +17,6 @@ from hashjack.odds import (
     ContingencyTable2x2,
     contingency,
     estimate_cell,
-    fit_logistic,
     fit_logistic_counts,
     hashjack_matrix,
     odds_ratio,
@@ -89,20 +88,6 @@ class TestLogistic:
         assert not fit.separation
         assert fit.beta1 == pytest.approx(math.log(20.0), abs=1e-8)
         assert fit.beta0 == pytest.approx(math.log(4 / 40), abs=1e-8)
-
-    def test_vector_interface_matches_counts(self):
-        y = [1] * 10 + [0] * 5 + [1] * 4 + [0] * 40
-        x = [1] * 15 + [0] * 44
-        fit = fit_logistic(y, x)
-        assert fit.beta1 == pytest.approx(math.log(20.0), abs=1e-8)
-
-    def test_vector_interface_validates(self):
-        with pytest.raises(ValueError):
-            fit_logistic([0, 1], [1])
-        with pytest.raises(ValueError):
-            fit_logistic([0, 2], [1, 0])
-        with pytest.raises(ValueError):
-            fit_logistic([1, 1], [1, 0])
 
     def test_separation_reported_not_chased(self):
         fit = fit_logistic_counts(ContingencyTable2x2(10, 0, 4, 40))
