@@ -9,9 +9,13 @@ improves (W_c: weight inside community c, S_c: total strength of its nodes,
 m: total edge weight, gamma: resolution), then aggregation of communities
 into supernodes, repeated until no local move helps. Unlike the common
 library implementations, runs here are fully reproducible: node traversal
-is shuffled by a seeded PRNG per level, candidate communities are evaluated
-in ascending community id, and a move is only accepted on strict
+is shuffled by a seeded PRNG per level, ties between equally good candidate
+communities go to the lowest id, and a move is only accepted on strict
 improvement (delta Q > 1e-12).
+
+Both phases and `modularity` work on the graph's compact form
+(`UndirectedGraph.compact`), and `_quality` is the one Q formula: the
+singleton modularity of the aggregate graph of a partition.
 
 References
 ----------
@@ -73,30 +77,35 @@ def modularity(
     m = graph.total_weight()
     if m <= 0:
         raise EdgelessGraphError("modularity is undefined on an edgeless graph")
+    # _quality sums communities in index order; indexing them by first
+    # appearance in graph.nodes keeps Q's bits independent of the ids used.
+    relabel: dict[int, int] = {}
     for node in graph.nodes:
         if node not in assignment:
             raise ValueError(f"node {node} has no community assignment")
-    within: dict[int, float] = {}
-    strength: dict[int, float] = {}
-    for node in graph.nodes:
-        cid = assignment[node]
-        strength[cid] = strength.get(cid, 0.0) + graph.strength(node)
-        loop = graph.self_loop(node)
-        if loop:
-            within[cid] = within.get(cid, 0.0) + loop
-        for other, w in graph.neighbors(node).items():
-            if other > node and assignment[other] == cid:
-                within[cid] = within.get(cid, 0.0) + w
-    two_m = 2.0 * m
-    q = 0.0
-    for cid, s in strength.items():
-        q += within.get(cid, 0.0) / m - resolution * (s / two_m) ** 2
-    return q
+        relabel.setdefault(assignment[node], len(relabel))
+    node_ids, adj, selfw = graph.compact()
+    comm = [assignment[node] for node in node_ids]
+    return _quality(*_aggregate(adj, selfw, comm, relabel), m, resolution)
 
 
 def _strengths(adj: list[list[tuple[int, float]]], selfw: list[float]) -> list[float]:
     """Weighted degree of each compact node; a self-loop counts twice."""
     return [sum(w for _, w in row) + 2.0 * s for row, s in zip(adj, selfw)]
+
+
+def _quality(
+    adj: list[list[tuple[int, float]]], selfw: list[float], m: float, resolution: float
+) -> float:
+    """Q of the singleton partition of a compact graph with total weight m.
+
+    On an aggregate graph this is Q of the partition it was aggregated by,
+    since a supernode's self-loop weight is its community's internal weight.
+    """
+    return sum(
+        s / m - resolution * (k / (2.0 * m)) ** 2
+        for s, k in zip(selfw, _strengths(adj, selfw))
+    )
 
 
 def _local_move(
@@ -133,14 +142,13 @@ def _local_move(
                 link[cu] = link.get(cu, 0.0) + w
             tot[c0] -= kv
             factor = resolution * kv / two_m
-            g_stay = link.get(c0, 0.0) - tot[c0] * factor
-            best_g = g_stay
+            best_g = g_stay = link.get(c0, 0.0) - tot[c0] * factor
             best_c = c0
-            for c in sorted(link):
-                if c == c0:
-                    continue
-                g = link[c] - tot[c] * factor
-                if g > best_g:
+            # Highest gain wins and ties go to the lowest id. A winner other
+            # than c0 only moves v when it beats staying, so c0 stays on a tie.
+            for c, lc in link.items():
+                g = lc - tot[c] * factor
+                if g > best_g or (g == best_g and c < best_c):
                     best_g = g
                     best_c = c
             if best_c != c0 and best_g - g_stay > threshold:
@@ -191,42 +199,25 @@ def louvain(
     m = graph.total_weight()
     if m <= 0:
         raise EdgelessGraphError("community detection needs at least one edge")
-    node_ids = sorted(graph.nodes)
-    pos = {node: i for i, node in enumerate(node_ids)}
-    adj: list[list[tuple[int, float]]] = [
-        sorted((pos[u], w) for u, w in graph.neighbors(node).items()) for node in node_ids
-    ]
-    selfw = [graph.self_loop(node) for node in node_ids]
-
+    node_ids, adj, selfw = graph.compact()
     rng = random.Random(seed)
     membership = list(range(len(node_ids)))  # original compact node -> level node
-    levels = 0
     level_q: list[float] = []
     while True:
         comm, moved = _local_move(adj, selfw, m, resolution, rng)
         if not moved:
             break
-        levels += 1
         relabel = {label: idx for idx, label in enumerate(sorted(set(comm)))}
         membership = [relabel[comm[v]] for v in membership]
         adj, selfw = _aggregate(adj, selfw, comm, relabel)
-        # Singleton modularity of the aggregate is Q of this level's partition:
-        # a supernode's self-loop weight is its community's internal weight.
-        level_q.append(sum(
-            s / m - resolution * (k / (2.0 * m)) ** 2
-            for s, k in zip(selfw, _strengths(adj, selfw))
-        ))
+        level_q.append(_quality(adj, selfw, m, resolution))
 
-    if levels == 0:
-        assignment = {node: i for i, node in enumerate(node_ids)}
-    else:
-        assignment = {node: membership[i] for i, node in enumerate(node_ids)}
-    q = modularity(graph, assignment, resolution)
+    assignment = dict(zip(node_ids, membership))
     return CommunityPartition(
         assignment=assignment,
-        modularity=q,
+        modularity=modularity(graph, assignment, resolution),
         resolution=resolution,
         seed=seed,
-        levels=levels,
+        levels=len(level_q),
         level_modularity=tuple(level_q),
     )

@@ -181,11 +181,14 @@ class UndirectedGraph:
     def __init__(self):
         self._adj: dict[int, dict[int, float]] = {}
         self._self: dict[int, float] = {}
+        self._compact = None
 
     def add_node(self, node: int) -> None:
+        self._compact = None
         self._adj.setdefault(node, {})
 
     def add_edge(self, i: int, j: int, weight: float = 1.0) -> None:
+        self._compact = None
         if i == j:
             self._adj.setdefault(i, {})
             self._self[i] = self._self.get(i, 0.0) + weight
@@ -199,11 +202,21 @@ class UndirectedGraph:
     def nodes(self) -> list[int]:
         return list(self._adj)
 
-    def __len__(self) -> int:
-        return len(self._adj)
+    def compact(self) -> tuple[list[int], list[list[tuple[int, float]]], list[float]]:
+        """(node ids ascending, (position, weight) rows sorted by position,
+        self-loop weights), kept until the next add_node or add_edge.
 
-    def __contains__(self, node: int) -> bool:
-        return node in self._adj
+        Every caller shares the lists and must not change them.
+        """
+        if self._compact is None:
+            node_ids = sorted(self._adj)
+            pos = {node: i for i, node in enumerate(node_ids)}
+            self._compact = (
+                node_ids,
+                [sorted((pos[u], w) for u, w in self._adj[node].items()) for node in node_ids],
+                [self._self.get(node, 0.0) for node in node_ids],
+            )
+        return self._compact
 
     def neighbors(self, node: int) -> dict[int, float]:
         return self._adj[node]

@@ -15,7 +15,8 @@ fingerprints), so rerunning with identical parameters is a no-op and any
 parameter or input change invalidates everything downstream. `report` and
 `export` are derived read-only views: they write no manifest entry and
 take no lock, so they may run next to a writer. Writers take a kernel lock
-on `.lock`, which a killed writer cannot leave behind.
+on `.lock`, which a killed writer cannot leave behind, and read the
+manifest, which their params may depend on, only while they hold it.
 
 `RunDir.write` and `RunDir.read` are the only way artifacts enter and leave
 a run directory. A write records the SHA-256 of the bytes it wrote. A read
@@ -212,16 +213,11 @@ def _drop_stale(manifest: dict) -> None:
             del manifest["stages"][name]
 
 
-def _valid_entry(manifest: Mapping, name: str) -> dict:
-    """The entry of a stage whose upstream chain holds, or an actionable error."""
-    if not _chain_valid(manifest, name):
-        raise StageError(f"stage '{name}' has not been run; run `hashjack {name}` first")
-    return manifest["stages"][name]
-
-
 def require_stage(run: RunDir, manifest: Mapping, name: str) -> dict:
     """The valid manifest entry for a prerequisite, or an actionable error."""
-    entry = _valid_entry(manifest, name)
+    if not _chain_valid(manifest, name):
+        raise StageError(f"stage '{name}' has not been run; run `hashjack {name}` first")
+    entry = manifest["stages"][name]
     if not _outputs_ok(run, entry):
         raise _modified(name)
     return entry
@@ -240,26 +236,30 @@ def _remove_orphans(root: Path) -> None:
             pass  # alive, but another user's
 
 
-def run_stage(run, name, params, execute, inputs=None, source=None):
+def run_stage(run, name, make_params, execute, inputs=None, source=None):
     """Execute one writer stage under the run lock.
 
-    Returns (ran, entry). A stage whose fingerprint matches the recorded
-    entry and whose outputs are intact is skipped. Otherwise each stage in
-    READS[name] is verified once and `execute(run, manifest, params, deps)`
-    gets their entries by name. After a real run every stage whose upstream
-    chain no longer matches is dropped from the manifest. When the stage
-    wrote to the same `out` as before, the files inside the run directory
-    that its previous entry listed and no remaining entry lists are removed;
-    a file-output stage given a new `--out` removes nothing, so an earlier
-    output stays usable as `polarisation --compare`. Outputs of dropped
-    entries stay on disk. Before anything else it removes every
-    `<name>.<pid>.tmp` in the run directory whose pid is not alive.
+    The manifest is read once, under the lock, and the stage's params are
+    `make_params(manifest, deps)` with `deps` the verified PREREQS entries
+    by name. Returns (ran, entry). A stage whose fingerprint matches the
+    recorded entry and whose outputs are intact is skipped. Otherwise each
+    stage in READS[name] is verified once and
+    `execute(run, manifest, params, deps)` gets their entries by name.
+    After a real run every stage whose upstream chain no longer matches is
+    dropped from the manifest. When the stage wrote to the same `out` as
+    before, the files inside the run directory that its previous entry
+    listed and no remaining entry lists are removed; a file-output stage
+    given a new `--out` removes nothing, so an earlier output stays usable
+    as `polarisation --compare`. Outputs of dropped entries stay on disk.
+    Before anything else it removes every `<name>.<pid>.tmp` in the run
+    directory whose pid is not alive.
     """
     inputs = inputs or {}
     with RunLock(run.root):
         _remove_orphans(run.root)
         manifest = run.load_manifest()
         deps = {dep: require_stage(run, manifest, dep) for dep in PREREQS[name]}
+        params = make_params(manifest, deps)
         upstream = {dep: entry["fingerprint"] for dep, entry in deps.items()}
         fp = _fingerprint(name, params, inputs, upstream)
         prev = manifest["stages"].get(name)
@@ -413,7 +413,8 @@ def stage_ingest(run, input_path, tracked, fmt="jsonl", strict=False, out="store
         return outputs
 
     return run_stage(
-        run, "ingest", params, execute, inputs=inputs, source=str(input_path)
+        run, "ingest", lambda manifest, deps: params, execute, inputs=inputs,
+        source=str(input_path),
     )
 
 
@@ -444,26 +445,28 @@ def stage_build(run, out="networks"):
             outputs[rel] = run.write(rel, json_text(network_to_obj(nets[tag])))
         return outputs
 
-    return run_stage(run, "build", params, execute)
+    return run_stage(run, "build", lambda manifest, deps: params, execute)
 
 
 def stage_communities(run, networks=None, resolution=1.0, seed=42, out="partitions"):
     """Cluster the requested networks; untouched ones keep their artifacts."""
     if not (math.isfinite(resolution) and resolution > 0):
         raise StageError(f"resolution must be a positive number, got {resolution}")
-    manifest = run.load_manifest()
-    built = _built_tags(_valid_entry(manifest, "build"))
-    targets = built if networks is None else sorted(
+    requested = None if networks is None else sorted(
         {normalize_hashtag(t) for t in networks}
     )
-    for tag in targets:
-        if tag not in built:
-            raise StageError(
-                f"#{tag} is not a built network; available: "
-                + ", ".join("#" + t for t in built)
-            )
     opts = {"resolution": float(resolution), "seed": int(seed)}
-    params = _merged_networks(manifest, "communities", out, dict.fromkeys(targets, opts))
+
+    def make_params(manifest, deps):
+        built = _built_tags(deps["build"])
+        targets = built if requested is None else requested
+        for tag in targets:
+            if tag not in built:
+                raise StageError(
+                    f"#{tag} is not a built network; available: "
+                    + ", ".join("#" + t for t in built)
+                )
+        return _merged_networks(manifest, "communities", out, dict.fromkeys(targets, opts))
 
     def execute(run, manifest, params, deps):
         registry = _load(run, deps, "build")
@@ -481,7 +484,7 @@ def stage_communities(run, networks=None, resolution=1.0, seed=42, out="partitio
 
         return _per_network(run, manifest, "communities", params, make)
 
-    return run_stage(run, "communities", params, execute)
+    return run_stage(run, "communities", make_params, execute)
 
 
 def normalize_label_request(obj: Mapping) -> tuple[str, dict]:
@@ -530,7 +533,6 @@ def stage_label(run, requests: Sequence[Mapping], out="labels"):
     normalized = dict(normalize_label_request(obj) for obj in requests)
     if not normalized:
         raise StageError("labels.json contains no entries")
-    params = _merged_networks(run.load_manifest(), "label", out, normalized)
 
     def execute(run, manifest, params, deps):
         registry = _load(run, deps, "build")
@@ -564,7 +566,11 @@ def stage_label(run, requests: Sequence[Mapping], out="labels"):
 
         return _per_network(run, manifest, "label", params, make)
 
-    return run_stage(run, "label", params, execute)
+    return run_stage(
+        run, "label",
+        lambda manifest, deps: _merged_networks(manifest, "label", out, normalized),
+        execute,
+    )
 
 
 def _profile_from_row(row: Mapping, source) -> PolarisationProfile:
@@ -621,7 +627,7 @@ def stage_polarisation(run, threshold=0.05, compare=None, out="polarisation.json
         return {out: run.write(out, json_text(obj))}
 
     return run_stage(
-        run, "polarisation", params, execute, inputs=inputs,
+        run, "polarisation", lambda manifest, deps: params, execute, inputs=inputs,
         source=None if compare is None else str(compare),
     )
 
@@ -669,26 +675,26 @@ def stage_odds(run, targets, out="odds.json"):
         }
         return {out: run.write(out, json_text(obj))}
 
-    return run_stage(run, "odds", params, execute)
+    return run_stage(run, "odds", lambda manifest, deps: params, execute)
 
 
 def stage_activity(run, targets=None, fractions=DEFAULT_FRACTIONS, out="activity.json"):
     """Concentration curves for each party's partisans over all networks."""
-    manifest = run.load_manifest()
-    if targets is None:
-        if _chain_valid(manifest, "odds"):
-            tags = manifest["stages"]["odds"]["params"]["targets"]
-        else:
-            raise StageError("pass --targets, or run `hashjack odds` first")
-    else:
-        tags = sorted({normalize_hashtag(t) for t in targets})
+    tags = None if targets is None else sorted({normalize_hashtag(t) for t in targets})
     fracs = sorted({float(q) for q in fractions})
     if not fracs or not all(0 < q <= 1 for q in fracs):
         raise StageError("fractions must lie in (0, 1]")
-    params = {"targets": tags, "fractions": fracs, "out": out}
+
+    def make_params(manifest, deps):
+        chosen = tags
+        if chosen is None:
+            if not _chain_valid(manifest, "odds"):
+                raise StageError("pass --targets, or run `hashjack odds` first")
+            chosen = manifest["stages"]["odds"]["params"]["targets"]
+        return {"targets": chosen, "fractions": fracs, "out": out}
 
     def execute(run, manifest, params, deps):
-        registry, psets, _ = _split_parties(run, deps, tags)
+        registry, psets, _ = _split_parties(run, deps, params["targets"])
         nets = [_load(run, deps, "build", tag) for tag in _built_tags(deps["build"])]
         curves = [
             concentration(pset, nets, fracs, registry).to_dict()
@@ -697,7 +703,7 @@ def stage_activity(run, targets=None, fractions=DEFAULT_FRACTIONS, out="activity
         obj = {"fractions": fracs, "curves": curves}
         return {out: run.write(out, json_text(obj))}
 
-    return run_stage(run, "activity", params, execute)
+    return run_stage(run, "activity", make_params, execute)
 
 
 # -- derived views (no lock, no manifest entry) -------------------------

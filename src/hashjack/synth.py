@@ -352,31 +352,6 @@ class GroundTruth:
             "tables": self.tables,
         }
 
-    @classmethod
-    def from_dict(cls, obj: Mapping) -> "GroundTruth":
-        return cls(
-            seed=int(obj["seed"]),
-            prng=str(obj["prng"]),
-            partisans={p: tuple(v) for p, v in obj["partisans"].items()},
-            sides={
-                tag: {side: tuple(v) for side, v in planted.items()}
-                for tag, planted in obj["sides"].items()
-            },
-            activity={
-                tag: {kind: {k: int(n) for k, n in v.items()} for kind, v in acts.items()}
-                for tag, acts in obj["activity"].items()
-            },
-            tables={
-                party: {
-                    public: {cell: int(n) for cell, n in cells.items()}
-                    for public, cells in row.items()
-                }
-                for party, row in obj["tables"].items()
-            },
-            event_count=int(obj["event_count"]),
-            account_count=int(obj["account_count"]),
-        )
-
 
 def _rank_weights(n: int, exponent: float) -> np.ndarray:
     return np.arange(1, n + 1, dtype=np.float64) ** -exponent

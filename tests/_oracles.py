@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import combinations
 from math import comb
 from typing import Iterable, Mapping, Sequence
@@ -76,3 +77,26 @@ def pair_agreement_partitions(a: Mapping[int, int], b: Mapping[int, int]) -> boo
         if (a[u] == a[v]) != (b[u] == b[v]):
             return False
     return True
+
+
+def disconnected_communities(graph: UndirectedGraph, assignment: Mapping[int, int]) -> int:
+    """Communities whose members do not induce one connected subgraph.
+
+    Breadth-first search inside each community; Louvain can leave such
+    communities behind (Traag, Waltman & van Eck 2019, Sci. Rep. 9:5233).
+    """
+    blocks: dict[int, set[int]] = {}
+    for node in graph.nodes:
+        blocks.setdefault(assignment[node], set()).add(node)
+    count = 0
+    for block in blocks.values():
+        start = next(iter(block))
+        seen = {start}
+        queue = deque([start])
+        while queue:
+            for other in graph.neighbors(queue.popleft()):
+                if other in block and other not in seen:
+                    seen.add(other)
+                    queue.append(other)
+        count += len(seen) < len(block)
+    return count

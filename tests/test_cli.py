@@ -203,6 +203,34 @@ class TestStageChain:
         assert (run / ".lock").exists()
         assert run_cli("build", "--run-dir", run) == 0
 
+    def test_writer_between_call_and_lock_keeps_its_update(
+        self, corpus, tmp_path, monkeypatch
+    ):
+        run = tmp_path / "run"
+        bootstrap(run, corpus, upto="communities")
+        real = hashjack.pipeline.RunLock.__enter__
+        interleaved = []
+
+        def other_writer_first(lock):
+            # Another writer runs to completion just before this call locks.
+            if not interleaved:
+                interleaved.append(True)
+                assert run_cli(
+                    "communities", "--network", "party1", "--seed", "9", "--run-dir", run
+                ) == 0
+            return real(lock)
+
+        monkeypatch.setattr(hashjack.pipeline.RunLock, "__enter__", other_writer_first)
+        assert run_cli(
+            "communities", "--network", "agenda", "--seed", "7", "--run-dir", run
+        ) == 0
+        assert interleaved
+        networks = load_json(run / "manifest.json")["stages"]["communities"]["params"][
+            "networks"
+        ]
+        assert networks["party1"]["seed"] == 9
+        assert networks["agenda"]["seed"] == 7
+
     def test_missing_input_file_exits_2(self, tmp_path):
         code = run_cli(
             "ingest", tmp_path / "nope.jsonl", "--tracked", "a", "--run-dir", tmp_path / "r"
@@ -688,6 +716,14 @@ class TestArtifactIO:
                             span(hashjack.pipeline.run_stage))
         monkeypatch.setattr(hashjack.pipeline, "write_report",
                             span(hashjack.pipeline.write_report))
+        manifest_loads = []
+
+        def counting_load(path, *args, _real=hashjack.pipeline.load_json):
+            if Path(path).name == "manifest.json":
+                manifest_loads.append(path)
+            return _real(path, *args)
+
+        monkeypatch.setattr(hashjack.pipeline, "load_json", counting_load)
 
         assert run_cli(
             "pipeline", "ingest", "build", "communities", "label", "polarisation",
@@ -696,6 +732,7 @@ class TestArtifactIO:
             tmp_path / "relabel.json", "--targets", "agenda", "--run-dir", run,
         ) == 0
         assert len(spans) == 8
+        assert len(manifest_loads) == 8  # once per writer stage and once for report
         assert decodes and max(decodes.values()) == 1, decodes
         for stage_events in spans:
             written = set()

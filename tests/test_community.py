@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from _oracles import (
     adjusted_rand_index,
     blocks_to_assignment,
+    disconnected_communities,
     naive_modularity,
     set_partitions,
 )
@@ -185,6 +186,63 @@ class TestLouvain:
             assert set(part.assignment) == set(g.nodes)
             assert part.modularity > 0.2
 
+    # Assignment in node order, repr(Q) and per-level Q. A change to the tie
+    # rule or to the order Q is summed in shows here as changed bits.
+    PINNED = [
+        (
+            ([6] * 5, 0.6, 0.08, 4), 0.5,
+            [0] * 12 + [1] * 12 + [0, 0, 0, 1, 0, 0],
+            "0.6071428571428571",
+            (0.4128243890148652, 0.5621693121693121, 0.6071428571428571),
+        ),
+        (
+            ([5] * 4, 0.6, 0.08, 0), 1.0,
+            [0, 0, 0, 0, 0, 1, 2, 1, 2, 2, 3, 1, 1, 1, 1, 1, 3, 1, 3, 3],
+            "0.38979591836734695",
+            (0.3812244897959184, 0.38979591836734695),
+        ),
+        (
+            ([7] * 5, 0.5, 0.08, 0), 2.0,
+            [4, 0, 9, 1, 0, 1, 1, 3, 3, 6, 6, 5, 4, 3, 3, 3, 4, 3, 6, 3, 7, 8,
+             5, 8, 8, 0, 5, 0, 9, 9, 2, 6, 9, 5, 2],
+            "0.22315558802045288",
+            (0.21219868517165813, 0.22315558802045288),
+        ),
+    ]
+
+    @pytest.mark.parametrize("graph_args, resolution, assignment, q, levels", PINNED)
+    def test_output_bits_are_pinned(self, graph_args, resolution, assignment, q, levels):
+        g, _ = planted_partition_graph(*graph_args[:3], seed=graph_args[3])
+        part = louvain(g, resolution=resolution, seed=42)
+        assert [part.assignment[v] for v in sorted(g.nodes)] == assignment
+        assert repr(part.modularity) == q
+        assert part.level_modularity == levels
+        assert part.modularity == modularity(g, part.assignment, resolution)
+
+    def test_modularity_bits_are_pinned(self):
+        g, _ = planted_partition_graph([6] * 5, 0.6, 0.08, seed=4)
+        assert repr(modularity(g, {v: 2 * v % 5 for v in g.nodes}, 1.0)) == (
+            "-0.05983875031494078"
+        )
+        assert repr(modularity(g, {v: 3 * v % 4 for v in g.nodes}, 2.0)) == (
+            "-0.3736457545981355"
+        )
+
+    def test_change_after_scoring_is_seen(self):
+        g = barbell()
+        split = {0: 0, 1: 0, 2: 0, 3: 1, 4: 1, 5: 1}
+        assert louvain(g).modularity == pytest.approx(BARBELL_Q, abs=1e-12)
+        g.add_edge(0, 5, 4.0)
+        q = modularity(g, split)
+        assert q == pytest.approx(naive_modularity(g, split), abs=1e-12)
+        assert q < BARBELL_Q - 0.1
+        g.add_node(6)
+        part = louvain(g)
+        assert set(part.assignment) == set(range(7))
+        assert part.modularity == pytest.approx(
+            naive_modularity(g, part.assignment), abs=1e-12
+        )
+
     def test_partition_members_and_communities_agree(self):
         part = louvain(barbell())
         for cid, members in part.communities().items():
@@ -199,6 +257,20 @@ class TestPlantedRecovery:
         part = louvain(g, seed=42)
         planted = {v: truth[v] for v in g.nodes}
         assert adjusted_rand_index(part.assignment, planted) >= 0.95
+
+    def test_connectivity_oracle_sees_a_split_community(self):
+        g = two_triangles()
+        assert disconnected_communities(g, dict.fromkeys(range(6), 0)) == 1
+        assert disconnected_communities(g, {v: v // 3 for v in range(6)}) == 0
+
+    @pytest.mark.parametrize("resolution", [0.5, 1.0, 2.0])
+    def test_planted_communities_are_connected(self, resolution):
+        disconnected = 0
+        for seed in range(20):
+            g, _ = planted_partition_graph([50, 50, 50, 50], 0.3, 0.01, seed=seed)
+            part = louvain(g, resolution=resolution, seed=42)
+            disconnected += disconnected_communities(g, part.assignment)
+        assert disconnected == 0
 
 
 graph_cases = st.integers(min_value=0, max_value=2**31 - 1)

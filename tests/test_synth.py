@@ -8,7 +8,6 @@ from hashjack.labeling import ClusterLabeling, PartisanAssignment
 from hashjack.odds import contingency
 from hashjack.synth import (
     ActivitySpec,
-    GroundTruth,
     MixingSpec,
     PartySpec,
     PublicSpec,
@@ -185,11 +184,6 @@ class TestGenerate:
         _, truth = generate(cfg)
         members = set(truth.sides["tide"]["pro"]) | set(truth.sides["tide"]["contra"])
         assert not members & set(truth.partisans["afd"])
-
-    def test_truth_round_trips(self):
-        _, truth = generate(small_config())
-        again = GroundTruth.from_dict(truth.to_dict())
-        assert again.to_dict() == truth.to_dict()
 
 
 class TestAnalyzerAgreement:
