@@ -5,7 +5,8 @@ current directory) except ``synth``, which writes wherever it is told.
 Global flags may be given before or after the subcommand. The stage
 subcommands and ``pipeline`` dispatch through one ``_run_stage``, so
 ``pipeline`` prints the same line per stage. Exit codes: 0 success,
-2 usage, input or stage errors, 1 internal errors.
+2 usage, input or stage errors and any OSError (a path that cannot be
+read or written), 1 internal errors.
 """
 
 from __future__ import annotations
@@ -41,8 +42,6 @@ def _split_fractions(text: str) -> list[float]:
 def _load_user_json(path: str):
     try:
         return load_json(path)
-    except OSError as exc:
-        raise StageError(f"cannot read {path}: {exc}") from None
     except ValueError as exc:
         raise StageError(f"{path} is not valid JSON: {exc}") from None
 
@@ -279,7 +278,7 @@ def main(argv=None) -> int:
 def entrypoint(argv=None) -> int:
     try:
         return main(argv)
-    except HashjackError as exc:
+    except (HashjackError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:

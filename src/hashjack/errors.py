@@ -1,7 +1,8 @@
 """Exception hierarchy.
 
-Everything raised on bad user input or bad data derives from HashjackError;
-the CLI maps those to exit code 2 and anything else to exit code 1.
+Everything raised on bad user input or bad data derives from HashjackError.
+The CLI maps those and OSError (a path that cannot be read or written) to
+exit code 2, and anything else to exit code 1.
 """
 
 

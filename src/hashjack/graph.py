@@ -24,9 +24,6 @@ class AccountRegistry:
         for account in ids:
             self.intern(account)
 
-    def __len__(self) -> int:
-        return len(self._ids)
-
     def __contains__(self, account: str) -> bool:
         return account in self._index
 

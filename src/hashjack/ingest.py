@@ -18,7 +18,7 @@ import re
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable
 
 from .errors import HashtagError, IngestError, RejectRateError
 
@@ -172,37 +172,25 @@ def _parse_csv_row(row: list[str]) -> TweetRecord:
     )
 
 
-def _text_lines(source) -> Iterator[str]:
-    if isinstance(source, (bytes, bytearray)):
-        source = io.BytesIO(source)
-    if isinstance(source, str):
-        source = io.StringIO(source)
-    if hasattr(source, "read"):
-        first = source.read(0)
-        if isinstance(first, bytes):
-            source = io.TextIOWrapper(source, encoding="utf-8")
-    for line in source:
-        if isinstance(line, bytes):
-            line = line.decode("utf-8")
-        yield line
-
-
 def parse_records(
-    source: IO[bytes] | IO[str] | bytes | str | Iterable[str],
+    source: str | Iterable[str],
     fmt: str = "jsonl",
     strict: bool = False,
 ) -> tuple[list[TweetRecord], list[Reject]]:
     """Parse a JSONL or CSV event source.
 
-    Returns (records, rejects) in input order. Lines that fail validation
-    (bad JSON, missing fields, self-retweets, duplicate tweet ids, malformed
-    hashtags or timestamps) become Reject entries. A reject rate above 50%
-    logs a warning, escalated to RejectRateError when strict is set.
+    source is the whole text or an iterable of text lines, such as a file
+    opened in text mode; a decoding or read error of that file raises
+    IngestError. Returns (records, rejects) in input order. Lines that fail
+    validation (bad JSON, missing fields, self-retweets, duplicate tweet
+    ids, malformed hashtags or timestamps) become Reject entries. A reject
+    rate above 50% logs a warning, escalated to RejectRateError when strict
+    is set.
     """
     if fmt not in ("jsonl", "csv"):
         raise IngestError(f"unknown format: {fmt!r}")
     try:
-        lines = _text_lines(source)
+        lines = io.StringIO(source) if isinstance(source, str) else source
         records: list[TweetRecord] = []
         rejects: list[Reject] = []
         seen_ids: set[str] = set()

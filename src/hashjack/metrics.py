@@ -131,7 +131,7 @@ class CompositionReport:
 
 def cluster_composition(
     cluster: Iterable[int],
-    partisan_sets: Mapping[str, PartisanAssignment] | Sequence[PartisanAssignment],
+    partisan_sets: Mapping[str, PartisanAssignment],
     net: RetweetNetwork,
     top_k: int,
     registry: AccountRegistry,
@@ -147,8 +147,6 @@ def cluster_composition(
     members = set(cluster)
     if not members:
         raise ValueError("cluster is empty")
-    if not isinstance(partisan_sets, Mapping):
-        partisan_sets = {p.party: p for p in partisan_sets}
 
     shares = {}
     covered: set[int] = set()

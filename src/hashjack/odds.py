@@ -49,10 +49,6 @@ class ContingencyTable2x2:
             raise ValueError("contingency counts must be non-negative")
 
     @property
-    def n(self) -> int:
-        return self.a + self.b + self.c + self.d
-
-    @property
     def cells(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)
 

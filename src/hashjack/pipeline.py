@@ -589,10 +589,7 @@ def stage_polarisation(run, threshold=0.05, compare=None, out="polarisation.json
     inputs = {}
     if compare is not None:
         compare = Path(compare)
-        try:
-            earlier_bytes = compare.read_bytes()
-        except OSError:
-            raise StageError(f"no such comparison file: {compare}") from None
+        earlier_bytes = compare.read_bytes()
         inputs["compare"] = hashlib.sha256(earlier_bytes).hexdigest()
 
     def execute(run, manifest, params, deps):

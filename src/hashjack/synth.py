@@ -35,6 +35,7 @@ to this implementation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from typing import Iterator, Mapping, Sequence
@@ -139,12 +140,12 @@ class SynthConfig:
             if spec.pro < 0 or spec.contra < 0:
                 raise SynthConfigError(f"public {spec.name}: counts must be >= 0")
         act = self.activity
-        if act.zipf_s <= 0:
-            raise SynthConfigError("zipf_s must be > 0")
-        if act.attention_s is not None and act.attention_s <= 0:
-            raise SynthConfigError("attention_s must be > 0")
-        if act.events_per_member < 0:
-            raise SynthConfigError("events_per_member must be >= 0")
+        if not 0 < act.zipf_s < math.inf:
+            raise SynthConfigError("zipf_s must be finite and > 0")
+        if act.attention_s is not None and not 0 < act.attention_s < math.inf:
+            raise SynthConfigError("attention_s must be finite and > 0")
+        if not 0 <= act.events_per_member < math.inf:
+            raise SynthConfigError("events_per_member must be finite and >= 0")
         mix = self.mixing
         if not 0.0 <= mix.p_out < mix.p_in <= 1.0:
             raise SynthConfigError("mixing requires 0 <= p_out < p_in <= 1")
@@ -222,30 +223,6 @@ class SynthConfig:
                         "account, no valid target"
                     )
 
-    def to_dict(self) -> dict:
-        hijack: dict[str, dict[str, float]] = {}
-        for (party, public), h in sorted(self.hijack.items()):
-            hijack.setdefault(party, {})[public] = h
-        return {
-            "seed": self.seed,
-            "parties": [
-                {"name": s.name, "partisans": s.partisans, "contras": s.contras}
-                for s in self.parties
-            ],
-            "public_hashtags": [
-                {"name": s.name, "pro": s.pro, "contra": s.contra}
-                for s in self.publics
-            ],
-            "activity": {
-                "zipf_s": self.activity.zipf_s,
-                "events_per_member": self.activity.events_per_member,
-                "attention_s": self.activity.attention_s,
-            },
-            "mixing": {"p_in": self.mixing.p_in, "p_out": self.mixing.p_out},
-            "participation": self.participation,
-            "hijack": hijack,
-        }
-
     @classmethod
     def from_dict(cls, obj: Mapping) -> "SynthConfig":
         known = {
@@ -300,7 +277,7 @@ class SynthConfig:
                 hijack=hijack,
                 participation=float(obj.get("participation", 1.0)),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SynthConfigError(f"malformed synth config: {exc}") from None
         config.validate()
         return config
@@ -328,11 +305,6 @@ class GroundTruth:
     tables: dict[str, dict[str, dict[str, int]]]
     event_count: int
     account_count: int
-
-    def appearing(self, hashtag: str) -> set[str]:
-        """Accounts present in the hashtag's stream as author or target."""
-        acts = self.activity[hashtag]
-        return set(acts["made"]) | set(acts["received"])
 
     def to_dict(self) -> dict:
         return {

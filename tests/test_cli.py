@@ -1,15 +1,20 @@
 """End-to-end pipeline tests driven through the CLI entrypoint in-process."""
 
+import contextlib
 import fcntl
+import io
 import json
+import math
 import os
 import shutil
 import signal
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import hashjack.pipeline
 from hashjack.cli import entrypoint
@@ -436,15 +441,54 @@ BAD_VALUES = [
 
 BAD_INPUTS = [(("label", "apply", "--labels", "{labels}"), obj) for obj in BAD_LABELS]
 BAD_INPUTS += [(argv, None) for argv in BAD_TAGS + BAD_VALUES]
+
+
+def synth_cfg_with(path, value):
+    """A copy of SYNTH_CFG with the field at `path` (keys, list indices) set."""
+    cfg = json.loads(json.dumps(SYNTH_CFG))
+    *parents, last = path
+    node = cfg
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return cfg
+
+
 BAD_SYNTH_CONFIGS = [
     {**SYNTH_CFG, "parties": [{"name": 5, "partisans": 10, "contras": 5}]},
     {**SYNTH_CFG, "hijack": {"p": 0.5}},
     5,
     {**SYNTH_CFG, "public_hashtags": [{"name": [1], "pro": 10, "contra": 5}]},
 ]
+# Non-finite numbers, which Python's json reads from NaN and Infinity.
+BAD_SYNTH_CONFIGS += [
+    synth_cfg_with(path, value)
+    for path, value in [
+        (("activity", "events_per_member"), math.nan),
+        (("activity", "events_per_member"), math.inf),
+        (("activity", "zipf_s"), math.nan),
+        (("activity", "zipf_s"), math.inf),
+        (("activity", "attention_s"), math.nan),
+        (("seed",), math.inf),
+        (("parties", 0, "partisans"), math.inf),
+        (("parties", 0, "contras"), math.inf),
+        (("public_hashtags", 0, "contra"), math.inf),
+    ]
+]
 BAD_INPUTS += [
     (("synth", "--config", "{labels}", "--out", "{tmp}/o.jsonl"), cfg)
     for cfg in BAD_SYNTH_CONFIGS
+]
+# Output paths that cannot be written: a file where a directory must be,
+# or a directory where a file must be.
+BAD_INPUTS += [
+    (("build", "--run-dir", "{labels}"), None),
+    (("export", "--network", "agenda", "--gexf", "{tmp}"), None),
+    (("synth", "--config", "{labels}", "--out", "{tmp}"), SYNTH_CFG),
+    (("synth", "--config", "{labels}", "--out", "{tmp}/o.jsonl", "--truth", "{tmp}"),
+     SYNTH_CFG),
+    (("report", "--out", "."), None),
+    (("odds", "--targets", "agenda", "--out", "labels"), None),
 ]
 # Comparison files whose #agenda row lacks a share, or holds a string or null.
 BAD_COMPARE_ROWS = [
@@ -468,11 +512,104 @@ class TestBadInputExits2:
         labels.write_text(json.dumps(labels_obj))
         before = (finished / "manifest.json").read_bytes()
         fields = {"corpus": corpus["corpus"], "tmp": tmp_path, "labels": labels}
-        code = run_cli(*(a.format(**fields) for a in argv), "--run-dir", finished)
+        argv = [a.format(**fields) for a in argv]
+        if "--run-dir" not in argv:
+            argv += ["--run-dir", finished]
+        code = run_cli(*argv)
         err = capsys.readouterr().err
         assert code == 2, err
         assert "internal error" not in err
         assert (finished / "manifest.json").read_bytes() == before
+
+
+# One number of a synth config, or one flag value, replaced by each of
+# these. Large finite values stay out: they legitimately generate huge
+# corpora.
+POOL = [math.nan, math.inf, -math.inf, -1, 0, 0.5, 3, 1e-300, "x", None, [], {}]
+FLAG_POOL = ["nan", "inf", "-inf", "-1", "0", "0.5", "3", "1e-300", "x", "null", "[]", "{}"]
+SYNTH_NUMBERS = [
+    ("seed",),
+    ("parties", 0, "partisans"),
+    ("parties", 0, "contras"),
+    ("parties", 1, "partisans"),
+    ("parties", 1, "contras"),
+    ("public_hashtags", 0, "pro"),
+    ("public_hashtags", 0, "contra"),
+    ("activity", "zipf_s"),
+    ("activity", "events_per_member"),
+    ("activity", "attention_s"),
+    ("mixing", "p_in"),
+    ("mixing", "p_out"),
+    ("participation",),
+    ("hijack", "party1", "agenda"),
+]
+NUMBER_FLAGS = [
+    ("communities", "--resolution"),
+    ("communities", "--seed"),
+    ("polarisation", "--threshold"),
+    ("activity", "--fractions"),
+    ("report", "--top-k"),
+    ("label", "report", "--network", "agenda", "--top"),
+]
+
+
+def exit_code_and_stderr(*argv):
+    """entrypoint's exit code and stderr; argparse exits by SystemExit."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            code = run_cli(*argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def flag_run(corpus, tmp_path_factory):
+    """A finished run directory that TestAnyNumberExits0Or2 copies per case."""
+    run = tmp_path_factory.mktemp("flag_run") / "run"
+    bootstrap(run, corpus)
+    return run
+
+
+class TestAnyNumberExits0Or2:
+    """No number in a synth config or a flag makes the CLI fail internally,
+    and a non-finite one is always refused."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(path=st.sampled_from(SYNTH_NUMBERS), value=st.sampled_from(POOL))
+    @example(path=("activity", "events_per_member"), value=math.nan)
+    @example(path=("activity", "events_per_member"), value=math.inf)
+    @example(path=("activity", "zipf_s"), value=math.nan)
+    @example(path=("activity", "zipf_s"), value=math.inf)
+    @example(path=("activity", "attention_s"), value=math.nan)
+    @example(path=("seed",), value=math.inf)
+    @example(path=("parties", 0, "partisans"), value=math.inf)
+    @example(path=("public_hashtags", 0, "contra"), value=math.inf)
+    def test_synth_config_number(self, path, value):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "cfg.json"
+            cfg.write_text(json.dumps(synth_cfg_with(path, value)))
+            code, err = exit_code_and_stderr(
+                "synth", "--config", cfg, "--out", Path(tmp) / "o.jsonl"
+            )
+        assert code in (0, 2), err
+        assert "internal error" not in err
+        if isinstance(value, float) and not math.isfinite(value):
+            assert code == 2
+
+    @settings(max_examples=72, deadline=None)
+    @given(flag=st.sampled_from(NUMBER_FLAGS), value=st.sampled_from(FLAG_POOL))
+    def test_flag_number(self, flag_run, flag, value):
+        *command, name = flag
+        with tempfile.TemporaryDirectory() as tmp:
+            run = Path(tmp) / "run"
+            shutil.copytree(flag_run, run)
+            code, err = exit_code_and_stderr(*command, f"{name}={value}", "--run-dir", run)
+        assert code in (0, 2), err
+        assert "internal error" not in err
+        if value in ("nan", "inf", "-inf"):
+            assert code == 2
 
 
 class TestPerNetworkReuse:

@@ -31,7 +31,7 @@ class TestAccountRegistry:
         assert reg.intern("bob") == 0
         assert reg.intern("alice") == 1
         assert reg.intern("bob") == 0
-        assert len(reg) == 2
+        assert reg.ids == ("bob", "alice")
         assert reg.id_of(1) == "alice"
         assert reg.index_of("bob") == 0
         assert "alice" in reg and "carol" not in reg

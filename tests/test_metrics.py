@@ -145,11 +145,11 @@ class TestComposition:
         d = comp.to_dict()
         assert d["shares"] == {"#afd": 0.25, "#spd": 0.5}
 
-    def test_sequence_of_partisan_sets_accepted(self, world):
+    def test_small_cluster_is_truncated(self, world):
         reg, net, part, lab = world
         comp = cluster_composition(
             part.members(0),
-            [PartisanAssignment("afd", frozenset([reg.index_of("p0")]))],
+            {"afd": PartisanAssignment("afd", frozenset([reg.index_of("p0")]))},
             net,
             top_k=10,
             registry=reg,

@@ -30,7 +30,6 @@ class TestContingencyTable:
     def test_cells_and_total(self):
         t = ContingencyTable2x2(3, 4, 5, 6)
         assert t.cells == (3, 4, 5, 6)
-        assert t.n == 18
         assert not t.has_zero_cell
 
     def test_zero_cell_detected(self):
