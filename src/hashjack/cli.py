@@ -12,6 +12,8 @@ read or written), 1 internal errors.
 from __future__ import annotations
 
 import argparse
+import io
+import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -19,7 +21,7 @@ from pathlib import Path
 from . import pipeline as pl
 from .errors import HashjackError, StageError
 from .ingest import write_csv, write_jsonl
-from .store import dump_json, load_json
+from .store import dump_json, load_json, write_text_atomic
 from .synth import SynthConfig, generate
 
 DEFAULT_SEED = 42
@@ -41,9 +43,13 @@ def _split_fractions(text: str) -> list[float]:
 
 def _load_user_json(path: str):
     try:
-        return load_json(path)
-    except ValueError as exc:
+        obj = load_json(path)
+        json.dumps(obj, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError:
+        raise StageError(f"{path} holds a lone surrogate escape") from None
+    except (ValueError, RecursionError) as exc:
         raise StageError(f"{path} is not valid JSON: {exc}") from None
+    return obj
 
 
 def _label_requests(path: str) -> list[dict]:
@@ -172,15 +178,21 @@ def _run_synth(args, fmt: str, seed: int | None) -> int:
     config = SynthConfig.from_dict(_load_user_json(args.config))
     if seed is not None:
         config = replace(config, seed=seed)
-    records, truth = generate(config)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8") as fh:
-        writer = write_jsonl if fmt == "jsonl" else write_csv
-        count = writer(records, fh)
+    for dest in (args.out, args.truth):
+        if dest and Path(dest).is_dir():
+            raise StageError(f"{dest} is a directory")
+    records, truth = generate(config)
+    text = io.StringIO()
+    count = (write_jsonl if fmt == "jsonl" else write_csv)(records, text)
+    write_text_atomic(out, text.getvalue())
     detail = f"synth: {count} records -> {out}"
     if args.truth:
-        dump_json(truth.to_dict(), args.truth)
+        try:
+            dump_json(truth.to_dict(), args.truth)
+        except OSError:
+            out.unlink()  # a failed synth leaves neither file
+            raise
         detail += f", truth -> {args.truth}"
     print(detail)
     return 0

@@ -28,6 +28,11 @@ _HASHTAG_RE = re.compile(r"[a-z0-9_]+\Z")
 
 CSV_COLUMNS = ("tweet_id", "author", "retweeted_author", "hashtags", "timestamp")
 
+# What no id may hold: characters XML 1.0 cannot carry even escaped (C0
+# controls other than tab, newline and carriage return, U+FFFE, U+FFFF)
+# and lone surrogates, which UTF-8 cannot encode.
+_BAD_ID_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
 
 def normalize_hashtag(tag: str) -> str:
     """Lowercase, strip a leading '#'. Raises HashtagError if the rest is not [a-z0-9_]+."""
@@ -114,6 +119,7 @@ def _build_record(
     retweeted_author: object,
     hashtags: Iterable[str],
     timestamp: object,
+    check_chars: bool = True,
 ) -> TweetRecord:
     if not isinstance(tweet_id, str) or not tweet_id:
         raise ValueError("tweet_id must be a non-empty string")
@@ -125,6 +131,11 @@ def _build_record(
         raise ValueError("retweeted_author must be a non-empty string when present")
     if retweeted_author == author:
         raise ValueError("self-retweet")
+    if check_chars:
+        for name, value in (("tweet_id", tweet_id), ("author", author),
+                            ("retweeted_author", retweeted_author or "")):
+            if _BAD_ID_CHAR.search(value):
+                raise ValueError(f"{name} holds a control character, lone surrogate or noncharacter")
     tags = frozenset(normalize_hashtag(tag) for tag in hashtags)
     if not tags:
         raise ValueError("hashtags must be non-empty")
@@ -156,6 +167,8 @@ def _parse_jsonl_line(line: str) -> TweetRecord:
         obj.get("retweeted_author"),
         hashtags,
         obj.get("timestamp"),
+        # only an escape or a non-ASCII character can carry a bad one
+        check_chars="\\" in line or not line.isascii(),
     )
 
 
@@ -211,7 +224,7 @@ def parse_records(
                     record = _parse_csv_row(next(csv.reader([line])))
                 if record.tweet_id in seen_ids:
                     raise ValueError(f"duplicate tweet_id: {record.tweet_id}")
-            except (ValueError, json.JSONDecodeError, csv.Error) as exc:
+            except (ValueError, RecursionError, csv.Error) as exc:
                 rejects.append(Reject(line=lineno, reason=str(exc), raw=stripped))
                 continue
             seen_ids.add(record.tweet_id)

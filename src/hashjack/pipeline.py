@@ -608,7 +608,7 @@ def stage_polarisation(run, threshold=0.05, compare=None, out="polarisation.json
                     (r["network"], r["basis"]): r
                     for r in json.loads(earlier_bytes)["profiles"]
                 }
-            except (ValueError, KeyError, TypeError):
+            except (ValueError, KeyError, TypeError, RecursionError):
                 raise StageError(
                     f"{compare} is not a polarisation artifact"
                 ) from None

@@ -11,6 +11,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,9 @@ from hashjack.errors import StageError
 from hashjack.graph import build_networks
 from hashjack.ingest import parse_records, split_streams
 from hashjack.store import load_json, network_to_obj, registry_to_obj
+
+
+GEXF_NS = "{http://www.gexf.net/1.2draft}"
 
 
 def run_cli(*argv):
@@ -101,6 +105,22 @@ class TestSynthCommand:
         a = tmp_path / "a.jsonl"
         assert run_cli("synth", "--config", corpus["cfg"], "--out", a, "--seed", "99") == 0
         assert a.read_bytes() != corpus["corpus"].read_bytes()
+
+    @pytest.mark.parametrize("truth", ["{tmp}", "{tmp}/afile/truth.json"])
+    def test_failed_synth_leaves_no_file(self, corpus, tmp_path, truth, capsys):
+        (tmp_path / "afile").write_text("")
+        out = tmp_path / "o.jsonl"
+        truth = truth.format(tmp=tmp_path)
+        assert run_cli("synth", "--config", corpus["cfg"], "--out", out, "--truth", truth) == 2
+        assert "internal error" not in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
+        assert (tmp_path / "afile").read_text() == ""
+
+    def test_directory_destination_is_refused_before_writing(self, corpus, tmp_path):
+        out = tmp_path / "o.jsonl"
+        out.write_text("old\n")
+        assert run_cli("synth", "--config", corpus["cfg"], "--out", out, "--truth", tmp_path) == 2
+        assert out.read_text() == "old\n"
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -520,6 +540,20 @@ class TestBadInputExits2:
         assert code == 2, err
         assert "internal error" not in err
         assert (finished / "manifest.json").read_bytes() == before
+
+    @pytest.mark.parametrize("argv", [
+        ("label", "apply", "--labels", "{deep}"),
+        ("synth", "--config", "{deep}", "--out", "{tmp}/o.jsonl"),
+        ("polarisation", "--compare", "{deep}"),
+    ])
+    def test_deeply_nested_json(self, argv, finished, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        run = tmp_path / "run"
+        shutil.copytree(finished, run)
+        argv = [a.format(deep=deep, tmp=tmp_path) for a in argv]
+        assert run_cli(*argv, "--run-dir", run) == 2
+        assert "internal error" not in capsys.readouterr().err
 
 
 # One number of a synth config, or one flag value, replaced by each of
@@ -951,3 +985,134 @@ class TestArtifactIO:
         assert run_cli("ingest", corpus["corpus"], "--tracked", TRACKED,
                        "--run-dir", run) == 0
         assert list(run.rglob("*.tmp")) == [live]
+
+
+# -- mutated corpus lines and labels entries ---------------------------------
+
+# Strings that are hard on a parser or an XML writer: lone surrogates,
+# control characters, XML markup and non-ASCII.
+HOSTILE_STRINGS = [
+    "a\ud800", "\udfff", "x\x01y", "\x00", "a\x1fb", "\x0b", "\x0c", "a\tb", "a\nb",
+    "a\rb", "&", "<a>", '"q"', "x'y", "]]>", 'c&<"\t', "\xe9", "\U0001f600", "\ufffe",
+    "\uffff", "\x7f", "\x85", "\u2028", " ",
+]
+MISSING = object()  # a field removed from the line or entry
+LINE_FIELDS = ["tweet_id", "author", "retweeted_author", "hashtags", "timestamp", "extra"]
+LINE_VALUES = [
+    MISSING, None, 5, 1.5, True, [], {}, "", ["#agenda"], ["#agenda", "#a\ud800"],
+    ["#party1", 7], "2020-03-01T00:00:00Z", "2020-03-01", *HOSTILE_STRINGS,
+]
+LABEL_FIELDS = ["network", "seeds", "seeds.pro", "labels", "min_community_size", "extra"]
+LABEL_VALUES = [
+    MISSING, None, 5, -1, True, [], {}, "", "agenda", "#party2", {"0": "pro"},
+    {"999": "pro"}, {"x": "pro"}, {"0": "pro", "1": "pro"}, {"pro": ["a"]},
+    {"pro": [5, None]}, {"pro": "a"}, {"neutral": []}, *HOSTILE_STRINGS,
+    *({"pro": [s]} for s in HOSTILE_STRINGS), *({"0": s} for s in HOSTILE_STRINGS),
+]
+SMALL_STEP = 10  # the small corpus keeps every tenth line of the shared one
+
+
+def with_field(obj: dict, field: str, value) -> dict:
+    obj = dict(obj)
+    if value is MISSING:
+        obj.pop(field, None)
+    else:
+        obj[field] = value
+    return obj
+
+
+def json_line(obj, ascii_only: bool) -> str:
+    """The object as one JSON line; a lone surrogate is always escaped."""
+    text = json.dumps(obj, ensure_ascii=ascii_only)
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        text = json.dumps(obj)
+    return text
+
+
+@pytest.fixture(scope="module")
+def small_lines(corpus):
+    return corpus["corpus"].read_text(encoding="utf-8").splitlines()[::SMALL_STEP]
+
+
+@pytest.fixture(scope="module")
+def clustered(corpus, tmp_path_factory):
+    """A run directory through communities that TestMutatedInputExits0Or2 copies."""
+    run = tmp_path_factory.mktemp("clustered") / "run"
+    bootstrap(run, corpus, upto="communities")
+    return run
+
+
+class TestMutatedInputExits0Or2:
+    """No mutated corpus line or labels entry makes the CLI fail internally,
+    and an accepted line's accounts come back unchanged from the export."""
+
+    @settings(max_examples=70, deadline=None)
+    @given(
+        index=st.integers(min_value=0),
+        field=st.sampled_from(LINE_FIELDS),
+        value=st.sampled_from(LINE_VALUES),
+        ascii_only=st.booleans(),
+    )
+    @example(index=0, field="author", value="a\ud800", ascii_only=True)
+    @example(index=1, field="retweeted_author", value='c&<"\t', ascii_only=False)
+    @example(index=2, field="author", value="x\x01y", ascii_only=True)
+    @example(index=3, field="author", value="\ufffe", ascii_only=False)
+    def test_corpus_line(self, small_lines, index, field, value, ascii_only):
+        lines = list(small_lines)
+        index %= len(lines)
+        lines[index] = json_line(with_field(json.loads(lines[index]), field, value), ascii_only)
+        with tempfile.TemporaryDirectory() as tmp:
+            source = Path(tmp) / "corpus.jsonl"
+            source.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            run = Path(tmp) / "run"
+            code, err = exit_code_and_stderr(
+                "pipeline", "ingest", "build", "--input", source, "--tracked", TRACKED,
+                "--run-dir", run,
+            )
+            assert code in (0, 2), err
+            assert "internal error" not in err
+            if code:
+                return
+            with open(source, encoding="utf-8") as fh:
+                records, _ = parse_records(fh)
+            streams, _ = split_streams(records, TRACKED.split(","))
+            for tag, stream in streams.items():
+                gexf = Path(tmp) / f"{tag}.gexf"
+                code, err = exit_code_and_stderr(
+                    "export", "--network", tag, "--gexf", gexf, "--run-dir", run
+                )
+                assert code == 0, err
+                root = ET.parse(gexf).getroot()
+                exported = [n.get("id") for n in root.iter(f"{GEXF_NS}node")]
+                accounts = {r.author for r in stream}
+                accounts |= {r.retweeted_author for r in stream if r.is_retweet}
+                assert exported == sorted(accounts)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        which=st.integers(min_value=0, max_value=2),
+        field=st.sampled_from(LABEL_FIELDS),
+        value=st.sampled_from(LABEL_VALUES),
+    )
+    @example(which=0, field="seeds", value={"pro": ["\ud800"]})
+    @example(which=0, field="seeds.pro", value="\ud800")
+    @example(which=1, field="seeds.pro", value='c&<"\t')
+    def test_labels_entry(self, corpus, clustered, which, field, value):
+        entries = json.loads(corpus["labels"].read_text())
+        if field == "seeds.pro":  # one more pro seed beside the real ones
+            seeds = entries[which]["seeds"]
+            seeds["pro"] += [] if value is MISSING else [value]
+        else:
+            entries[which] = with_field(entries[which], field, value)
+        with tempfile.TemporaryDirectory() as tmp:
+            labels = Path(tmp) / "labels.json"
+            labels.write_text(json.dumps(entries), encoding="utf-8")
+            run = Path(tmp) / "run"
+            shutil.copytree(clustered, run)
+            code, err = exit_code_and_stderr(
+                "label", "apply", "--labels", labels, "--run-dir", run
+            )
+        assert code in (0, 2), err
+        assert "internal error" not in err

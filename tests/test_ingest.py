@@ -90,6 +90,12 @@ class TestParseJsonl:
             jl(author=""),
             jl(hashtags=[None]),
             jl(hashtags=[5]),
+            jl(author="a\ud800"),  # a lone surrogate escape
+            jl(tweet_id="\udfff"),
+            jl(retweeted_author="x\x01y"),
+            jl(author="\x00"),
+            json.dumps({**json.loads(jl()), "author": "a\ufffe"}, ensure_ascii=False),
+            '{"tweet_id": ' + "[" * 100_000 + "]" * 100_000 + "}",
         ],
     )
     def test_bad_lines_become_rejects(self, line):
@@ -98,6 +104,14 @@ class TestParseJsonl:
         assert len(rejects) == 1
         assert rejects[0].line == 1
         assert rejects[0].reason
+
+    @pytest.mark.parametrize("account", ["a\tb", "a\nb", "a\rb", 'c&<">', "\xe9", "\x85"])
+    def test_ids_xml_can_carry_are_kept(self, account):
+        for line in (jl(author=account), json.dumps(json.loads(jl(author=account)),
+                                                    ensure_ascii=False)):
+            records, rejects = parse_records(line)
+            assert not rejects
+            assert records[0].author == account
 
     def test_duplicate_tweet_ids_rejected(self):
         records, rejects = parse_records(jl() + "\n" + jl())
@@ -136,6 +150,12 @@ class TestParseCsv:
         row = 't1,alice,bob,"#afd",2020-03-01T12:00:00Z'
         with pytest.raises(IngestError):
             parse_records(row, fmt="csv")
+
+    def test_control_character_in_id_is_rejected(self):
+        row = self.HEADER + "\nt1,a\x01,bob,#afd,2020-03-01T12:00:00Z"
+        records, rejects = parse_records(row, fmt="csv")
+        assert not records
+        assert "author" in rejects[0].reason
 
     def test_multi_hashtag_column_uses_pipes(self):
         row = self.HEADER + "\nt1,alice,bob,#afd|#noafd,2020-03-01T12:00:00Z"

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import xml.etree.ElementTree as ET
 from datetime import datetime, timezone
@@ -6,7 +7,7 @@ import pytest
 
 from hashjack.community import CommunityPartition
 from hashjack.gexf import gexf_document
-from hashjack.graph import AccountRegistry, build_network
+from hashjack.graph import ORIGINAL, AccountRegistry, build_network, network_from_events
 from hashjack.ingest import TweetRecord
 from hashjack.labeling import ClusterLabeling, PartisanAssignment
 from hashjack.store import (
@@ -241,3 +242,146 @@ class TestGexf:
         doc = gexf_document(net, reg, part, lab, [pset])
         assert "lastmodifieddate" not in doc
         assert "2020" not in doc
+
+    # -- byte identity with the ElementTree rendering ------------------------
+
+    COMBOS = [
+        (part, lab, psets)
+        for part in (False, True) for lab in (False, True) for psets in (False, True)
+    ]
+
+    @pytest.mark.parametrize("with_part,with_lab,with_psets", COMBOS)
+    def test_matches_reference_on_every_combination(self, with_part, with_lab, with_psets):
+        reg, net, part, lab, pset = self.make_all()
+        args = (
+            net, reg, part if with_part else None, lab if with_lab else None,
+            [pset] if with_psets else [],
+        )
+        assert gexf_document(*args) == reference_gexf(*args)
+
+    @pytest.mark.parametrize("with_part,with_lab,with_psets", COMBOS)
+    def test_hostile_ids_match_reference(self, with_part, with_lab, with_psets):
+        ids = HOSTILE_IDS + ["plain", "\ud800"]
+        reg = AccountRegistry(ids)
+        pairs = [(i, (i + 1) % len(ids)) for i in range(len(ids))] + [(0, 3), (0, 3)]
+        net = network_from_events("tide", pairs)
+        part = CommunityPartition(
+            assignment={n: n % 3 for n in net.nodes}, modularity=0.0, resolution=1.0,
+            seed=1, levels=1,
+        )
+        lab = ClusterLabeling(network="tide", labels={0: "pro", 1: "contra"}, method="manual")
+        psets = [
+            PartisanAssignment('a&"<b>', frozenset({0, 4})),
+            PartisanAssignment("afd", frozenset({1})),
+        ]
+        args = (
+            net, reg, part if with_part else None, lab if with_lab else None,
+            psets if with_psets else [],
+        )
+        assert gexf_document(*args) == reference_gexf(*args)
+
+    def test_hostile_ids_come_back_unchanged(self):
+        reg = AccountRegistry(HOSTILE_IDS)
+        net = network_from_events("tide", [(i, i - 1) for i in range(1, len(HOSTILE_IDS))])
+        root = ET.fromstring(gexf_document(net, reg))
+        nodes = root.findall(f".//{GEXF_NS}node")
+        assert [n.get("id") for n in nodes] == sorted(HOSTILE_IDS)
+        assert [n.get("label") for n in nodes] == sorted(HOSTILE_IDS)
+        edges = {(e.get("source"), e.get("target")) for e in root.findall(f".//{GEXF_NS}edge")}
+        assert edges == {(HOSTILE_IDS[i], HOSTILE_IDS[i - 1]) for i in range(1, len(HOSTILE_IDS))}
+
+    def test_edgeless_and_empty_networks(self):
+        reg = AccountRegistry(["b", "a"])
+        edgeless = network_from_events("tide", [(0, ORIGINAL), (1, ORIGINAL)])
+        doc = gexf_document(edgeless, reg)
+        assert "    <edges />\n" in doc
+        assert doc == reference_gexf(edgeless, reg)
+        empty = network_from_events("tide", [])
+        doc = gexf_document(empty, reg)
+        assert "    <nodes />\n    <edges />\n" in doc
+        assert doc == reference_gexf(empty, reg)
+
+    def test_registry_out_of_id_order(self):
+        reg, net, part, lab, pset = self.make_all()
+        backwards = AccountRegistry(sorted(reg.ids, reverse=True))
+        remap = {i: backwards.index_of(reg.id_of(i)) for i in range(len(reg.ids))}
+        net = network_from_events(
+            "tide",
+            [(remap[s], remap[t]) for (s, t), w in sorted(net.edges.items()) for _ in range(w)],
+        )
+        part = CommunityPartition(
+            assignment={remap[n]: c for n, c in part.assignment.items()},
+            modularity=0.1, resolution=1.0, seed=42, levels=1,
+        )
+        pset = PartisanAssignment("afd", frozenset(remap[n] for n in pset.accounts))
+        doc = gexf_document(net, backwards, part, lab, [pset])
+        assert doc == reference_gexf(net, backwards, part, lab, [pset])
+        reg, net, part, lab, pset = self.make_all()
+        assert doc == gexf_document(net, reg, part, lab, [pset])
+
+    def test_small_document_is_pinned(self):
+        reg, net, part, lab, pset = self.make_all()
+        doc = gexf_document(net, reg, part, lab, [pset])
+        assert hashlib.sha256(doc.encode("utf-8")).hexdigest() == PINNED_SHA256
+
+
+HOSTILE_IDS = ['c&<"\t', "a\nb", "a\rb", "x'y", "]]>", ">", "é", "😀"]
+
+# SHA-256 of TestGexf's full sample document, as the ElementTree renderer
+# wrote it.
+PINNED_SHA256 = "9fbb1cab803120f647d2a27ab5f5e5c79cb3ad8ba4b71fae3553608f96ca8bb0"
+
+
+def reference_gexf(net, registry, partition=None, labeling=None, partisan_sets=()):
+    """The ElementTree rendering that gexf_document must equal byte for byte."""
+    psets = sorted(partisan_sets, key=lambda p: p.party)
+    gexf = ET.Element("gexf", {"xmlns": "http://www.gexf.net/1.2draft", "version": "1.2"})
+    meta = ET.SubElement(gexf, "meta")
+    ET.SubElement(meta, "creator").text = "hashjack"
+    ET.SubElement(meta, "description").text = f"retweet network #{net.hashtag}"
+    graph = ET.SubElement(gexf, "graph", {"mode": "static", "defaultedgetype": "directed"})
+    attrs = ET.SubElement(graph, "attributes", {"class": "node"})
+    ids = {}
+
+    def add_attr(title, kind, default=None):
+        ids[title] = str(len(ids))
+        el = ET.SubElement(attrs, "attribute", {"id": ids[title], "title": title, "type": kind})
+        if default is not None:
+            ET.SubElement(el, "default").text = default
+
+    if partition is not None:
+        add_attr("cluster", "integer")
+    if labeling is not None:
+        add_attr("side", "string")
+    for pset in psets:
+        add_attr(f"partisan_#{pset.party}", "boolean", default="false")
+    if not ids:
+        graph.remove(attrs)
+    nodes_el = ET.SubElement(graph, "nodes")
+    for node in sorted(net.nodes, key=registry.id_of):
+        account = registry.id_of(node)
+        node_el = ET.SubElement(nodes_el, "node", {"id": account, "label": account})
+        values = []
+        if partition is not None and node in partition.assignment:
+            cid = partition.assignment[node]
+            values.append((ids["cluster"], str(cid)))
+            if labeling is not None:
+                values.append((ids["side"], labeling.labels.get(cid, "other")))
+        for pset in psets:
+            if node in pset.accounts:
+                values.append((ids[f"partisan_#{pset.party}"], "true"))
+        if values:
+            holder = ET.SubElement(node_el, "attvalues")
+            for attr_id, value in values:
+                ET.SubElement(holder, "attvalue", {"for": attr_id, "value": value})
+    edges_el = ET.SubElement(graph, "edges")
+    ranked = sorted(
+        net.edges.items(), key=lambda kv: (registry.id_of(kv[0][0]), registry.id_of(kv[0][1]))
+    )
+    for eid, ((src, dst), weight) in enumerate(ranked):
+        ET.SubElement(edges_el, "edge", {
+            "id": str(eid), "source": registry.id_of(src), "target": registry.id_of(dst),
+            "weight": str(weight),
+        })
+    ET.indent(gexf)
+    return ET.tostring(gexf, encoding="UTF-8", xml_declaration=True).decode("utf-8") + "\n"
