@@ -179,9 +179,13 @@ def _run_synth(args, fmt: str, seed: int | None) -> int:
     if seed is not None:
         config = replace(config, seed=seed)
     out = Path(args.out)
-    for dest in (args.out, args.truth):
-        if dest and Path(dest).is_dir():
+    # refuse what either write would fail on before the first replaces a file
+    for dest in filter(None, (args.out, args.truth)):
+        if Path(dest).is_dir():
             raise StageError(f"{dest} is a directory")
+        ancestor = next(a for a in Path(dest).parents if a.exists())
+        if not ancestor.is_dir():
+            raise StageError(f"{ancestor} is not a directory")
     records, truth = generate(config)
     text = io.StringIO()
     count = (write_jsonl if fmt == "jsonl" else write_csv)(records, text)
@@ -191,7 +195,9 @@ def _run_synth(args, fmt: str, seed: int | None) -> int:
         try:
             dump_json(truth.to_dict(), args.truth)
         except OSError:
-            out.unlink()  # a failed synth leaves neither file
+            # a failed synth leaves neither file, even where --out held an
+            # older corpus that the write above replaced
+            out.unlink()
             raise
         detail += f", truth -> {args.truth}"
     print(detail)

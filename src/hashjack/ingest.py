@@ -119,7 +119,6 @@ def _build_record(
     retweeted_author: object,
     hashtags: Iterable[str],
     timestamp: object,
-    check_chars: bool = True,
 ) -> TweetRecord:
     if not isinstance(tweet_id, str) or not tweet_id:
         raise ValueError("tweet_id must be a non-empty string")
@@ -131,11 +130,10 @@ def _build_record(
         raise ValueError("retweeted_author must be a non-empty string when present")
     if retweeted_author == author:
         raise ValueError("self-retweet")
-    if check_chars:
-        for name, value in (("tweet_id", tweet_id), ("author", author),
-                            ("retweeted_author", retweeted_author or "")):
-            if _BAD_ID_CHAR.search(value):
-                raise ValueError(f"{name} holds a control character, lone surrogate or noncharacter")
+    for name, value in (("tweet_id", tweet_id), ("author", author),
+                        ("retweeted_author", retweeted_author or "")):
+        if _BAD_ID_CHAR.search(value):
+            raise ValueError(f"{name} holds a control character, lone surrogate or noncharacter")
     tags = frozenset(normalize_hashtag(tag) for tag in hashtags)
     if not tags:
         raise ValueError("hashtags must be non-empty")
@@ -167,8 +165,6 @@ def _parse_jsonl_line(line: str) -> TweetRecord:
         obj.get("retweeted_author"),
         hashtags,
         obj.get("timestamp"),
-        # only an escape or a non-ASCII character can carry a bad one
-        check_chars="\\" in line or not line.isascii(),
     )
 
 

@@ -106,20 +106,27 @@ class TestSynthCommand:
         assert run_cli("synth", "--config", corpus["cfg"], "--out", a, "--seed", "99") == 0
         assert a.read_bytes() != corpus["corpus"].read_bytes()
 
-    @pytest.mark.parametrize("truth", ["{tmp}", "{tmp}/afile/truth.json"])
+    @pytest.mark.parametrize("truth", ["{tmp}", "{tmp}/afile/truth.json",
+                                       "{tmp}/dangling/truth.json"])
     def test_failed_synth_leaves_no_file(self, corpus, tmp_path, truth, capsys):
         (tmp_path / "afile").write_text("")
+        # the pre-check passes a dangling link; the truth write then fails
+        (tmp_path / "dangling").symlink_to(tmp_path / "nowhere")
         out = tmp_path / "o.jsonl"
         truth = truth.format(tmp=tmp_path)
         assert run_cli("synth", "--config", corpus["cfg"], "--out", out, "--truth", truth) == 2
         assert "internal error" not in capsys.readouterr().err
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "dangling"]
         assert (tmp_path / "afile").read_text() == ""
 
-    def test_directory_destination_is_refused_before_writing(self, corpus, tmp_path):
+    @pytest.mark.parametrize("truth", ["{tmp}", "{tmp}/afile/truth.json",
+                                       "{tmp}/afile/sub/truth.json"])
+    def test_directory_destination_is_refused_before_writing(self, corpus, tmp_path, truth):
+        (tmp_path / "afile").write_text("")
         out = tmp_path / "o.jsonl"
         out.write_text("old\n")
-        assert run_cli("synth", "--config", corpus["cfg"], "--out", out, "--truth", tmp_path) == 2
+        truth = truth.format(tmp=tmp_path)
+        assert run_cli("synth", "--config", corpus["cfg"], "--out", out, "--truth", truth) == 2
         assert out.read_text() == "old\n"
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
