@@ -180,6 +180,8 @@ def _run_synth(args, fmt: str, seed: int | None) -> int:
         config = replace(config, seed=seed)
     out = Path(args.out)
     # refuse what either write would fail on before the first replaces a file
+    if args.truth and Path(args.truth).resolve() == out.resolve():
+        raise StageError(f"--out and --truth both name {out}")
     for dest in filter(None, (args.out, args.truth)):
         if Path(dest).is_dir():
             raise StageError(f"{dest} is a directory")

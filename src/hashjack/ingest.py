@@ -11,6 +11,7 @@ what lets the same account show up in several hashtag networks downstream.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import logging
@@ -27,6 +28,7 @@ log = logging.getLogger(__name__)
 _HASHTAG_RE = re.compile(r"[a-z0-9_]+\Z")
 
 CSV_COLUMNS = ("tweet_id", "author", "retweeted_author", "hashtags", "timestamp")
+_FIELDS = frozenset(CSV_COLUMNS)
 
 # What no id may hold: characters XML 1.0 cannot carry even escaped (C0
 # controls other than tab, newline and carriage return, U+FFFE, U+FFFF)
@@ -113,6 +115,20 @@ class CorpusStats:
         }
 
 
+@functools.lru_cache(maxsize=4096)
+def _tag_set(hashtags: tuple[str, ...]) -> frozenset[str]:
+    """The normalized tags of one raw hashtag list.
+
+    Hashtag lists repeat from line to line, so records with the same raw
+    list share one set. An invalid list raises each time: lru_cache keeps
+    results, not exceptions.
+    """
+    tags = frozenset(normalize_hashtag(tag) for tag in hashtags)
+    if not tags:
+        raise ValueError("hashtags must be non-empty")
+    return tags
+
+
 def _build_record(
     tweet_id: object,
     author: object,
@@ -134,14 +150,13 @@ def _build_record(
                         ("retweeted_author", retweeted_author or "")):
         if _BAD_ID_CHAR.search(value):
             raise ValueError(f"{name} holds a control character, lone surrogate or noncharacter")
-    tags = frozenset(normalize_hashtag(tag) for tag in hashtags)
-    if not tags:
-        raise ValueError("hashtags must be non-empty")
+    tags = _tag_set(tuple(hashtags))
     if not isinstance(timestamp, str):
         raise ValueError("timestamp must be an RFC 3339 string")
     moment = parse_rfc3339(timestamp)
+    # account ids repeat across records and are interned; tweet ids are unique
     return TweetRecord(
-        tweet_id=sys.intern(tweet_id),
+        tweet_id=tweet_id,
         author=sys.intern(author),
         retweeted_author=None if retweeted_author is None else sys.intern(retweeted_author),
         hashtags=tags,
@@ -153,9 +168,8 @@ def _parse_jsonl_line(line: str) -> TweetRecord:
     obj = json.loads(line)
     if not isinstance(obj, dict):
         raise ValueError("line is not a JSON object")
-    unknown = set(obj) - {"tweet_id", "author", "retweeted_author", "hashtags", "timestamp"}
-    if unknown:
-        raise ValueError(f"unknown fields: {sorted(unknown)}")
+    if not _FIELDS.issuperset(obj):
+        raise ValueError(f"unknown fields: {sorted(set(obj) - _FIELDS)}")
     hashtags = obj.get("hashtags")
     if not isinstance(hashtags, list) or not all(isinstance(t, str) for t in hashtags):
         raise ValueError("hashtags must be a list of strings")

@@ -56,7 +56,7 @@ from .metrics import BASIS_ACCOUNTS, BASIS_VOLUME, PolarisationProfile, \
 from .odds import hashjack_matrix
 from .store import file_digest, json_text, load_json, obj_digest, pairs_from_npy, \
     pairs_to_npy, write_text_atomic, labeling_from_obj, labeling_to_obj, network_from_obj, \
-    network_to_obj, partition_from_obj, partition_to_obj, registry_from_obj, registry_to_obj
+    network_text, partition_from_obj, partition_to_obj, registry_from_obj, registry_to_obj
 
 STAGE_ORDER = (
     "ingest", "build", "communities", "label", "polarisation", "odds", "activity"
@@ -153,7 +153,15 @@ class RunDir:
         self.write("manifest.json", json_text(manifest))
 
     def write(self, rel: Path | str, data: str | bytes) -> str:
-        """Write `rel` atomically; the SHA-256 of the bytes written."""
+        """Write `rel` atomically; the SHA-256 of the bytes written.
+
+        A path that resolves outside the run directory, or to the directory
+        itself, is refused before anything is written.
+        """
+        root = self.root.resolve()
+        path = (self.root / rel).resolve()
+        if path == root or not path.is_relative_to(root):
+            raise StageError(f"{rel} is not a file inside the run directory {self.root}")
         if isinstance(data, str):
             data = data.encode("utf-8")
         write_text_atomic(self.root / rel, data)
@@ -442,7 +450,7 @@ def stage_build(run, out="networks"):
         outputs = {f"{out}/registry.json": run.write(f"{out}/registry.json", registry)}
         for tag in sorted(nets):
             rel = f"{out}/{tag}.json"
-            outputs[rel] = run.write(rel, json_text(network_to_obj(nets[tag])))
+            outputs[rel] = run.write(rel, network_text(nets[tag]))
         return outputs
 
     return run_stage(run, "build", lambda manifest, deps: params, execute)

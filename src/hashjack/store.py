@@ -1,14 +1,17 @@
 """Serialization of run artifacts to deterministic files.
 
 Every writer here produces byte-identical output for equal inputs. JSON
-keys are sorted, indentation is fixed, floats go through repr, and files
-end with a newline. The ingest store keeps each tracked hashtag's events
-as an (n, 2) little-endian int32 .npy array of (author, retweeted) registry
-indices, -1 for an original tweet. Artifacts reference accounts by string
-id where the file is meant to be read by people (partitions, labels) and by
-registry index where compactness matters (event pairs, network edge lists);
-the registry file pins the index order either way. Every file is written
-atomically. The encoders return text or bytes and the decoders take the
+keys are sorted, floats go through repr, and files end with a newline.
+JSON artifacts are indented by two spaces (`json_text`), except network
+files: they are the largest artifacts, hold only ints and the hashtag, and
+are written as one compact line by json's C encoder (`network_text`),
+which `indent` would rule out. The ingest store keeps each tracked
+hashtag's events as an (n, 2) little-endian int32 .npy array of (author,
+retweeted) registry indices, -1 for an original tweet. Artifacts reference
+accounts by string id where the file is meant to be read by people
+(partitions, labels) and by registry index where compactness matters
+(event pairs, network edge lists); the registry file pins the index order
+either way. Every file is written atomically. The encoders return text or bytes and the decoders take the
 parsed file, so a run directory (`pipeline.RunDir`) can hash exactly the
 bytes it writes and decode only bytes whose digest it has checked."""
 
@@ -133,6 +136,15 @@ def network_to_obj(net: RetweetNetwork) -> dict:
         "edges": [[i, j, w] for (i, j), w in sorted(net.edges.items())],
         "original_count": net.original_count,
     }
+
+
+def network_text(net: RetweetNetwork) -> str:
+    """The file text of a network: compact JSON from json's C encoder.
+
+    The object holds only ints and the hashtag, so there is no float for
+    `_finite` to replace, and `indent` would force the pure-Python encoder.
+    """
+    return json.dumps(network_to_obj(net), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def network_from_obj(obj: Mapping) -> RetweetNetwork:

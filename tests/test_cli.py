@@ -1,6 +1,7 @@
 """End-to-end pipeline tests driven through the CLI entrypoint in-process."""
 
 import contextlib
+import csv
 import fcntl
 import io
 import json
@@ -21,8 +22,8 @@ import hashjack.pipeline
 from hashjack.cli import entrypoint
 from hashjack.errors import StageError
 from hashjack.graph import build_networks
-from hashjack.ingest import parse_records, split_streams
-from hashjack.store import load_json, network_to_obj, registry_to_obj
+from hashjack.ingest import CSV_COLUMNS, parse_records, split_streams, write_csv
+from hashjack.store import file_digest, json_text, load_json, network_to_obj, registry_to_obj
 
 
 GEXF_NS = "{http://www.gexf.net/1.2draft}"
@@ -128,6 +129,17 @@ class TestSynthCommand:
         truth = truth.format(tmp=tmp_path)
         assert run_cli("synth", "--config", corpus["cfg"], "--out", out, "--truth", truth) == 2
         assert out.read_text() == "old\n"
+
+    @pytest.mark.parametrize("truth", ["same.json", "./same.json", "link.json"])
+    def test_same_file_for_out_and_truth_is_refused(self, corpus, tmp_path, truth, capsys,
+                                                     monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "link.json").symlink_to("same.json")
+        code = run_cli("synth", "--config", corpus["cfg"], "--out", "same.json",
+                       "--truth", truth)
+        assert code == 2
+        assert "--out and --truth both name" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json"]
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -376,9 +388,10 @@ class TestIngestDetails:
         shutil.copytree(finished, run)
         outside = tmp_path / "shared" / "p.json"
         outside.parent.mkdir()
-        assert run_cli("polarisation", "--out", outside, "--run-dir", run) == 0
+        outside.write_text("kept\n")
+        assert run_cli("polarisation", "--out", outside, "--run-dir", run) == 2
         assert run_cli("polarisation", "--threshold", "0.1", "--run-dir", run) == 0
-        assert outside.exists()
+        assert outside.read_text() == "kept\n"
 
     def test_stats_written(self, corpus, tmp_path):
         run = tmp_path / "run"
@@ -387,6 +400,24 @@ class TestIngestDetails:
         assert stats["reject_count"] == 0
         assert set(stats["per_hashtag"]) == {"agenda", "party1", "party2"}
         assert stats["record_count"] > 0
+
+
+class TestOutStaysInsideRun:
+    @pytest.mark.parametrize("argv", [
+        ("report", "--out", "../outside.json"),
+        ("polarisation", "--out", "../../x.json"),
+        ("report", "--out", "."),
+    ])
+    def test_out_outside_or_at_run_dir_is_refused(self, finished, tmp_path, argv, capsys):
+        run = tmp_path / "a" / "run"
+        shutil.copytree(finished, run)
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        assert run_cli(*argv, "--run-dir", run) == 2
+        err = capsys.readouterr().err
+        assert "is not a file inside the run directory" in err
+        assert ".tmp" not in err
+        after = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        assert after == before
 
 
 class TestPipelineCommand:
@@ -840,6 +871,29 @@ class TestStoredEvents:
         assert run_cli("build", "--run-dir", run) == 2
         assert "older hashjack" in capsys.readouterr().err
 
+    def test_indented_network_files_still_read(self, finished, tmp_path, capsys):
+        """A run directory whose network files are in the older indented form."""
+        run = tmp_path / "run"
+        shutil.copytree(finished, run)
+        manifest = load_json(run / "manifest.json")
+        outputs = manifest["stages"]["build"]["outputs"]
+        for tag in TRACKED.split(","):
+            path = run / "networks" / f"{tag}.json"
+            path.write_text(json_text(load_json(path)))
+            assert path.read_text().count("\n") > 1
+            outputs[f"networks/{tag}.json"] = file_digest(path)
+        (run / "manifest.json").write_text(json_text(manifest))
+        original = tmp_path / "original.gexf"
+        assert run_cli("export", "--network", "agenda", "--gexf", original,
+                       "--run-dir", finished) == 0
+        capsys.readouterr()
+        assert run_cli("pipeline", "build", "report", "--run-dir", run) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "build: up to date"
+        assert (run / "report.json").read_bytes() == (finished / "report.json").read_bytes()
+        again = tmp_path / "again.gexf"
+        assert run_cli("export", "--network", "agenda", "--gexf", again, "--run-dir", run) == 0
+        assert again.read_bytes() == original.read_bytes()
+
 
 class TestArtifactIO:
     def test_relabel_decodes_once_and_never_reads_back(
@@ -1016,6 +1070,15 @@ LABEL_VALUES = [
     {"pro": [5, None]}, {"pro": "a"}, {"neutral": []}, *HOSTILE_STRINGS,
     *({"pro": [s]} for s in HOSTILE_STRINGS), *({"0": s} for s in HOSTILE_STRINGS),
 ]
+CSV_FIELDS = [*CSV_COLUMNS, "extra"]
+CSV_VALUES = [
+    MISSING, "", '"', 'a"b', '"a', "a,b", ",", "\\", "#agenda|", "|#agenda",
+    "#agenda||#party1", "#agenda|#a b", "#AGENDA", "2020-03-01T00:00:00Z", "2020-03-01",
+    "x'y>", *HOSTILE_STRINGS,
+]
+# How a row is written: quoted where needed, every field quoted, or joined
+# with commas and never quoted.
+CSV_STYLES = ["minimal", "all", "raw"]
 SMALL_STEP = 10  # the small corpus keeps every tenth line of the shared one
 
 
@@ -1038,9 +1101,45 @@ def json_line(obj, ascii_only: bool) -> str:
     return text
 
 
+def csv_line(row: list[str], style: str) -> str:
+    if style == "raw":
+        return ",".join(row) + "\n"
+    buffer = io.StringIO()
+    quoting = csv.QUOTE_ALL if style == "all" else csv.QUOTE_MINIMAL
+    csv.writer(buffer, lineterminator="\n", quoting=quoting).writerow(row)
+    return buffer.getvalue()
+
+
+def assert_exports_accounts(source: Path, fmt: str, run: Path) -> None:
+    """Each network's export lists exactly the accounts of its parsed stream."""
+    with open(source, encoding="utf-8") as fh:
+        records, _ = parse_records(fh, fmt)
+    streams, _ = split_streams(records, TRACKED.split(","))
+    for tag, stream in streams.items():
+        gexf = run.parent / f"{tag}.gexf"
+        code, err = exit_code_and_stderr(
+            "export", "--network", tag, "--gexf", gexf, "--run-dir", run
+        )
+        assert code == 0, err
+        root = ET.parse(gexf).getroot()
+        exported = [n.get("id") for n in root.iter(f"{GEXF_NS}node")]
+        accounts = {r.author for r in stream}
+        accounts |= {r.retweeted_author for r in stream if r.is_retweet}
+        assert exported == sorted(accounts)
+
+
 @pytest.fixture(scope="module")
 def small_lines(corpus):
     return corpus["corpus"].read_text(encoding="utf-8").splitlines()[::SMALL_STEP]
+
+
+@pytest.fixture(scope="module")
+def small_rows(small_lines):
+    """The small corpus as CSV rows, without the header."""
+    records, _ = parse_records(small_lines)
+    sink = io.StringIO()
+    write_csv(records, sink)
+    return list(csv.reader(sink.getvalue().splitlines()))[1:]
 
 
 @pytest.fixture(scope="module")
@@ -1052,8 +1151,9 @@ def clustered(corpus, tmp_path_factory):
 
 
 class TestMutatedInputExits0Or2:
-    """No mutated corpus line or labels entry makes the CLI fail internally,
-    and an accepted line's accounts come back unchanged from the export."""
+    """No mutated corpus line (JSONL or CSV) or labels entry makes the CLI
+    fail internally, and an accepted line's accounts come back unchanged from
+    the export."""
 
     @settings(max_examples=70, deadline=None)
     @given(
@@ -1080,22 +1180,45 @@ class TestMutatedInputExits0Or2:
             )
             assert code in (0, 2), err
             assert "internal error" not in err
-            if code:
-                return
-            with open(source, encoding="utf-8") as fh:
-                records, _ = parse_records(fh)
-            streams, _ = split_streams(records, TRACKED.split(","))
-            for tag, stream in streams.items():
-                gexf = Path(tmp) / f"{tag}.gexf"
-                code, err = exit_code_and_stderr(
-                    "export", "--network", tag, "--gexf", gexf, "--run-dir", run
-                )
-                assert code == 0, err
-                root = ET.parse(gexf).getroot()
-                exported = [n.get("id") for n in root.iter(f"{GEXF_NS}node")]
-                accounts = {r.author for r in stream}
-                accounts |= {r.retweeted_author for r in stream if r.is_retweet}
-                assert exported == sorted(accounts)
+            if code == 0:
+                assert_exports_accounts(source, "jsonl", run)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        index=st.integers(min_value=0),
+        field=st.sampled_from(CSV_FIELDS),
+        value=st.sampled_from(CSV_VALUES),
+        style=st.sampled_from(CSV_STYLES),
+    )
+    @example(index=0, field="author", value='c&<"\t', style="minimal")
+    @example(index=1, field="retweeted_author", value="a\ud800", style="all")
+    @example(index=2, field="hashtags", value='"a', style="raw")
+    @example(index=3, field="tweet_id", value="x'y>", style="all")
+    def test_csv_row(self, small_rows, index, field, value, style):
+        rows = [list(row) for row in small_rows]
+        row = rows[index % len(rows)]
+        if field == "extra":
+            row += [] if value is MISSING else [value]
+        elif value is MISSING:
+            del row[CSV_COLUMNS.index(field)]
+        else:
+            row[CSV_COLUMNS.index(field)] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            source = Path(tmp) / "corpus.csv"
+            # a lone surrogate goes to the file as the bytes UTF-8 forbids
+            source.write_text(
+                "".join(csv_line(r, style) for r in [list(CSV_COLUMNS), *rows]),
+                encoding="utf-8", errors="surrogatepass",
+            )
+            run = Path(tmp) / "run"
+            code, err = exit_code_and_stderr(
+                "pipeline", "ingest", "build", "--input", source, "--tracked", TRACKED,
+                "--format", "csv", "--run-dir", run,
+            )
+            assert code in (0, 2), err
+            assert "internal error" not in err
+            if code == 0:
+                assert_exports_accounts(source, "csv", run)
 
     @settings(max_examples=100, deadline=None)
     @given(

@@ -164,6 +164,41 @@ class TestParseCsv:
         assert records[0].hashtags == frozenset({"afd", "noafd"})
 
 
+class TestTagSets:
+    def test_equivalent_lists_give_equal_sets(self):
+        lists = [["#A", "b"], ["b", "a"], ["#a", "B", "a"]]
+        source = "\n".join(jl(tweet_id=f"t{i}", hashtags=h) for i, h in enumerate(lists))
+        records, rejects = parse_records(source)
+        assert not rejects
+        assert [r.hashtags for r in records] == [frozenset({"a", "b"})] * 3
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_same_raw_list_shares_one_set(self, fmt):
+        records, _ = parse_records("\n".join(jl(tweet_id=f"t{i}", hashtags=["#Afd", "#x"])
+                                             for i in range(3)))
+        if fmt == "csv":
+            sink = io.StringIO()
+            write_csv(records, sink)
+            records, _ = parse_records(sink.getvalue(), fmt="csv")
+        assert len(records) == 3
+        assert records[1].hashtags is records[0].hashtags
+        assert records[2].hashtags is records[0].hashtags
+
+    def test_repeated_bad_tag_is_rejected_on_every_line(self):
+        source = "\n".join(jl(tweet_id=f"t{i}", hashtags=["#ok", "bad tag"]) for i in range(3))
+        records, rejects = parse_records(source)
+        assert not records
+        assert [(r.line, r.reason) for r in rejects] == [
+            (line, "invalid hashtag: 'bad tag'") for line in (1, 2, 3)
+        ]
+        _, rejects = parse_records("\n".join(jl(tweet_id=f"t{i}", hashtags=[]) for i in range(2)))
+        assert [r.reason for r in rejects] == ["hashtags must be non-empty"] * 2
+
+    def test_unknown_fields_are_named_sorted(self):
+        _, rejects = parse_records(jl(zeta=1, alpha=2))
+        assert rejects[0].reason == "unknown fields: ['alpha', 'zeta']"
+
+
 class TestJsonlRoundTrip:
     def test_write_then_parse_is_identity(self):
         records, _ = parse_records(

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import xml.etree.ElementTree as ET
 from datetime import datetime, timezone
@@ -17,6 +18,7 @@ from hashjack.store import (
     labeling_to_obj,
     load_json,
     network_from_obj,
+    network_text,
     network_to_obj,
     obj_digest,
     partition_from_obj,
@@ -119,6 +121,13 @@ class TestNetworkRoundTrip:
         assert obj["nodes"] == sorted(obj["nodes"])
         assert obj["edges"] == sorted(obj["edges"])
         assert all(len(edge) == 3 for edge in obj["edges"])
+
+    def test_file_text_is_one_compact_line(self):
+        reg, net = sample_network()
+        text = network_text(net)
+        assert text.endswith("\n") and text.count("\n") == 1
+        assert json.loads(text) == network_to_obj(net)
+        assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 class TestPartitionRoundTrip:
