@@ -1,11 +1,19 @@
-"""Parse raw retweet event files into validated records and per-hashtag streams.
+"""Parse raw retweet event files into checked events and per-hashtag streams.
 
-Input is one retweet event per line (JSONL or CSV). Every well-formed line
-becomes a TweetRecord; malformed lines are collected as rejects with their
-line number and reason instead of aborting the run. Records are then routed
-into one stream per tracked hashtag; a record carrying several tracked
-hashtags is intentionally duplicated into each of those streams, which is
-what lets the same account show up in several hashtag networks downstream.
+Input is one retweet event per line (JSONL or CSV). One pass (`_scan`)
+checks each line once, in a fixed order: the JSON or CSV shape, the ids,
+self-retweets, characters no id may hold, the hashtags, the timestamp,
+then a repeated tweet id. Malformed lines are collected as rejects with
+their line number and reason instead of aborting the run. That pass has
+two consumers. `read_columns`, which the ingest stage uses, keeps the
+valid lines as EventColumns: per line an account index for the author and
+the retweeted account and the index of its shared tag set, plus the
+earliest and latest timestamp; the store's registry, index pairs and
+counts are passes over those columns. `parse_records` keeps them as
+TweetRecords, for the library and the tests. Records are routed into one
+stream per tracked hashtag; a record carrying several tracked hashtags is
+intentionally duplicated into each of those streams, which is what lets
+the same account show up in several hashtag networks downstream.
 """
 
 from __future__ import annotations
@@ -47,14 +55,21 @@ def normalize_hashtag(tag: str) -> str:
 
 
 def parse_rfc3339(value: str) -> datetime:
-    """Parse an RFC 3339 timestamp into an aware UTC datetime."""
+    """Parse an RFC 3339 timestamp into an aware UTC datetime.
+
+    Raises ValueError for text without a timezone and for a moment outside
+    the years 1-9999 in UTC, such as 9999-12-31T23:59:59-01:00.
+    """
     text = value.strip()
     if text.endswith(("Z", "z")):
         text = text[:-1] + "+00:00"
     moment = datetime.fromisoformat(text)
     if moment.tzinfo is None:
         raise ValueError(f"timestamp lacks a timezone: {value!r}")
-    return moment.astimezone(timezone.utc)
+    try:
+        return moment.astimezone(timezone.utc)
+    except OverflowError:
+        raise ValueError(f"timestamp out of range: {value!r}") from None
 
 
 def format_rfc3339(moment: datetime) -> str:
@@ -129,13 +144,16 @@ def _tag_set(hashtags: tuple[str, ...]) -> frozenset[str]:
     return tags
 
 
-def _build_record(
+def _check_fields(
     tweet_id: object,
     author: object,
     retweeted_author: object,
-    hashtags: Iterable[str],
+    hashtags: tuple[str, ...],
     timestamp: object,
-) -> TweetRecord:
+) -> tuple[str, str, str | None, frozenset[str], datetime]:
+    """The fields of one line, checked: (tweet_id, author, retweeted_author
+    or None, shared tag set, UTC timestamp). Raises ValueError with the
+    line's reject reason."""
     if not isinstance(tweet_id, str) or not tweet_id:
         raise ValueError("tweet_id must be a non-empty string")
     if not isinstance(author, str) or not author:
@@ -146,26 +164,33 @@ def _build_record(
         raise ValueError("retweeted_author must be a non-empty string when present")
     if retweeted_author == author:
         raise ValueError("self-retweet")
-    for name, value in (("tweet_id", tweet_id), ("author", author),
-                        ("retweeted_author", retweeted_author or "")):
-        if _BAD_ID_CHAR.search(value):
-            raise ValueError(f"{name} holds a control character, lone surrogate or noncharacter")
-    tags = _tag_set(tuple(hashtags))
+    # one search finds whether any id is bad; a hit then names the first one
+    if _BAD_ID_CHAR.search(tweet_id + author + (retweeted_author or "")):
+        for name, value in (("tweet_id", tweet_id), ("author", author),
+                            ("retweeted_author", retweeted_author or "")):
+            if _BAD_ID_CHAR.search(value):
+                raise ValueError(
+                    f"{name} holds a control character, lone surrogate or noncharacter"
+                )
+    tags = _tag_set(hashtags)
     if not isinstance(timestamp, str):
         raise ValueError("timestamp must be an RFC 3339 string")
-    moment = parse_rfc3339(timestamp)
-    # account ids repeat across records and are interned; tweet ids are unique
-    return TweetRecord(
-        tweet_id=tweet_id,
-        author=sys.intern(author),
-        retweeted_author=None if retweeted_author is None else sys.intern(retweeted_author),
-        hashtags=tags,
-        timestamp=moment,
-    )
+    return tweet_id, author, retweeted_author, tags, parse_rfc3339(timestamp)
 
 
-def _parse_jsonl_line(line: str) -> TweetRecord:
-    obj = json.loads(line)
+_scan_json = json.JSONDecoder().scan_once  # the scanner json.loads runs
+
+
+def _check_jsonl_line(line: str):
+    # A stripped line that holds exactly one JSON value decodes as json.loads
+    # decodes it, without its Python-level wrappers; any other line goes to
+    # json.loads, which raises the error it always raised.
+    try:
+        obj, end = _scan_json(line, 0)
+    except (StopIteration, ValueError):
+        end = -1
+    if end != len(line):
+        obj = json.loads(line)
     if not isinstance(obj, dict):
         raise ValueError("line is not a JSON object")
     if not _FIELDS.issuperset(obj):
@@ -173,26 +198,74 @@ def _parse_jsonl_line(line: str) -> TweetRecord:
     hashtags = obj.get("hashtags")
     if not isinstance(hashtags, list) or not all(isinstance(t, str) for t in hashtags):
         raise ValueError("hashtags must be a list of strings")
-    return _build_record(
+    return _check_fields(
         obj.get("tweet_id"),
         obj.get("author"),
         obj.get("retweeted_author"),
-        hashtags,
+        tuple(hashtags),
         obj.get("timestamp"),
     )
 
 
-def _parse_csv_row(row: list[str]) -> TweetRecord:
+def _check_csv_line(line: str):
+    row = next(csv.reader([line]))
     if len(row) != len(CSV_COLUMNS):
         raise ValueError(f"expected {len(CSV_COLUMNS)} columns, got {len(row)}")
     tweet_id, author, retweeted_author, hashtags, timestamp = row
-    return _build_record(
+    return _check_fields(
         tweet_id,
         author,
         retweeted_author or None,
-        [t for t in hashtags.split("|") if t],
+        tuple(t for t in hashtags.split("|") if t),
         timestamp,
     )
+
+
+def _scan(source: str | Iterable[str], fmt: str, strict: bool, rejects: list[Reject]):
+    """Yield the checked fields of each valid line of a JSONL or CSV source.
+
+    The one pass over a corpus: it skips blank lines and the CSV header,
+    appends malformed lines and repeated tweet ids to `rejects`, turns a
+    decoding or read error into IngestError and, once the source is
+    exhausted, applies the reject-rate rule of parse_records.
+    """
+    if fmt not in ("jsonl", "csv"):
+        raise IngestError(f"unknown format: {fmt!r}")
+    jsonl = fmt == "jsonl"
+    check = _check_jsonl_line if jsonl else _check_csv_line
+    seen_ids: set[str] = set()
+    header = not jsonl
+    try:
+        lines = io.StringIO(source) if isinstance(source, str) else source
+        for lineno, line in enumerate(lines, start=1):
+            stripped = line.strip()
+            if not stripped:
+                continue
+            if header:
+                header = False
+                if next(csv.reader([stripped])) != list(CSV_COLUMNS):
+                    raise IngestError("csv input must start with the fixed header row")
+                continue
+            try:
+                fields = check(stripped if jsonl else line)
+                if fields[0] in seen_ids:
+                    raise ValueError(f"duplicate tweet_id: {fields[0]}")
+            except (ValueError, RecursionError, csv.Error) as exc:
+                rejects.append(Reject(line=lineno, reason=str(exc), raw=stripped))
+                continue
+            seen_ids.add(fields[0])
+            yield fields
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"source is not valid UTF-8: {exc}") from exc
+    except OSError as exc:
+        raise IngestError(f"unreadable source: {exc}") from exc
+
+    total = len(seen_ids) + len(rejects)
+    if total and len(rejects) * 2 > total:
+        message = f"{len(rejects)} of {total} lines rejected"
+        if strict:
+            raise RejectRateError(message)
+        log.warning("%s", message)
 
 
 def parse_records(
@@ -200,57 +273,169 @@ def parse_records(
     fmt: str = "jsonl",
     strict: bool = False,
 ) -> tuple[list[TweetRecord], list[Reject]]:
-    """Parse a JSONL or CSV event source.
+    """Parse a JSONL or CSV event source into records.
 
     source is the whole text or an iterable of text lines, such as a file
     opened in text mode; a decoding or read error of that file raises
     IngestError. Returns (records, rejects) in input order. Lines that fail
     validation (bad JSON, missing fields, self-retweets, duplicate tweet
-    ids, malformed hashtags or timestamps) become Reject entries. A reject
-    rate above 50% logs a warning, escalated to RejectRateError when strict
-    is set.
+    ids, malformed hashtags, timestamps without a timezone or outside the
+    years 1-9999 in UTC) become Reject entries. A reject rate above 50%
+    logs a warning, escalated to RejectRateError when strict is set.
     """
-    if fmt not in ("jsonl", "csv"):
-        raise IngestError(f"unknown format: {fmt!r}")
-    try:
-        lines = io.StringIO(source) if isinstance(source, str) else source
-        records: list[TweetRecord] = []
-        rejects: list[Reject] = []
-        seen_ids: set[str] = set()
-        header_skipped = False
-        for lineno, line in enumerate(lines, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            if fmt == "csv" and not header_skipped:
-                header_skipped = True
-                if next(csv.reader([stripped])) != list(CSV_COLUMNS):
-                    raise IngestError("csv input must start with the fixed header row")
-                continue
-            try:
-                if fmt == "jsonl":
-                    record = _parse_jsonl_line(stripped)
-                else:
-                    record = _parse_csv_row(next(csv.reader([line])))
-                if record.tweet_id in seen_ids:
-                    raise ValueError(f"duplicate tweet_id: {record.tweet_id}")
-            except (ValueError, RecursionError, csv.Error) as exc:
-                rejects.append(Reject(line=lineno, reason=str(exc), raw=stripped))
-                continue
-            seen_ids.add(record.tweet_id)
-            records.append(record)
-    except UnicodeDecodeError as exc:
-        raise IngestError(f"source is not valid UTF-8: {exc}") from exc
-    except OSError as exc:
-        raise IngestError(f"unreadable source: {exc}") from exc
-
-    total = len(records) + len(rejects)
-    if total and len(rejects) * 2 > total:
-        message = f"{len(rejects)} of {total} lines rejected"
-        if strict:
-            raise RejectRateError(message)
-        log.warning("%s", message)
+    rejects: list[Reject] = []
+    # account ids repeat across records and are interned; tweet ids are unique
+    records = [
+        TweetRecord(tweet_id, sys.intern(author),
+                    None if retweeted is None else sys.intern(retweeted), tags, moment)
+        for tweet_id, author, retweeted, tags, moment in _scan(source, fmt, strict, rejects)
+    ]
     return records, rejects
+
+
+def _distinct(values):
+    """The distinct values of an int array, ascending. np.unique gives the
+    same, but this numpy hashes first and is many times slower."""
+    import numpy as np
+
+    values = np.sort(values)
+    keep = np.ones(len(values), dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
+class EventColumns:
+    """Checked events as columns, one row per event in input order.
+
+    `accounts` lists every account id in first-seen order and `tag_sets`
+    every distinct tag set; per row, `author` holds the author's account
+    index, `retweeted` the retweeted account's index or -1 for an original
+    tweet, and `tag_set` the index of its tag set. `window` is the earliest
+    and latest timestamp, or None without rows.
+    """
+
+    def __init__(self, events: Iterable[tuple]):
+        """events: (tweet_id, author, retweeted or None, tags, timestamp) tuples."""
+        index: dict[str, int] = {}
+        set_index: dict[frozenset[str], int] = {}
+        self.author: list[int] = []
+        self.retweeted: list[int] = []
+        self.tag_set: list[int] = []
+        add_author, add_retweeted, add_tag_set = (
+            self.author.append, self.retweeted.append, self.tag_set.append)
+        lo = hi = None
+        for _, author, retweeted, tags, moment in events:
+            i = index.get(author)
+            if i is None:
+                i = index[author] = len(index)
+            add_author(i)
+            if retweeted is None:
+                i = -1
+            else:
+                i = index.get(retweeted)
+                if i is None:
+                    i = index[retweeted] = len(index)
+            add_retweeted(i)
+            i = set_index.get(tags)
+            if i is None:
+                i = set_index[tags] = len(set_index)
+            add_tag_set(i)
+            if lo is None:
+                lo = hi = moment
+            elif moment < lo:
+                lo = moment
+            elif moment > hi:
+                hi = moment
+        self.accounts = list(index)
+        self.tag_sets = list(set_index)
+        self.window = None if lo is None else (lo, hi)
+
+    @classmethod
+    def from_records(cls, records: Iterable[TweetRecord]) -> "EventColumns":
+        return cls((r.tweet_id, r.author, r.retweeted_author, r.hashtags, r.timestamp)
+                   for r in records)
+
+    def __len__(self) -> int:
+        return len(self.author)
+
+    def _arrays(self):
+        import numpy as np
+
+        return tuple(np.array(col, dtype=np.int64)
+                     for col in (self.author, self.retweeted, self.tag_set))
+
+    def stream_rows(self, tags: Iterable[str]) -> dict:
+        """Each tag's stream as an array of row numbers. A row whose tag set
+        holds k of the tags is in all k streams."""
+        import numpy as np
+
+        row_set = np.array(self.tag_set, dtype=np.intp)
+        return {
+            tag: np.flatnonzero(np.array([tag in s for s in self.tag_sets], dtype=bool)[row_set])
+            for tag in sorted(tags)
+        }
+
+    def index_pairs(self, tags: Iterable[str]) -> tuple[list[str], dict]:
+        """(registry, pairs): the sorted ids of every account in a stream of
+        `tags`, and per tag an (n, 2) int32 array of (author, retweeted)
+        registry indices, -1 for an original tweet, in stream order."""
+        import numpy as np
+
+        author, retweeted, _ = self._arrays()
+        rows = self.stream_rows(tags)
+        hit = np.concatenate([np.zeros(0, dtype=np.intp), *rows.values()])
+        used = _distinct(np.concatenate((author[hit], retweeted[hit])))
+        order = sorted(used[used >= 0].tolist(), key=self.accounts.__getitem__)
+        # remap[-1] stays -1, the retweeted index of an original tweet
+        remap = np.full(len(self.accounts) + 1, -1, dtype="<i4")
+        remap[order] = np.arange(len(order))
+        pairs = {tag: np.stack((remap[author[r]], remap[retweeted[r]]), axis=1)
+                 for tag, r in rows.items()}
+        return [self.accounts[i] for i in order], pairs
+
+    def stats(self) -> "CorpusStats":
+        import numpy as np
+
+        author, retweeted, row_set = self._arrays()
+        n_accounts = len(self.accounts)
+        tag_index: dict[str, int] = {}
+        set_tags = np.array([tag_index.setdefault(tag, len(tag_index))
+                             for s in self.tag_sets for tag in s], dtype=np.int64)
+        tags = list(tag_index)
+        # Set k's tags are set_tags[first[k]:first[k] + sizes[k]]. Each row
+        # is repeated once per tag of its set, as (row, tag) pairs.
+        sizes = np.array([len(s) for s in self.tag_sets], dtype=np.int64)
+        first = np.cumsum(sizes) - sizes
+        reps = sizes[row_set]
+        row = np.repeat(np.arange(len(self)), reps)
+        nth = np.arange(len(row)) - (np.cumsum(reps) - reps)[row]
+        tag = set_tags[first[row_set[row]] + nth]
+        is_retweet = retweeted[row] >= 0
+        keys = _distinct(np.concatenate((
+            tag * n_accounts + author[row], (tag * n_accounts + retweeted[row])[is_retweet]
+        )))
+        columns = (
+            np.bincount(tag, minlength=len(tags)),
+            np.bincount(tag[is_retweet], minlength=len(tags)),
+            np.bincount(keys // n_accounts, minlength=len(tags)),
+        )
+        return CorpusStats(
+            record_count=len(self),
+            account_count=n_accounts,
+            per_hashtag=dict(zip(tags, zip(*(c.tolist() for c in columns)))),
+            window=self.window,
+        )
+
+
+def read_columns(
+    source: str | Iterable[str],
+    fmt: str = "jsonl",
+    strict: bool = False,
+) -> tuple[EventColumns, list[Reject]]:
+    """Like parse_records, but the valid lines come back as EventColumns."""
+    rejects: list[Reject] = []
+    columns = EventColumns(_scan(source, fmt, strict, rejects))
+    return columns, rejects
 
 
 def split_streams(
@@ -265,45 +450,15 @@ def split_streams(
     tags = {normalize_hashtag(t) for t in tracked}
     if not tags:
         raise ValueError("tracked hashtag set must be non-empty")
-    streams: dict[str, list[TweetRecord]] = {tag: [] for tag in sorted(tags)}
-    dropped = 0
-    for record in records:
-        hit = False
-        for tag in record.hashtags & tags:
-            streams[tag].append(record)
-            hit = True
-        if not hit:
-            dropped += 1
-    return streams, dropped
+    records = list(records)
+    rows = EventColumns.from_records(records).stream_rows(tags)
+    streams = {tag: [records[i] for i in r.tolist()] for tag, r in rows.items()}
+    routed = set().union(*(r.tolist() for r in rows.values()))
+    return streams, len(records) - len(routed)
 
 
 def corpus_stats(records: Iterable[TweetRecord]) -> CorpusStats:
-    accounts: set[str] = set()
-    per_tag: dict[str, tuple[int, int, set[str]]] = {}
-    count = 0
-    lo: datetime | None = None
-    hi: datetime | None = None
-    for record in records:
-        count += 1
-        accounts.add(record.author)
-        if record.retweeted_author is not None:
-            accounts.add(record.retweeted_author)
-        if lo is None or record.timestamp < lo:
-            lo = record.timestamp
-        if hi is None or record.timestamp > hi:
-            hi = record.timestamp
-        for tag in record.hashtags:
-            tweets, retweets, tag_accounts = per_tag.setdefault(tag, (0, 0, set()))
-            tag_accounts.add(record.author)
-            if record.retweeted_author is not None:
-                tag_accounts.add(record.retweeted_author)
-            per_tag[tag] = (tweets + 1, retweets + record.is_retweet, tag_accounts)
-    return CorpusStats(
-        record_count=count,
-        account_count=len(accounts),
-        per_hashtag={tag: (t, r, len(a)) for tag, (t, r, a) in per_tag.items()},
-        window=None if lo is None or hi is None else (lo, hi),
-    )
+    return EventColumns.from_records(records).stats()
 
 
 def record_to_obj(record: TweetRecord) -> dict:

@@ -46,9 +46,8 @@ from typing import Mapping, Sequence
 from .community import louvain
 from .errors import EdgelessGraphError, LabelingError, StageError, RunLockError
 from .gexf import gexf_document
-from .graph import event_pairs, network_from_events, stream_registry, undirected_projection
-from .ingest import normalize_hashtag, parse_records, split_streams, corpus_stats, \
-    write_rejects
+from .graph import AccountRegistry, network_from_events, undirected_projection
+from .ingest import normalize_hashtag, read_columns, write_rejects
 from .labeling import DEFAULT_MIN_COMMUNITY_SIZE, PRO, CONTRA, OTHER, \
     apply_overrides, label_by_seeds, manual_labeling, partisans, top_retweeted
 from .metrics import BASIS_ACCOUNTS, BASIS_VOLUME, PolarisationProfile, \
@@ -244,13 +243,32 @@ def _remove_orphans(root: Path) -> None:
             pass  # alive, but another user's
 
 
-def run_stage(run, name, make_params, execute, inputs=None, source=None):
+def _refuse_taken(run: RunDir, manifest: Mapping, name: str | None, planned) -> None:
+    """Refuse an output of stage `name` (None for a view such as `report`)
+    that is the manifest, the lock or an output another stage's entry lists."""
+    root = run.root.resolve()
+    owners = {root / "manifest.json": "the run's manifest", root / ".lock": "the run's lock"}
+    for other, entry in manifest["stages"].items():
+        if other != name:
+            for rel in entry["outputs"]:
+                owners[(run.root / rel).resolve()] = f"an output of stage '{other}'"
+    for rel in planned:
+        owner = owners.get((run.root / rel).resolve())
+        if owner is not None:
+            raise StageError(f"{rel} is {owner}; choose another --out")
+
+
+def run_stage(run, name, make_params, execute, inputs=None, source=None, plan=None):
     """Execute one writer stage under the run lock.
 
     The manifest is read once, under the lock, and the stage's params are
     `make_params(manifest, deps)` with `deps` the verified PREREQS entries
     by name. Returns (ran, entry). A stage whose fingerprint matches the
-    recorded entry and whose outputs are intact is skipped. Otherwise each
+    recorded entry and whose outputs are intact is skipped. Otherwise,
+    before anything is written, the stage is refused when a file it may
+    write, `plan(params, deps)` (by default the one file `params["out"]`),
+    is the manifest, the lock or an output of another stage's entry; its
+    own earlier outputs may be rewritten. Then each
     stage in READS[name] is verified once and
     `execute(run, manifest, params, deps)` gets their entries by name.
     After a real run every stage whose upstream chain no longer matches is
@@ -273,6 +291,8 @@ def run_stage(run, name, make_params, execute, inputs=None, source=None):
         prev = manifest["stages"].get(name)
         if prev is not None and prev["fingerprint"] == fp and _outputs_ok(run, prev):
             return False, prev
+        _refuse_taken(run, manifest, name,
+                      [params["out"]] if plan is None else plan(params, deps))
         for dep in READS[name]:
             if dep not in deps:
                 deps[dep] = require_stage(run, manifest, dep)
@@ -347,6 +367,10 @@ def _merged_networks(manifest: Mapping, name: str, out: str, requested: Mapping)
     return {"networks": dict(sorted(merged.items())), "out": out}
 
 
+def _per_network_plan(params: Mapping, deps) -> list[str]:
+    return [f"{params['out']}/{tag}.json" for tag in params["networks"]]
+
+
 def _per_network(run: RunDir, manifest: Mapping, name: str, params: Mapping, make):
     """Write one JSON artifact per network as `make(tag, opts)`.
 
@@ -373,7 +397,7 @@ def _per_network(run: RunDir, manifest: Mapping, name: str, params: Mapping, mak
 # -- writer stages ------------------------------------------------------
 
 def stage_ingest(run, input_path, tracked, fmt="jsonl", strict=False, out="store"):
-    """Parse and validate a corpus once; store each tracked stream as index pairs.
+    """Check a corpus in one pass; store each tracked stream as index pairs.
 
     The store holds `registry.json` (the sorted ids of every account in a
     tracked stream), one `<tag>.npy` of (author, retweeted) registry indices
@@ -396,8 +420,8 @@ def stage_ingest(run, input_path, tracked, fmt="jsonl", strict=False, out="store
 
     def execute(run, manifest, params, deps):
         with open(input_path, encoding="utf-8") as fh:
-            records, rejects = parse_records(fh, fmt, strict=strict)
-        if not records:
+            columns, rejects = read_columns(fh, fmt, strict=strict)
+        if not columns:
             detail = f" (line {rejects[0].line}: {rejects[0].reason})" if rejects else ""
             raise StageError(f"no valid records in input{detail}")
         outputs = {}
@@ -409,20 +433,23 @@ def stage_ingest(run, input_path, tracked, fmt="jsonl", strict=False, out="store
             buffer = io.StringIO()
             write_rejects(rejects, buffer)
             write("rejects.jsonl", buffer.getvalue())
-        streams, _ = split_streams(records, tags)
-        registry = stream_registry(streams.values())
-        write("registry.json", json_text(registry_to_obj(registry)))
-        for tag, stream in streams.items():
-            write(f"{tag}.npy", pairs_to_npy(event_pairs(stream, registry)))
-        stats = corpus_stats(records).to_dict()
+        accounts, pairs = columns.index_pairs(tags)
+        write("registry.json", json_text(registry_to_obj(AccountRegistry(accounts))))
+        for tag, tag_pairs in pairs.items():
+            write(f"{tag}.npy", pairs_to_npy(tag_pairs))
+        stats = columns.stats().to_dict()
         stats["reject_count"] = len(rejects)
         write("stats.json", json_text(stats))
         manifest["tracked"] = tags
         return outputs
 
+    def plan(params, deps):
+        names = ["rejects.jsonl", "registry.json", "stats.json", *(f"{t}.npy" for t in tags)]
+        return [f"{out}/{name}" for name in names]
+
     return run_stage(
         run, "ingest", lambda manifest, deps: params, execute, inputs=inputs,
-        source=str(input_path),
+        source=str(input_path), plan=plan,
     )
 
 
@@ -453,7 +480,10 @@ def stage_build(run, out="networks"):
             outputs[rel] = run.write(rel, network_text(nets[tag]))
         return outputs
 
-    return run_stage(run, "build", lambda manifest, deps: params, execute)
+    def plan(params, deps):
+        return [f"{out}/{tag}.json" for tag in ["registry", *deps["ingest"]["params"]["tracked"]]]
+
+    return run_stage(run, "build", lambda manifest, deps: params, execute, plan=plan)
 
 
 def stage_communities(run, networks=None, resolution=1.0, seed=42, out="partitions"):
@@ -492,7 +522,7 @@ def stage_communities(run, networks=None, resolution=1.0, seed=42, out="partitio
 
         return _per_network(run, manifest, "communities", params, make)
 
-    return run_stage(run, "communities", make_params, execute)
+    return run_stage(run, "communities", make_params, execute, plan=_per_network_plan)
 
 
 def normalize_label_request(obj: Mapping) -> tuple[str, dict]:
@@ -577,7 +607,7 @@ def stage_label(run, requests: Sequence[Mapping], out="labels"):
     return run_stage(
         run, "label",
         lambda manifest, deps: _merged_networks(manifest, "label", out, normalized),
-        execute,
+        execute, plan=_per_network_plan,
     )
 
 
@@ -727,6 +757,9 @@ def write_report(run: RunDir, out="report.json", top_k=100):
     if top_k < 1:
         raise StageError(f"top-k must be at least 1, got {top_k}")
     manifest = run.load_manifest()
+    base = Path(out).parent
+    figures = [base / name for name in ("fig1.csv", "fig3a.csv", "fig3b.csv")]
+    _refuse_taken(run, manifest, None, [out, *figures])
     deps = {
         name: require_stage(run, manifest, name)
         for name in ("polarisation", "odds", "activity", "build", "communities", "label")
@@ -798,10 +831,8 @@ def write_report(run: RunDir, out="report.json", top_k=100):
             for point in curve["points"]
         ],
     )
-    base = Path(out).parent
-    run.write(base / "fig1.csv", fig1)
-    run.write(base / "fig3a.csv", fig3a)
-    run.write(base / "fig3b.csv", fig3b)
+    for path, text in zip(figures, (fig1, fig3a, fig3b)):
+        run.write(path, text)
     return run.root / out
 
 

@@ -100,3 +100,41 @@ def disconnected_communities(graph: UndirectedGraph, assignment: Mapping[int, in
                     queue.append(other)
         count += len(seen) < len(block)
     return count
+
+
+def record_stats(records: Sequence) -> dict:
+    """`stats.json`'s counts by walking TweetRecords one at a time: records,
+    accounts, per-tag tweets, retweets and unique accounts, and the window."""
+    accounts: set[str] = set()
+    per_tag: dict[str, list] = {}
+    stamps = [record.timestamp for record in records]
+    for record in records:
+        involved = {record.author, record.retweeted_author} - {None}
+        accounts |= involved
+        for tag in record.hashtags:
+            row = per_tag.setdefault(tag, [0, 0, set()])
+            row[0] += 1
+            row[1] += record.retweeted_author is not None
+            row[2] |= involved
+    return {
+        "record_count": len(records),
+        "account_count": len(accounts),
+        "per_hashtag": {tag: (t, r, len(a)) for tag, (t, r, a) in per_tag.items()},
+        "window": (min(stamps), max(stamps)) if stamps else None,
+    }
+
+
+def record_store(records: Sequence, tracked: Iterable[str]) -> tuple[list[str], dict]:
+    """The store's registry and (author, retweeted) index pairs per tracked
+    tag by walking TweetRecords: the registry holds the sorted ids of every
+    account in a stream, and a stream keeps the records carrying its tag."""
+    streams = {tag: [r for r in records if tag in r.hashtags] for tag in sorted(tracked)}
+    ids = sorted({account for stream in streams.values() for r in stream
+                  for account in (r.author, r.retweeted_author) if account is not None})
+    index = {account: i for i, account in enumerate(ids)}
+    pairs = {
+        tag: [(index[r.author], -1 if r.retweeted_author is None else index[r.retweeted_author])
+              for r in stream]
+        for tag, stream in streams.items()
+    }
+    return ids, pairs

@@ -22,8 +22,10 @@ import hashjack.pipeline
 from hashjack.cli import entrypoint
 from hashjack.errors import StageError
 from hashjack.graph import build_networks
-from hashjack.ingest import CSV_COLUMNS, parse_records, split_streams, write_csv
-from hashjack.store import file_digest, json_text, load_json, network_to_obj, registry_to_obj
+from hashjack.ingest import CSV_COLUMNS, CorpusStats, parse_records, split_streams, write_csv
+from hashjack.store import file_digest, json_text, load_json, network_to_obj, pairs_to_npy, \
+    registry_to_obj
+from _oracles import record_stats, record_store
 
 
 GEXF_NS = "{http://www.gexf.net/1.2draft}"
@@ -813,13 +815,13 @@ def small_corpus(tmp_path):
 class TestStoredEvents:
     def test_pipeline_parses_corpus_once(self, corpus, tmp_path, monkeypatch):
         calls = []
-        real = hashjack.pipeline.parse_records
+        real = hashjack.pipeline.read_columns
 
         def counting(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(hashjack.pipeline, "parse_records", counting)
+        monkeypatch.setattr(hashjack.pipeline, "read_columns", counting)
         assert run_cli("pipeline", "ingest", "build", "--input", corpus["corpus"],
                        "--tracked", TRACKED, "--run-dir", tmp_path / "run") == 0
         assert len(calls) == 1
@@ -893,6 +895,169 @@ class TestStoredEvents:
         again = tmp_path / "again.gexf"
         assert run_cli("export", "--network", "agenda", "--gexf", again, "--run-dir", run) == 0
         assert again.read_bytes() == original.read_bytes()
+
+
+MIXED_OFFSETS = [
+    {"tweet_id": "t1", "author": "alice", "retweeted_author": "bob", "hashtags": ["#a"],
+     "timestamp": "2020-03-01T14:00:00+02:00"},
+    {"tweet_id": "t2", "author": "carol", "hashtags": ["#a", "#B"],
+     "timestamp": "2020-03-01T03:00:00-05:00"},
+    {"tweet_id": "t3", "author": "dave", "retweeted_author": "alice", "hashtags": ["#zzz"],
+     "timestamp": "2020-03-02t01:00:00z"},
+    {"tweet_id": "t4", "author": "bob", "retweeted_author": "carol", "hashtags": ["#b"],
+     "timestamp": "2020-02-29T23:00:00-05:00"},
+]
+# Timestamps whose UTC moment lies outside the years 1-9999.
+OUT_OF_RANGE = ["9999-12-31T23:59:59-01:00", "0001-01-01T00:00:00+01:00"]
+
+
+def store_bytes(run: Path) -> dict:
+    return {p.name: p.read_bytes() for p in (run / "store").iterdir()}
+
+
+class TestColumnarIngest:
+    def test_stats_with_mixed_offsets(self, tmp_path):
+        """One record with an untracked tag and one with two tracked tags;
+        the window is in UTC."""
+        source = tmp_path / "mixed.jsonl"
+        source.write_text("".join(json.dumps(obj) + "\n" for obj in MIXED_OFFSETS))
+        run = tmp_path / "run"
+        assert run_cli("ingest", source, "--tracked", "a,b", "--run-dir", run) == 0
+        assert load_json(run / "store" / "stats.json") == {
+            "record_count": 4,
+            "account_count": 4,
+            "per_hashtag": {
+                "a": {"tweets": 2, "retweets": 1, "unique_accounts": 3},
+                "b": {"tweets": 2, "retweets": 1, "unique_accounts": 2},
+                "zzz": {"tweets": 1, "retweets": 1, "unique_accounts": 2},
+            },
+            "window": ["2020-03-01T04:00:00Z", "2020-03-02T01:00:00Z"],
+            "reject_count": 0,
+        }
+        assert load_json(run / "store" / "registry.json") == {
+            "accounts": ["alice", "bob", "carol"]
+        }
+
+    def test_jsonl_and_csv_give_equal_stores(self, corpus, tmp_path):
+        with open(corpus["corpus"], encoding="utf-8") as fh:
+            records, _ = parse_records(fh)
+        csv_corpus = tmp_path / "corpus.csv"
+        with open(csv_corpus, "w", encoding="utf-8") as fh:
+            write_csv(records, fh)
+        runs = tmp_path / "jsonl", tmp_path / "csv"
+        assert run_cli("ingest", corpus["corpus"], "--tracked", TRACKED,
+                       "--run-dir", runs[0]) == 0
+        assert run_cli("ingest", csv_corpus, "--tracked", TRACKED, "--format", "csv",
+                       "--run-dir", runs[1]) == 0
+        assert store_bytes(runs[0]) == store_bytes(runs[1])
+
+    def test_hashtag_lists_that_never_repeat(self, corpus, tmp_path):
+        """Every line gets a tag of its own; the store is what a walk over
+        the records gives."""
+        source = tmp_path / "unique.jsonl"
+        with open(source, "w", encoding="utf-8") as fh:
+            for i, line in enumerate(corpus["corpus"].read_text().splitlines()[::7]):
+                obj = json.loads(line)
+                obj["hashtags"].append(f"#u{i}")
+                fh.write(json.dumps(obj) + "\n")
+        run = tmp_path / "run"
+        assert run_cli("ingest", source, "--tracked", TRACKED, "--run-dir", run) == 0
+        records, _ = parse_records(source.read_text())
+        ids, pairs = record_store(records, TRACKED.split(","))
+        stats = CorpusStats(**record_stats(records)).to_dict()
+        stats["reject_count"] = 0
+        expected = {f"{tag}.npy": pairs_to_npy(pairs[tag]) for tag in pairs}
+        expected["registry.json"] = json_text({"accounts": ids}).encode()
+        expected["stats.json"] = json_text(stats).encode()
+        assert len(stats["per_hashtag"]) == len(records) + 3
+        assert store_bytes(run) == expected
+
+    @pytest.mark.parametrize("stamp", OUT_OF_RANGE)
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_out_of_range_timestamp_is_a_reject(self, small_corpus, tmp_path, stamp, fmt,
+                                                 capsys):
+        records, _ = parse_records(small_corpus.read_text())
+        bad = dict(MIXED_OFFSETS[0], tweet_id="bad", timestamp=stamp)
+        source = tmp_path / f"corpus.{fmt}"
+        with open(source, "w", encoding="utf-8") as fh:
+            if fmt == "jsonl":
+                fh.write(json.dumps(bad) + "\n" + small_corpus.read_text())
+            else:
+                write_csv(records, fh)
+                fh.write(f"bad,alice,bob,#a,{stamp}\n")
+        line = 1 if fmt == "jsonl" else len(records) + 2
+        run = tmp_path / "run"
+        code = run_cli("ingest", source, "--tracked", "a,b", "--format", fmt, "--run-dir", run)
+        assert code == 0, capsys.readouterr().err
+        rejects = [json.loads(row) for row in
+                   (run / "store" / "rejects.jsonl").read_text().splitlines()]
+        assert [(r["line"], r["reason"]) for r in rejects] == [
+            (line, f"timestamp out of range: {stamp!r}")
+        ]
+        assert load_json(run / "store" / "stats.json")["record_count"] == len(records)
+
+        only = tmp_path / f"only.{fmt}"
+        only.write_text(json.dumps(bad) + "\n" if fmt == "jsonl" else
+                        ",".join(CSV_COLUMNS) + f"\nbad,alice,bob,#a,{stamp}\n")
+        capsys.readouterr()
+        code = run_cli("ingest", only, "--tracked", "a", "--format", fmt,
+                       "--run-dir", tmp_path / "only-run")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "internal error" not in err
+        assert f"timestamp out of range: {stamp!r}" in err
+
+
+class TestOutputsTaken:
+    """A stage or `report` may not write over the manifest, the lock or a
+    stage's outputs; it is refused before it writes anything."""
+
+    @pytest.mark.parametrize("argv", [
+        ("communities", "--out", "networks"),
+        ("label", "apply", "--labels", "{labels}", "--out", "partitions"),
+        ("ingest", "{corpus}", "--tracked", TRACKED, "--out", "networks"),
+        ("polarisation", "--out", "store/stats.json"),
+        ("odds", "--targets", "agenda", "--out", ".lock"),
+        ("activity", "--out", "./manifest.json"),
+        ("report", "--out", "manifest.json"),
+        ("report", "--out", "partitions/agenda.json"),
+    ])
+    def test_other_stages_outputs_are_refused(self, finished, corpus, tmp_path, argv, capsys):
+        run = tmp_path / "run"
+        shutil.copytree(finished, run)
+        before = {p: p.read_bytes() for p in run.rglob("*") if p.is_file()}
+        argv = [a.format(labels=corpus["labels"], corpus=corpus["corpus"]) for a in argv]
+        assert run_cli(*argv, "--run-dir", run) == 2
+        err = capsys.readouterr().err
+        assert "internal error" not in err
+        assert "; choose another --out" in err
+        after = {p: p.read_bytes() for p in run.rglob("*") if p.is_file()}
+        assert after == before
+        assert run_cli("communities", "--resolution", "0.5", "--run-dir", run) == 0
+        assert capsys.readouterr().out == "communities: up to date\n"
+
+    def test_network_named_manifest_cannot_overwrite_the_manifest(self, tmp_path, capsys):
+        source = tmp_path / "corpus.jsonl"
+        source.write_text(json.dumps(dict(MIXED_OFFSETS[0], hashtags=["#manifest"])) + "\n")
+        run = tmp_path / "run"
+        assert run_cli("ingest", source, "--tracked", "manifest", "--run-dir", run) == 0
+        before = {p: p.read_bytes() for p in run.rglob("*") if p.is_file()}
+        assert run_cli("build", "--out", ".", "--run-dir", run) == 2
+        assert "./manifest.json is the run's manifest" in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in run.rglob("*") if p.is_file()} == before
+        assert run_cli("build", "--run-dir", run) == 0
+        assert run_cli("communities", "--run-dir", run) == 0
+
+    def test_rerun_onto_its_own_outputs_is_allowed(self, finished, corpus, tmp_path):
+        run = tmp_path / "run"
+        shutil.copytree(finished, run)
+        assert run_cli("communities", "--resolution", "0.7", "--run-dir", run) == 0
+        assert run_cli("communities", "--resolution", "0.5", "--run-dir", run) == 0
+        assert run_cli("label", "apply", "--labels", corpus["labels"], "--run-dir", run) == 0
+        for tag in TRACKED.split(","):
+            for stage in ("partitions", "labels"):
+                path = Path(stage) / f"{tag}.json"
+                assert (run / path).read_bytes() == (finished / path).read_bytes()
 
 
 class TestArtifactIO:
@@ -1062,6 +1227,7 @@ LINE_FIELDS = ["tweet_id", "author", "retweeted_author", "hashtags", "timestamp"
 LINE_VALUES = [
     MISSING, None, 5, 1.5, True, [], {}, "", ["#agenda"], ["#agenda", "#a\ud800"],
     ["#party1", 7], "2020-03-01T00:00:00Z", "2020-03-01", *HOSTILE_STRINGS,
+    *OUT_OF_RANGE,
 ]
 LABEL_FIELDS = ["network", "seeds", "seeds.pro", "labels", "min_community_size", "extra"]
 LABEL_VALUES = [
@@ -1074,7 +1240,7 @@ CSV_FIELDS = [*CSV_COLUMNS, "extra"]
 CSV_VALUES = [
     MISSING, "", '"', 'a"b', '"a', "a,b", ",", "\\", "#agenda|", "|#agenda",
     "#agenda||#party1", "#agenda|#a b", "#AGENDA", "2020-03-01T00:00:00Z", "2020-03-01",
-    "x'y>", *HOSTILE_STRINGS,
+    "x'y>", *OUT_OF_RANGE, *HOSTILE_STRINGS,
 ]
 # How a row is written: quoted where needed, every field quoted, or joined
 # with commas and never quoted.
@@ -1166,6 +1332,7 @@ class TestMutatedInputExits0Or2:
     @example(index=1, field="retweeted_author", value='c&<"\t', ascii_only=False)
     @example(index=2, field="author", value="x\x01y", ascii_only=True)
     @example(index=3, field="author", value="\ufffe", ascii_only=False)
+    @example(index=4, field="timestamp", value=OUT_OF_RANGE[0], ascii_only=True)
     def test_corpus_line(self, small_lines, index, field, value, ascii_only):
         lines = list(small_lines)
         index %= len(lines)
@@ -1194,6 +1361,7 @@ class TestMutatedInputExits0Or2:
     @example(index=1, field="retweeted_author", value="a\ud800", style="all")
     @example(index=2, field="hashtags", value='"a', style="raw")
     @example(index=3, field="tweet_id", value="x'y>", style="all")
+    @example(index=4, field="timestamp", value=OUT_OF_RANGE[1], style="minimal")
     def test_csv_row(self, small_rows, index, field, value, style):
         rows = [list(row) for row in small_rows]
         row = rows[index % len(rows)]

@@ -3,22 +3,27 @@ import json
 from datetime import datetime, timezone
 
 import pytest
+from _oracles import record_stats, record_store
 from hypothesis import given, strategies as st
 
 from hashjack.errors import IngestError, RejectRateError
 from hashjack.ingest import (
+    CorpusStats,
+    EventColumns,
     TweetRecord,
     corpus_stats,
     format_rfc3339,
     normalize_hashtag,
     parse_records,
     parse_rfc3339,
+    read_columns,
     record_to_json_line,
     split_streams,
     write_csv,
     write_jsonl,
     write_rejects,
 )
+from hashjack.store import pairs_to_npy
 
 
 def jl(**kw):
@@ -133,6 +138,32 @@ class TestParseJsonl:
         assert len(rejects) == 2
         with pytest.raises(RejectRateError):
             parse_records(source, strict=True)
+
+
+OUT_OF_RANGE = ["9999-12-31T23:59:59-01:00", "0001-01-01T00:00:00+01:00"]
+
+
+class TestOutOfRangeTimestamps:
+    """A timestamp whose UTC moment falls outside the years 1-9999 is a reject."""
+
+    @pytest.mark.parametrize("stamp", OUT_OF_RANGE)
+    def test_parse_rfc3339_raises_value_error(self, stamp):
+        with pytest.raises(ValueError, match="timestamp out of range"):
+            parse_rfc3339(stamp)
+
+    @pytest.mark.parametrize("stamp", OUT_OF_RANGE)
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_line_is_rejected(self, stamp, fmt):
+        source = jl(timestamp=stamp) + "\n" + jl(tweet_id="t2")
+        if fmt == "csv":
+            source = (TestParseCsv.HEADER + f"\nt1,alice,bob,#afd,{stamp}"
+                      "\nt2,alice,bob,#afd,2020-03-01T12:00:00Z")
+        records, rejects = parse_records(source, fmt=fmt)
+        assert [r.tweet_id for r in records] == ["t2"]
+        line = 1 if fmt == "jsonl" else 2
+        assert [(r.line, r.reason) for r in rejects] == [
+            (line, f"timestamp out of range: {stamp!r}")
+        ]
 
 
 class TestParseCsv:
@@ -303,6 +334,205 @@ class TestCorpusStats:
         records, _ = parse_records(jl())
         obj = corpus_stats(records).to_dict()
         json.dumps(obj)
+
+
+# One line per reject reason, in the order the checks run, with the
+# records and rejects parse_records has always given for them.
+REASON_LINES = [
+    jl(),
+    "{not json",
+    '{"tweet_id": "t2"} trailing',
+    json.dumps(["not", "an", "object"]),
+    jl(tweet_id="t3", extra=1),
+    jl(tweet_id="t4", hashtags="#afd"),
+    jl(tweet_id="t5", hashtags=["#afd", 5]),
+    jl(tweet_id=""),
+    jl(tweet_id="t6", author=None),
+    jl(tweet_id="t7", retweeted_author=""),
+    jl(tweet_id="t8", retweeted_author="alice"),
+    jl(tweet_id="t9\x01"),
+    jl(tweet_id="t10", author="a\ud800"),
+    jl(tweet_id="t11", retweeted_author="b￾"),
+    jl(tweet_id="t12", hashtags=["bad tag"]),
+    jl(tweet_id="t13", hashtags=[]),
+    jl(tweet_id="t14", timestamp=5),
+    jl(tweet_id="t15", timestamp="not-a-time"),
+    jl(tweet_id="t16", timestamp="2020-03-01T12:00:00"),
+    jl(),
+    jl(tweet_id="t17", retweeted_author=None, hashtags=["#AfD", "#x"],
+       timestamp="2020-03-01T14:00:00+02:00"),
+    '{"tweet_id": ' + "[" * 5000 + "]" * 5000 + "}",
+    "   ",
+    jl(tweet_id="t18", timestamp=" 2020-03-01t07:00:00z "),
+    jl(tweet_id="t19", timestamp=OUT_OF_RANGE[0]),
+]
+REASON_REJECTS = [
+    (2, "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    (3, "Extra data: line 1 column 20 (char 19)"),
+    (4, "line is not a JSON object"),
+    (5, "unknown fields: ['extra']"),
+    (6, "hashtags must be a list of strings"),
+    (7, "hashtags must be a list of strings"),
+    (8, "tweet_id must be a non-empty string"),
+    (9, "author must be a non-empty string"),
+    (10, "retweeted_author must be a non-empty string when present"),
+    (11, "self-retweet"),
+    (12, "tweet_id holds a control character, lone surrogate or noncharacter"),
+    (13, "author holds a control character, lone surrogate or noncharacter"),
+    (14, "retweeted_author holds a control character, lone surrogate or noncharacter"),
+    (15, "invalid hashtag: 'bad tag'"),
+    (16, "hashtags must be non-empty"),
+    (17, "timestamp must be an RFC 3339 string"),
+    (18, "Invalid isoformat string: 'not-a-time'"),
+    (19, "timestamp lacks a timezone: '2020-03-01T12:00:00'"),
+    (20, "duplicate tweet_id: t1"),
+    (22, "maximum recursion depth exceeded while decoding a JSON array from a unicode string"),
+    (25, f"timestamp out of range: {OUT_OF_RANGE[0]!r}"),
+]
+REASON_CSV_ROWS = [
+    "t1,alice,bob,#afd,2020-03-01T12:00:00Z",
+    "t2,alice,bob,#afd",
+    "t3,alice,bob,#afd,2020-03-01T12:00:00Z,extra",
+    "t4,a\x00b,bob,#afd,2020-03-01T12:00:00Z",
+    ",alice,bob,#afd,2020-03-01T12:00:00Z",
+    "t5,,bob,#afd,2020-03-01T12:00:00Z",
+    "t6,alice,alice,#afd,2020-03-01T12:00:00Z",
+    "t7,al\x01ice,bob,#afd,2020-03-01T12:00:00Z",
+    "t8,alice,bob,#afd|bad tag,2020-03-01T12:00:00Z",
+    "t9,alice,bob,|,2020-03-01T12:00:00Z",
+    "t10,alice,bob,#afd,yesterday",
+    "t11,alice,bob,#afd,2020-03-01T12:00:00",
+    't12,alice,,"#AfD|#x",2020-03-01T14:00:00+02:00',
+    "t1,carol,bob,#afd,2020-03-01T12:00:00Z",
+    '"t13,alice,bob,#afd,2020-03-01T12:00:00Z',
+    "t14,alice,bob,#afd|#afd,2020-03-01T10:00:00-05:00",
+    f"t15,alice,bob,#afd,{OUT_OF_RANGE[1]}",
+]
+REASON_CSV_REJECTS = [
+    (3, "expected 5 columns, got 4"),
+    (4, "expected 5 columns, got 6"),
+    (5, "author holds a control character, lone surrogate or noncharacter"),
+    (6, "tweet_id must be a non-empty string"),
+    (7, "author must be a non-empty string"),
+    (8, "self-retweet"),
+    (9, "author holds a control character, lone surrogate or noncharacter"),
+    (10, "invalid hashtag: 'bad tag'"),
+    (11, "hashtags must be non-empty"),
+    (12, "Invalid isoformat string: 'yesterday'"),
+    (13, "timestamp lacks a timezone: '2020-03-01T12:00:00'"),
+    (15, "duplicate tweet_id: t1"),
+    (16, "expected 5 columns, got 1"),
+    (18, f"timestamp out of range: {OUT_OF_RANGE[1]!r}"),
+]
+
+
+def utc(*args):
+    return datetime(*args, tzinfo=timezone.utc)
+
+
+class TestOnePass:
+    """parse_records and read_columns share one checked pass over the lines."""
+
+    def test_jsonl_records_and_rejects(self):
+        records, rejects = parse_records("\n".join(REASON_LINES))
+        assert records == [
+            TweetRecord("t1", "alice", "bob", frozenset({"afd"}), utc(2020, 3, 1, 12)),
+            TweetRecord("t17", "alice", None, frozenset({"afd", "x"}), utc(2020, 3, 1, 12)),
+            TweetRecord("t18", "alice", "bob", frozenset({"afd"}), utc(2020, 3, 1, 7)),
+        ]
+        assert [(r.line, r.reason) for r in rejects] == REASON_REJECTS
+        assert [r.raw for r in rejects] == [REASON_LINES[r.line - 1].strip() for r in rejects]
+
+    def test_csv_records_and_rejects(self):
+        source = "\n".join([TestParseCsv.HEADER, *REASON_CSV_ROWS])
+        records, rejects = parse_records(source, fmt="csv")
+        assert records == [
+            TweetRecord("t1", "alice", "bob", frozenset({"afd"}), utc(2020, 3, 1, 12)),
+            TweetRecord("t12", "alice", None, frozenset({"afd", "x"}), utc(2020, 3, 1, 12)),
+            TweetRecord("t14", "alice", "bob", frozenset({"afd"}), utc(2020, 3, 1, 15)),
+        ]
+        assert [(r.line, r.reason) for r in rejects] == REASON_CSV_REJECTS
+        assert [r.raw for r in rejects] == [REASON_CSV_ROWS[r.line - 2] for r in rejects]
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_columns_see_the_same_lines(self, fmt):
+        source = ("\n".join(REASON_LINES) if fmt == "jsonl"
+                  else "\n".join([TestParseCsv.HEADER, *REASON_CSV_ROWS]))
+        records, rejects = parse_records(source, fmt=fmt)
+        columns, column_rejects = read_columns(source, fmt=fmt)
+        assert column_rejects == rejects
+        assert len(columns) == len(records)
+        assert [columns.accounts[i] for i in columns.author] == [r.author for r in records]
+        assert [columns.tag_sets[k] for k in columns.tag_set] == [r.hashtags for r in records]
+        stamps = [r.timestamp for r in records]
+        assert columns.window == (min(stamps), max(stamps))
+
+    def test_reject_rate_and_errors_come_from_the_pass(self):
+        with pytest.raises(RejectRateError):
+            read_columns("junk\nmore junk\n" + jl(), strict=True)
+        with pytest.raises(IngestError):
+            read_columns("", fmt="xml")
+
+
+STAMPS = st.sampled_from([
+    "2020-03-01T12:00:00Z", "2020-03-01T14:00:00+02:00", "2020-03-01T07:00:00-05:00",
+    "2020-03-01t12:00:00z", "2020-02-29T23:30:00-13:00", "2020-03-02T00:00:00+11:59",
+])
+
+
+@st.composite
+def corpus_lines(draw):
+    """JSONL lines with mixed offsets, repeated and unique tag lists, and
+    tags that are tracked, untracked or both."""
+    lines = []
+    for i in range(draw(st.integers(min_value=0, max_value=12))):
+        author = draw(accounts)
+        obj = {
+            "tweet_id": f"t{i}",
+            "author": author,
+            "hashtags": draw(st.lists(st.sampled_from(
+                ["#one", "#One", "two", "#three", f"#u{i}"]), min_size=1, max_size=3)),
+            "timestamp": draw(STAMPS),
+        }
+        retweeted = draw(st.one_of(st.none(), accounts.filter(lambda a: a != author)))
+        if retweeted is not None:
+            obj["retweeted_author"] = retweeted
+        lines.append(json.dumps(obj))
+    return "\n".join(lines)
+
+
+class TestColumns:
+    """The store and the counts from columns equal a walk over the records."""
+
+    @given(corpus_lines(), st.sets(tags, min_size=1))
+    def test_columns_match_a_record_walk(self, text, tracked):
+        records, _ = parse_records(text)
+        columns, _ = read_columns(text)
+        stats = columns.stats()
+        expected = record_stats(records)
+        assert stats.to_dict() == CorpusStats(**expected).to_dict()
+        assert corpus_stats(records) == stats
+        if stats.window is not None:
+            assert all(moment.tzinfo is timezone.utc for moment in stats.window)
+        ids, pairs = columns.index_pairs(tracked)
+        expected_ids, expected_pairs = record_store(records, tracked)
+        assert ids == expected_ids
+        assert sorted(pairs) == sorted(expected_pairs)
+        for tag, rows in pairs.items():
+            assert pairs_to_npy(rows) == pairs_to_npy(expected_pairs[tag])
+
+    @given(corpora())
+    def test_from_records_matches_the_record_walk(self, records):
+        stats = EventColumns.from_records(records).stats()
+        assert stats == CorpusStats(**record_stats(records))
+
+    def test_empty_columns(self):
+        columns = EventColumns([])
+        assert columns.stats().to_dict() == {
+            "record_count": 0, "account_count": 0, "per_hashtag": {}, "window": None,
+        }
+        ids, pairs = columns.index_pairs(["a"])
+        assert ids == [] and pairs_to_npy(pairs["a"]) == pairs_to_npy([])
 
 
 class TestWriteRejects:
