@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-import numpy as np
-
 from .community import CommunityPartition
 from .errors import EstimationError
 from .graph import RetweetNetwork
@@ -164,6 +162,8 @@ def _fit_irls(
     counts: np.ndarray, successes: np.ndarray, tol: float = 1e-8, max_iter: int = 25
 ) -> tuple[float, float, bool, int]:
     """Weighted IRLS on the two covariate classes x=1 and x=0."""
+    import numpy as np
+
     x = np.array([[1.0, 1.0], [1.0, 0.0]])
     beta = np.zeros(2)
     for iteration in range(1, max_iter + 1):
@@ -187,6 +187,8 @@ def fit_logistic_counts(table: ContingencyTable2x2) -> LogisticFit:
     A zero cell means complete separation (or a degenerate margin): the fit
     is reported unconverged instead of chasing infinite coefficients.
     """
+    import numpy as np
+
     if table.has_zero_cell:
         return LogisticFit(
             beta0=math.nan, beta1=math.nan, converged=False, iterations=0, separation=True

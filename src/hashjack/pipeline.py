@@ -139,14 +139,21 @@ class RunDir:
         self._decoded: dict[str, tuple] = {}  # rel -> (digest and key, object)
 
     def load_manifest(self) -> dict:
-        if (self.root / "manifest.json").exists():
-            return load_json(self.root / "manifest.json")
-        return {
-            "run_id": uuid.uuid4().hex[:12],
-            "created": _now(),
-            "tracked": [],
-            "stages": {},
-        }
+        path = self.root / "manifest.json"
+        if not path.exists():
+            return {
+                "run_id": uuid.uuid4().hex[:12],
+                "created": _now(),
+                "tracked": [],
+                "stages": {},
+            }
+        try:
+            manifest = load_json(path)
+        except (ValueError, RecursionError):  # not UTF-8, not JSON or nested too deep
+            manifest = None
+        if not _is_manifest(manifest):
+            raise StageError(f"{path} is not a hashjack manifest; run into a new run directory")
+        return manifest
 
     def save_manifest(self, manifest: dict) -> None:
         self.write("manifest.json", json_text(manifest))
@@ -194,6 +201,15 @@ def _fingerprint(name: str, params, inputs, upstream) -> str:
     return obj_digest(
         {"stage": name, "params": params, "inputs": inputs, "upstream": upstream}
     )
+
+
+def _is_manifest(obj) -> bool:
+    """Whether `obj` has the shape that every reader of a manifest relies on."""
+    stages = obj.get("stages") if isinstance(obj, dict) else None
+    return isinstance(stages, dict) and all(
+        isinstance(entry, dict) and isinstance(entry.get("fingerprint"), str)
+        and all(isinstance(entry.get(key), dict) for key in ("params", "upstream", "outputs"))
+        and "out" in entry["params"] for entry in stages.values())
 
 
 def _outputs_ok(run: RunDir, entry: Mapping) -> bool:
@@ -838,6 +854,8 @@ def write_report(run: RunDir, out="report.json", top_k=100):
 
 def write_gexf(run: RunDir, network: str, out_path: Path | str):
     """Export one network with cluster, side and partisan annotations."""
+    if Path(out_path).is_dir():
+        raise StageError(f"{out_path} is a directory")
     tag = normalize_hashtag(network)
     manifest = run.load_manifest()
     deps = {"build": require_stage(run, manifest, "build")}

@@ -25,8 +25,6 @@ import os
 from pathlib import Path
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .community import CommunityPartition
 from .graph import AccountRegistry, RetweetNetwork, add_edges
 from .ingest import normalize_hashtag
@@ -102,6 +100,8 @@ def obj_digest(obj) -> str:
 
 def pairs_to_npy(pairs: Sequence[Sequence[int]]) -> bytes:
     """(author, retweeted) index pairs as the bytes of an (n, 2) int32 .npy file."""
+    import numpy as np
+
     buffer = io.BytesIO()
     np.save(buffer, np.asarray(pairs, dtype="<i4").reshape(-1, 2), allow_pickle=False)
     return buffer.getvalue()
@@ -109,6 +109,8 @@ def pairs_to_npy(pairs: Sequence[Sequence[int]]) -> bytes:
 
 def pairs_from_npy(data: bytes) -> np.ndarray:
     """The (n, 2) array of a pairs_to_npy file."""
+    import numpy as np
+
     return np.load(io.BytesIO(data), allow_pickle=False)
 
 

@@ -40,8 +40,6 @@ from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from typing import Iterator, Mapping, Sequence
 
-import numpy as np
-
 from .errors import SynthConfigError
 from .graph import UndirectedGraph
 from .ingest import TweetRecord, normalize_hashtag
@@ -326,6 +324,8 @@ class GroundTruth:
 
 
 def _rank_weights(n: int, exponent: float) -> np.ndarray:
+    import numpy as np
+
     return np.arange(1, n + 1, dtype=np.float64) ** -exponent
 
 
@@ -337,6 +337,8 @@ def _sorted_multinomial(rng: np.random.Generator, budget: int, n: int, s: float)
     the remainder follows the Zipf weights. A smaller budget is allocated
     purely by weight.
     """
+    import numpy as np
+
     weights = _rank_weights(n, s)
     shares = weights / weights.sum()
     if budget >= n:
@@ -354,7 +356,7 @@ class _Side:
         self.hijacker = hijacker
         self.offset = offset  # index of members[0] in the network-wide order
         weights = _rank_weights(len(members), s)
-        self.cum = np.cumsum(weights)
+        self.cum = weights.cumsum()
         self.total = float(self.cum[-1]) if len(members) else 0.0
 
     def __len__(self) -> int:
@@ -363,7 +365,7 @@ class _Side:
     def draw(self, rng: np.random.Generator, k: int, skip: int | None) -> np.ndarray:
         """k attention-weighted member positions, rejecting position `skip`."""
         u = rng.random(k)
-        pos = np.searchsorted(self.cum, u * self.total, side="right")
+        pos = self.cum.searchsorted(u * self.total, side="right")
         if skip is not None:
             while True:
                 bad = pos == skip
@@ -371,7 +373,7 @@ class _Side:
                 if not n_bad:
                     break
                 redo = rng.random(n_bad)
-                pos[bad] = np.searchsorted(self.cum, redo * self.total, side="right")
+                pos[bad] = self.cum.searchsorted(redo * self.total, side="right")
         return pos + self.offset
 
 
@@ -385,6 +387,8 @@ def _emit_network(
     records: list[TweetRecord],
 ) -> tuple[dict[str, int], dict[str, int]]:
     """Emit all events of one network; returns (made, received) tallies."""
+    import numpy as np
+
     members = pro.members + contra.members
     n = len(members)
     made = np.zeros(n, dtype=np.int64)
@@ -448,6 +452,8 @@ def _emit_network(
 
 def generate(config: SynthConfig) -> tuple[list[TweetRecord], GroundTruth]:
     """Emit a corpus and its exact bookkeeping; pure function of config."""
+    import numpy as np
+
     config.validate()
     rng = np.random.default_rng(config.seed)
 
@@ -570,6 +576,8 @@ def planted_partition_graph(
     cross-block pair with probability p_out; weights are 1. Returns the
     graph and the planted block label per node.
     """
+    import numpy as np
+
     if not 0.0 <= p_out < p_in <= 1.0:
         raise SynthConfigError("planted partition requires 0 <= p_out < p_in <= 1")
     if any(size < 0 for size in sizes):

@@ -302,6 +302,14 @@ class TestStageChain:
         assert dest.read_text().startswith("<?xml")
         assert "partisan_#party1" in dest.read_text()
 
+    def test_export_refuses_a_directory_before_writing(self, finished, tmp_path, capsys):
+        dest = tmp_path / "net.gexf"
+        dest.mkdir()
+        code = run_cli("export", "--network", "agenda", "--gexf", dest, "--run-dir", finished)
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {dest} is a directory\n"
+        assert list(tmp_path.iterdir()) == [dest] and not any(dest.iterdir())
+
     def test_export_refuses_edited_partition(self, corpus, tmp_path, capsys):
         run = tmp_path / "run"
         bootstrap(run, corpus, upto="label")
@@ -580,6 +588,25 @@ class TestBadInputExits2:
         assert code == 2, err
         assert "internal error" not in err
         assert (finished / "manifest.json").read_bytes() == before
+
+    @pytest.mark.parametrize("argv", [
+        ("report",), ("build",), ("label", "report", "--network", "agenda"),
+    ], ids=["report", "build", "label report"])
+    @pytest.mark.parametrize("data", [
+        b'{"stages": []}',
+        b"[1]",
+        b'{"stages": {"ingest": 5}}',
+        b"\xff\xfe",
+        b'{"stages": {}, ',
+        b"[" * 100_000 + b"]" * 100_000,
+    ], ids=["stages list", "list", "entry int", "not utf-8", "truncated", "deep"])
+    def test_file_that_is_not_a_manifest(self, argv, data, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_bytes(data)
+        assert run_cli(*argv, "--run-dir", tmp_path) == 2
+        assert (f"error: {manifest} is not a hashjack manifest; run into a new run directory"
+                in capsys.readouterr().err)
+        assert manifest.read_bytes() == data
 
     @pytest.mark.parametrize("argv", [
         ("label", "apply", "--labels", "{deep}"),
