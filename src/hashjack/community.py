@@ -136,21 +136,32 @@ def _local_move(
         for v in order:
             c0 = comm[v]
             kv = strength[v]
-            link: dict[int, float] = {}
-            for u, w in adj[v]:
-                cu = comm[u]
-                link[cu] = link.get(cu, 0.0) + w
+            row = adj[v]
             tot[c0] -= kv
             factor = resolution * kv / two_m
-            best_g = g_stay = link.get(c0, 0.0) - tot[c0] * factor
-            best_c = c0
-            # Highest gain wins and ties go to the lowest id. A winner other
-            # than c0 only moves v when it beats staying, so c0 stays on a tie.
-            for c, lc in link.items():
-                g = lc - tot[c] * factor
-                if g > best_g or (g == best_g and c < best_c):
-                    best_g = g
-                    best_c = c
+            if len(row) == 1:
+                # A leaf's one candidate is its neighbour's community: the
+                # float operations of the branch below, without the link dict;
+                # a candidate no better than staying fails the threshold test.
+                (u, w), = row
+                best_c = comm[u]
+                best_g = w - tot[best_c] * factor
+                g_stay = 0.0 - tot[c0] * factor
+            else:
+                link: dict[int, float] = {}
+                for u, w in row:
+                    cu = comm[u]
+                    link[cu] = link.get(cu, 0.0) + w
+                best_g = g_stay = link.get(c0, 0.0) - tot[c0] * factor
+                best_c = c0
+                # Highest gain wins and ties go to the lowest id. A winner
+                # other than c0 only moves v when it beats staying, so c0
+                # stays on a tie.
+                for c, lc in link.items():
+                    g = lc - tot[c] * factor
+                    if g > best_g or (g == best_g and c < best_c):
+                        best_g = g
+                        best_c = c
             if best_c != c0 and best_g - g_stay > threshold:
                 comm[v] = best_c
                 tot[best_c] += kv

@@ -91,21 +91,29 @@ def add_edges(net: RetweetNetwork, weighted: Iterable[Sequence[int]]) -> None:
         net.retweet_count += w
 
 
-def network_from_events(hashtag: str, pairs: Sequence[Sequence[int]]) -> RetweetNetwork:
-    """Aggregate one hashtag's (author, retweeted) registry-index pairs.
+def network_from_events(hashtag: str, pairs) -> RetweetNetwork:
+    """Aggregate one hashtag's (author, retweeted) registry-index pairs, an
+    (n, 2) array or a sequence of pairs.
 
     retweeted is ORIGINAL for an original tweet, which adds its author as a
     node but no edge. Every pair counts as one event; nothing is deduplicated.
+    Edges are counted by sorting the keys author << 32 | retweeted and go
+    to add_edges in ascending (author, retweeted) order.
     """
+    import numpy as np
+
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     net = RetweetNetwork(hashtag=hashtag)
-    nodes = net.nodes
-    for author, target in pairs:
-        nodes.add(author)
-        if target == ORIGINAL:
-            net.original_count += 1
-        else:
-            nodes.add(target)
-    add_edges(net, ((a, t, 1) for a, t in pairs if t != ORIGINAL))
+    # event order, author before retweeted: the set iterates as when built one add at a time
+    flat = pairs.ravel()
+    net.nodes.update(flat[flat != ORIGINAL].tolist())
+    retweet = pairs[:, 1] != ORIGINAL
+    net.original_count = len(pairs) - int(np.count_nonzero(retweet))
+    keys = np.sort(pairs[retweet, 0] << 32 | pairs[retweet, 1])
+    first = np.flatnonzero(np.diff(keys, prepend=-1))  # where each run of equal keys starts
+    counts = np.diff(np.append(first, len(keys)))
+    keys = keys[first]
+    add_edges(net, zip((keys >> 32).tolist(), (keys & 0xFFFFFFFF).tolist(), counts.tolist()))
     return net
 
 

@@ -191,6 +191,27 @@ def _check_jsonl_line(line: str):
         end = -1
     if end != len(line):
         obj = json.loads(line)
+    # A clean line passes one test; any other line takes the ordered checks
+    # below, the one source of reject reasons. A tag that is not a string
+    # fails in _tag_set (AttributeError, or TypeError when unhashable).
+    if type(obj) is dict and obj.keys() <= _FIELDS:
+        get = obj.get
+        tweet_id, author, retweeted = get("tweet_id"), get("author"), get("retweeted_author")
+        hashtags, timestamp = get("hashtags"), get("timestamp")
+        if (type(tweet_id) is str and tweet_id and type(author) is str and author
+                and (retweeted is None or type(retweeted) is str and retweeted
+                     and retweeted != author)
+                and not _BAD_ID_CHAR.search(tweet_id + author + (retweeted or ""))
+                and type(hashtags) is list and type(timestamp) is str
+                and timestamp[-1:] == "Z"):
+            try:
+                tags = _tag_set(tuple(hashtags))
+                moment = datetime.fromisoformat(timestamp[:-1] + "+00:00")
+            except (ValueError, AttributeError, TypeError):
+                pass
+            else:
+                if moment.tzinfo is not None:  # a date alone parses without one
+                    return tweet_id, author, retweeted, tags, moment
     if not isinstance(obj, dict):
         raise ValueError("line is not a JSON object")
     if not _FIELDS.issuperset(obj):

@@ -217,9 +217,12 @@ def _outputs_ok(run: RunDir, entry: Mapping) -> bool:
 
 
 def _chain_valid(manifest: Mapping, name: str) -> bool:
-    """Entry exists and its recorded upstream fingerprints still hold."""
+    """Entry exists, its fingerprint is that of its own params, inputs and
+    upstream (so a hand-edited entry counts as not run), and its recorded
+    upstream fingerprints still hold."""
     entry = manifest["stages"].get(name)
-    if entry is None:
+    if entry is None or entry["fingerprint"] != _fingerprint(
+            name, entry["params"], entry.get("inputs"), entry["upstream"]):
         return False
     for dep in PREREQS[name]:
         if not _chain_valid(manifest, dep):
@@ -485,7 +488,7 @@ def stage_build(run, out="networks"):
         for tag in ingest_entry["params"]["tracked"]:
             pairs = run.read("ingest", ingest_entry, f"{store}/{tag}.npy", pairs_from_npy)
             if len(pairs):
-                nets[tag] = network_from_events(tag, pairs.tolist())
+                nets[tag] = network_from_events(tag, pairs)
         if not nets:
             raise StageError("no tracked hashtag appears in the corpus")
         # The registry is copied byte for byte: build never needs it decoded.

@@ -67,8 +67,12 @@ def write_text_atomic(path: Path | str, data: str | bytes) -> Path:
 
 
 def json_text(obj) -> str:
-    """The canonical JSON text of an artifact."""
-    return json.dumps(_finite(obj), **JSON_KWARGS) + "\n"
+    """The canonical JSON text of an artifact. The `_finite` walk runs only
+    when strict encoding meets a NaN or an infinity."""
+    try:
+        return json.dumps(obj, allow_nan=False, **JSON_KWARGS) + "\n"
+    except ValueError:
+        return json.dumps(_finite(obj), **JSON_KWARGS) + "\n"
 
 
 def dump_json(obj, path: Path | str) -> Path:

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import json
+import random
 from collections import deque
 from itertools import combinations
 from math import comb
 from typing import Iterable, Mapping, Sequence
 
-from hashjack.graph import UndirectedGraph
+from hashjack.community import MIN_GAIN, _strengths
+from hashjack.graph import ORIGINAL, RetweetNetwork, UndirectedGraph, add_edges
+from hashjack.ingest import _FIELDS, _check_fields
 
 
 def naive_modularity(
@@ -138,3 +142,84 @@ def record_store(records: Sequence, tracked: Iterable[str]) -> tuple[list[str], 
         for tag, stream in streams.items()
     }
     return ids, pairs
+
+
+def dict_network_from_events(hashtag: str, pairs: Sequence[Sequence[int]]) -> RetweetNetwork:
+    """network_from_events as a loop over Python (author, retweeted) pairs,
+    one event at a time, with the edges added in event order."""
+    net = RetweetNetwork(hashtag=hashtag)
+    for author, target in pairs:
+        net.nodes.add(author)
+        if target == ORIGINAL:
+            net.original_count += 1
+        else:
+            net.nodes.add(target)
+    add_edges(net, ((a, t, 1) for a, t in pairs if t != ORIGINAL))
+    return net
+
+
+def dict_local_move(
+    adj: list[list[tuple[int, float]]],
+    selfw: list[float],
+    m: float,
+    resolution: float,
+    rng: random.Random,
+) -> tuple[list[int], bool]:
+    """community._local_move with a link dict for every node, leaves included."""
+    n = len(adj)
+    order = list(range(n))
+    rng.shuffle(order)
+    comm = list(range(n))
+    strength = _strengths(adj, selfw)
+    tot = strength.copy()
+    two_m = 2.0 * m
+    threshold = MIN_GAIN * m
+    moved_any = False
+    improved = True
+    while improved:
+        improved = False
+        for v in order:
+            c0 = comm[v]
+            kv = strength[v]
+            link: dict[int, float] = {}
+            for u, w in adj[v]:
+                cu = comm[u]
+                link[cu] = link.get(cu, 0.0) + w
+            tot[c0] -= kv
+            factor = resolution * kv / two_m
+            best_g = g_stay = link.get(c0, 0.0) - tot[c0] * factor
+            best_c = c0
+            for c, lc in link.items():
+                g = lc - tot[c] * factor
+                if g > best_g or (g == best_g and c < best_c):
+                    best_g = g
+                    best_c = c
+            if best_c != c0 and best_g - g_stay > threshold:
+                comm[v] = best_c
+                tot[best_c] += kv
+                improved = True
+                moved_any = True
+            else:
+                tot[c0] += kv
+    return comm, moved_any
+
+
+def ordered_jsonl_check(line: str):
+    """The checks of one JSONL line in their fixed order, each line taking
+    every check, as ingest._check_jsonl_line makes them for a line that is
+    not clean."""
+    obj = json.loads(line)
+    if not isinstance(obj, dict):
+        raise ValueError("line is not a JSON object")
+    if not _FIELDS.issuperset(obj):
+        raise ValueError(f"unknown fields: {sorted(set(obj) - _FIELDS)}")
+    hashtags = obj.get("hashtags")
+    if not isinstance(hashtags, list) or not all(isinstance(t, str) for t in hashtags):
+        raise ValueError("hashtags must be a list of strings")
+    return _check_fields(
+        obj.get("tweet_id"),
+        obj.get("author"),
+        obj.get("retweeted_author"),
+        tuple(hashtags),
+        obj.get("timestamp"),
+    )

@@ -608,6 +608,17 @@ class TestBadInputExits2:
                 in capsys.readouterr().err)
         assert manifest.read_bytes() == data
 
+    def test_hand_edited_entry_counts_as_not_run(self, tmp_path, capsys):
+        """An entry whose fingerprint is not that of its own params, inputs
+        and upstream is refused before any of its params are used."""
+        entry = {"params": {"out": "store"}, "upstream": {}, "outputs": {},
+                 "fingerprint": "a", "inputs": {}}
+        (tmp_path / "manifest.json").write_text(json.dumps({"stages": {"ingest": entry}}))
+        assert run_cli("build", "--run-dir", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "stage 'ingest' has not been run" in err
+        assert "internal error" not in err
+
     @pytest.mark.parametrize("argv", [
         ("label", "apply", "--labels", "{deep}"),
         ("synth", "--config", "{deep}", "--out", "{tmp}/o.jsonl"),

@@ -6,12 +6,13 @@ from hypothesis import given, settings, strategies as st
 from _oracles import (
     adjusted_rand_index,
     blocks_to_assignment,
+    dict_local_move,
     disconnected_communities,
     naive_modularity,
     set_partitions,
 )
 import hashjack.community
-from hashjack.community import CommunityPartition, louvain, modularity
+from hashjack.community import CommunityPartition, _local_move, louvain, modularity
 from hashjack.errors import EdgelessGraphError
 from hashjack.graph import UndirectedGraph
 from hashjack.synth import planted_partition_graph
@@ -288,3 +289,42 @@ class TestModularityProperty:
         assert modularity(g, assignment) == pytest.approx(
             naive_modularity(g, assignment), abs=1e-12
         )
+
+
+def leafy_graph(rng):
+    """A random core with many one-neighbour nodes hung on it, some with a
+    self-loop, and weights that are multiples of 0.1."""
+    g = UndirectedGraph()
+    core = rng.randrange(2, 12)
+    for i in range(core):
+        for j in range(i + 1, core):
+            if rng.random() < 0.3:
+                g.add_edge(i, j, rng.randrange(1, 40) / 10)
+    for leaf in range(core, core + rng.randrange(0, 40)):
+        g.add_edge(leaf, rng.randrange(core), rng.randrange(1, 40) / 10)
+        if rng.random() < 0.1:
+            g.add_edge(leaf, leaf, rng.randrange(1, 10) / 10)
+    return g
+
+
+class TestLocalMoveDifferential:
+    """Local moving without the link dict for leaves gives the same moves,
+    and so the same bits, as the dict for every node."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(graph_cases, st.sampled_from([0.5, 1.0, 3.0, 8.0, 20.0]))
+    def test_same_moves_and_bits(self, seed, resolution):
+        g = leafy_graph(random.Random(seed))
+        m = g.total_weight()
+        if m == 0:
+            return
+        _, adj, selfw = g.compact()
+        assert (_local_move(adj, selfw, m, resolution, random.Random(seed))
+                == dict_local_move(adj, selfw, m, resolution, random.Random(seed)))
+        part = louvain(g, resolution=resolution, seed=seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(hashjack.community, "_local_move", dict_local_move)
+            expected = louvain(g, resolution=resolution, seed=seed)
+        assert part.assignment == expected.assignment
+        assert repr(part.modularity) == repr(expected.modularity)
+        assert repr(part.level_modularity) == repr(expected.level_modularity)

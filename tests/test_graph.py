@@ -1,16 +1,21 @@
 from datetime import datetime, timezone
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from _oracles import dict_network_from_events
 from hashjack.graph import (
+    ORIGINAL,
     AccountRegistry,
     build_network,
     build_networks,
+    network_from_events,
     undirected_projection,
     UndirectedGraph,
 )
 from hashjack.ingest import TweetRecord
+from hashjack.store import network_text
 
 TS = datetime(2020, 3, 1, tzinfo=timezone.utc)
 
@@ -152,3 +157,30 @@ class TestTallyProperties:
         graph = undirected_projection(net)
         assert graph.total_weight() == float(net.retweet_count)
         assert set(graph.nodes) == net.nodes
+
+
+@st.composite
+def event_pair_lists(draw):
+    """(author, retweeted) pairs over a few registry indices up to 2**31 - 1,
+    so that edges repeat, with ORIGINAL for an original tweet."""
+    ids = draw(st.lists(st.integers(min_value=0, max_value=2**31 - 1),
+                        min_size=1, max_size=6, unique=True))
+    account = st.sampled_from(ids)
+    return draw(st.lists(st.tuples(account, st.just(ORIGINAL) | account), max_size=40))
+
+
+class TestNetworkFromEvents:
+    """The sorted numpy tally equals a loop over the events, for the stored
+    (n, 2) int32 array and for a list of pairs."""
+
+    @given(event_pair_lists())
+    @example([])
+    @example([(3, ORIGINAL), (0, ORIGINAL), (3, ORIGINAL)])
+    @example([(2**31 - 1, 0), (0, 2**31 - 1), (2**31 - 1, 0), (5, ORIGINAL)])
+    def test_equals_the_event_loop(self, pairs):
+        expected = dict_network_from_events("tide", pairs)
+        for given_pairs in (pairs, np.array(pairs, dtype="<i4").reshape(-1, 2)):
+            net = network_from_events("tide", given_pairs)
+            assert net == expected
+            assert list(net.nodes) == list(expected.nodes)
+            assert network_text(net) == network_text(expected)

@@ -3,11 +3,12 @@ import json
 from datetime import datetime, timezone
 
 import pytest
-from _oracles import record_stats, record_store
-from hypothesis import given, strategies as st
+from _oracles import ordered_jsonl_check, record_stats, record_store
+from hypothesis import example, given, strategies as st
 
 from hashjack.errors import IngestError, RejectRateError
 from hashjack.ingest import (
+    _check_jsonl_line,
     CorpusStats,
     EventColumns,
     TweetRecord,
@@ -542,3 +543,70 @@ class TestWriteRejects:
         assert write_rejects(rejects, sink) == 1
         obj = json.loads(sink.getvalue())
         assert obj["line"] == 1 and obj["raw"] == "junk"
+
+
+CLEAN_LINE = {
+    "tweet_id": "t1", "author": "alice", "retweeted_author": "bob",
+    "hashtags": ["#afd", "#x"], "timestamp": "2020-03-01T12:00:00Z",
+}
+LINE_STAMPS = [
+    "2020-03-01T12:00:00Z", "2020-03-01T12:00:00z", "2020-03-01T14:00:00+02:00",
+    " 2020-03-01T12:00:00Z", "2020-03-01T12:00:00Z ", "\t2020-03-01T12:00:00Z\n",
+    "2020-03-01T12:00:00 Z", "9999-12-31T23:59:59-01:00", "9999-12-31T23:59:59Z",
+    "0001-01-01T00:00:00Z", "0001-01-01T00:30:00+01:00", "2020-03-01Z", "2020-03-01",
+    "2020-03-01T12Z", "20200301T120000Z", "2020-03-01T12:00:00.123456Z",
+    "2020-03-01T12:00:00+00:00Z", "2020-03-01T12:00:00", "Z", "", "yesterday",
+    "2020-03-01\u3000T12:00:00Z",
+]
+LINE_MUTATIONS = {
+    "tweet_id": ["", "t2", True, 5, None, [], "t\x01", "t\ud800"],
+    "author": ["", "bob", False, 0, 1.5, None, "a\ufffe", " "],
+    "retweeted_author": ["", "alice", "carol", True, 7, None, {}, "b\x0b"],
+    "hashtags": [[], "#afd", ["#afd", 5], ["#afd", None], [["#afd"]], [{}], [True], [1.5],
+                 ["#AfD", "afd"],
+                 ["#a b"], ["#ok", "#"], [" #afd "], None],
+    "timestamp": [*LINE_STAMPS, 5, None, ["2020-03-01T12:00:00Z"]],
+    "extra": [1, None, "x"],
+}
+MISSING_FIELD = object()
+
+
+def check_outcome(check, line):
+    """(fields, repr of the timestamp) or (exception type, reason) of a check."""
+    try:
+        fields = check(line)
+    except (ValueError, RecursionError) as exc:
+        return type(exc), str(exc)
+    return fields, repr(fields[4])
+
+
+class TestLineCheck:
+    """A clean line's one test gives what the ordered checks give, and any
+    other line gets their reject reason."""
+
+    @given(
+        st.lists(st.tuples(st.sampled_from(sorted(LINE_MUTATIONS)), st.data()), max_size=3),
+        st.sampled_from([None, (",", ":"), (" , ", " : ")]),
+    )
+    @example([], None)
+    def test_same_fields_or_reason_as_the_ordered_checks(self, mutations, separators):
+        obj = dict(CLEAN_LINE)
+        for field, data in mutations:
+            value = data.draw(st.sampled_from([MISSING_FIELD, *LINE_MUTATIONS[field]]))
+            if value is MISSING_FIELD:
+                obj.pop(field, None)
+            else:
+                obj[field] = value
+        line = json.dumps(obj, separators=separators)
+        assert check_outcome(_check_jsonl_line, line) == check_outcome(ordered_jsonl_check, line)
+
+    @pytest.mark.parametrize("stamp", LINE_STAMPS)
+    def test_every_timestamp(self, stamp):
+        line = jl(timestamp=stamp)
+        assert check_outcome(_check_jsonl_line, line) == check_outcome(ordered_jsonl_check, line)
+
+    @given(st.text(alphabet="0123456789-:.+ TZz", max_size=26))
+    @example("2020-03-01T12:00:00Z")
+    def test_any_timestamp_text(self, stamp):
+        line = jl(timestamp=stamp)
+        assert check_outcome(_check_jsonl_line, line) == check_outcome(ordered_jsonl_check, line)

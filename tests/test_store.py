@@ -5,6 +5,7 @@ import xml.etree.ElementTree as ET
 from datetime import datetime, timezone
 
 import pytest
+from hypothesis import given, strategies as st
 
 from hashjack.community import CommunityPartition
 from hashjack.gexf import gexf_document
@@ -12,8 +13,11 @@ from hashjack.graph import ORIGINAL, AccountRegistry, build_network, network_fro
 from hashjack.ingest import TweetRecord
 from hashjack.labeling import ClusterLabeling, PartisanAssignment
 from hashjack.store import (
+    JSON_KWARGS,
+    _finite,
     dump_json,
     file_digest,
+    json_text,
     labeling_from_obj,
     labeling_to_obj,
     load_json,
@@ -73,6 +77,25 @@ class TestDumpJson:
         )
         assert load_json(path) == {"a": None, "b": [None, None], "c": 1.5}
         assert "NaN" not in path.read_text()
+
+    @pytest.mark.parametrize("obj", [
+        {"a": [1, {"b": (math.nan, 2.5)}], "c": {"d": [[-math.inf]]}},
+        (1, (2.0, math.inf), "x"),
+        {math.nan: 1, 2.5: {"k": math.nan}},
+        {"y": (True, None), "z": ["ü", -0.0, 1e300]},
+        [],
+    ], ids=["nested", "tuple", "nan key", "finite", "empty"])
+    def test_text_is_that_of_the_finite_walk(self, obj):
+        assert json_text(obj) == json.dumps(_finite(obj), **JSON_KWARGS) + "\n"
+
+    @given(st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+        lambda inner: st.lists(inner, max_size=3) | st.tuples(inner, inner)
+        | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+        max_leaves=12,
+    ))
+    def test_text_of_any_value_is_that_of_the_finite_walk(self, obj):
+        assert json_text(obj) == json.dumps(_finite(obj), **JSON_KWARGS) + "\n"
 
     def test_no_temp_file_left_behind(self, tmp_path):
         dump_json({"k": 1}, tmp_path / "x.json")
