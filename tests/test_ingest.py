@@ -563,8 +563,7 @@ LINE_MUTATIONS = {
     "author": ["", "bob", False, 0, 1.5, None, "a\ufffe", " "],
     "retweeted_author": ["", "alice", "carol", True, 7, None, {}, "b\x0b"],
     "hashtags": [[], "#afd", ["#afd", 5], ["#afd", None], [["#afd"]], [{}], [True], [1.5],
-                 ["#AfD", "afd"],
-                 ["#a b"], ["#ok", "#"], [" #afd "], None],
+                 ["#AfD", "afd"], ["#a b"], ["#ok", "#"], [" #afd "], None],
     "timestamp": [*LINE_STAMPS, 5, None, ["2020-03-01T12:00:00Z"]],
     "extra": [1, None, "x"],
 }
@@ -601,12 +600,11 @@ class TestLineCheck:
         assert check_outcome(_check_jsonl_line, line) == check_outcome(ordered_jsonl_check, line)
 
     @pytest.mark.parametrize("stamp", LINE_STAMPS)
-    def test_every_timestamp(self, stamp):
+    def test_every_listed_timestamp(self, stamp):
         line = jl(timestamp=stamp)
         assert check_outcome(_check_jsonl_line, line) == check_outcome(ordered_jsonl_check, line)
 
     @given(st.text(alphabet="0123456789-:.+ TZz", max_size=26))
-    @example("2020-03-01T12:00:00Z")
     def test_any_timestamp_text(self, stamp):
         line = jl(timestamp=stamp)
         assert check_outcome(_check_jsonl_line, line) == check_outcome(ordered_jsonl_check, line)
