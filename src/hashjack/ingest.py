@@ -14,6 +14,13 @@ TweetRecords, for the library and the tests. Records are routed into one
 stream per tracked hashtag; a record carrying several tracked hashtags is
 intentionally duplicated into each of those streams, which is what lets
 the same account show up in several hashtag networks downstream.
+
+`synth` and `write_jsonl` emit one canonical line per record, json.dumps(
+record_to_obj(r), sort_keys=True, separators=(",", ":")): from a template
+when no id or tag holds a character json.dumps escapes, and read back
+without the JSON decoder when no string in it holds '"', '\\' or a control
+character. Every other valid JSON line is still accepted, with the same
+reject reasons.
 """
 
 from __future__ import annotations
@@ -180,38 +187,55 @@ def _check_fields(
 
 _scan_json = json.JSONDecoder().scan_once  # the scanner json.loads runs
 
+# A character json.dumps escapes, which the canonical line's template cannot write
+_ESCAPED = re.compile(r'[^ !#-\[\]-~]')
+# The canonical line. Its strings hold no '"', '\' or control character, so
+# each is the text json.loads would decode; a tag list splits at '","'.
+_CANONICAL_LINE = re.compile(
+    r'\{"author":"(S)","hashtags":\[(?:"(S(?:","S)*)")?\](?:,"retweeted_author":"(S)")?'
+    r',"timestamp":"(S)","tweet_id":"(S)"\}'.replace("S", r'[^"\\\x00-\x1f]*'))
+
 
 def _check_jsonl_line(line: str):
-    # A stripped line that holds exactly one JSON value decodes as json.loads
-    # decodes it, without its Python-level wrappers; any other line goes to
-    # json.loads, which raises the error it always raised.
-    try:
-        obj, end = _scan_json(line, 0)
-    except (StopIteration, ValueError):
-        end = -1
-    if end != len(line):
-        obj = json.loads(line)
+    canonical = _CANONICAL_LINE.fullmatch(line)
+    obj = None
+    if canonical is not None:
+        author, hashtags, retweeted, timestamp, tweet_id = canonical.groups()
+        hashtags = [] if hashtags is None else hashtags.split('","')
+    else:
+        # A stripped line that holds exactly one JSON value decodes as
+        # json.loads decodes it, without its Python-level wrappers; any other
+        # line goes to json.loads, which raises the error it always raised.
+        try:
+            obj, end = _scan_json(line, 0)
+        except (StopIteration, ValueError):
+            end = -1
+        if end != len(line):
+            obj = json.loads(line)
+        tweet_id = None  # fails the clean test below unless obj has its fields
+        if type(obj) is dict and obj.keys() <= _FIELDS:
+            get = obj.get
+            tweet_id, author, retweeted = get("tweet_id"), get("author"), get("retweeted_author")
+            hashtags, timestamp = get("hashtags"), get("timestamp")
     # A clean line passes one test; any other line takes the ordered checks
     # below, the one source of reject reasons. A tag that is not a string
     # fails in _tag_set (AttributeError, or TypeError when unhashable).
-    if type(obj) is dict and obj.keys() <= _FIELDS:
-        get = obj.get
-        tweet_id, author, retweeted = get("tweet_id"), get("author"), get("retweeted_author")
-        hashtags, timestamp = get("hashtags"), get("timestamp")
-        if (type(tweet_id) is str and tweet_id and type(author) is str and author
-                and (retweeted is None or type(retweeted) is str and retweeted
-                     and retweeted != author)
-                and not _BAD_ID_CHAR.search(tweet_id + author + (retweeted or ""))
-                and type(hashtags) is list and type(timestamp) is str
-                and timestamp[-1:] == "Z"):
-            try:
-                tags = _tag_set(tuple(hashtags))
-                moment = datetime.fromisoformat(timestamp[:-1] + "+00:00")
-            except (ValueError, AttributeError, TypeError):
-                pass
-            else:
-                if moment.tzinfo is not None:  # a date alone parses without one
-                    return tweet_id, author, retweeted, tags, moment
+    if (type(tweet_id) is str and tweet_id and type(author) is str and author
+            and (retweeted is None or type(retweeted) is str and retweeted
+                 and retweeted != author)
+            and not _BAD_ID_CHAR.search(tweet_id + author + (retweeted or ""))
+            and type(hashtags) is list and type(timestamp) is str
+            and timestamp[-1:] == "Z"):
+        try:
+            tags = _tag_set(tuple(hashtags))
+            moment = datetime.fromisoformat(timestamp[:-1] + "+00:00")
+        except (ValueError, AttributeError, TypeError):
+            pass
+        else:
+            if moment.tzinfo is not None:  # a date alone parses without one
+                return tweet_id, author, retweeted, tags, moment
+    if obj is None:  # not decoded yet: a canonical line that failed the test
+        obj = json.loads(line)
     if not isinstance(obj, dict):
         raise ValueError("line is not a JSON object")
     if not _FIELDS.issuperset(obj):
@@ -495,14 +519,21 @@ def record_to_obj(record: TweetRecord) -> dict:
 
 
 def record_to_json_line(record: TweetRecord) -> str:
-    return json.dumps(record_to_obj(record), sort_keys=True, separators=(",", ":"))
+    """The record's canonical line (see the module docstring)."""
+    tags = sorted(record.hashtags)
+    retweeted = record.retweeted_author
+    if _ESCAPED.search("".join((record.tweet_id, record.author, retweeted or "", *tags))):
+        return json.dumps(record_to_obj(record), sort_keys=True, separators=(",", ":"))
+    listed = '["#' + '","#'.join(tags) + '"]' if tags else "[]"
+    retweet = "" if retweeted is None else f',"retweeted_author":"{retweeted}"'
+    return (f'{{"author":"{record.author}","hashtags":{listed}{retweet},"timestamp":'
+            f'"{format_rfc3339(record.timestamp)}","tweet_id":"{record.tweet_id}"}}')
 
 
 def write_jsonl(records: Iterable[TweetRecord], sink: IO[str]) -> int:
     n = 0
     for record in records:
-        sink.write(record_to_json_line(record))
-        sink.write("\n")
+        sink.write(record_to_json_line(record) + "\n")
         n += 1
     return n
 

@@ -292,10 +292,11 @@ def run_stage(run, name, make_params, execute, inputs=None, source=None, plan=No
     `execute(run, manifest, params, deps)` gets their entries by name.
     After a real run every stage whose upstream chain no longer matches is
     dropped from the manifest. When the stage wrote to the same `out` as
-    before, the files inside the run directory that its previous entry
-    listed and no remaining entry lists are removed; a file-output stage
-    given a new `--out` removes nothing, so an earlier output stays usable
-    as `polarisation --compare`. Outputs of dropped entries stay on disk.
+    its previous entry, and that entry still counts as run, the files inside
+    the run directory that it listed and no remaining entry lists are
+    removed; a file-output stage given a new `--out` removes nothing, so an
+    earlier output stays usable as `polarisation --compare`. Outputs of
+    dropped entries stay on disk.
     Before anything else it removes every `<name>.<pid>.tmp` in the run
     directory whose pid is not alive.
     """
@@ -307,7 +308,8 @@ def run_stage(run, name, make_params, execute, inputs=None, source=None, plan=No
         params = make_params(manifest, deps)
         upstream = {dep: entry["fingerprint"] for dep, entry in deps.items()}
         fp = _fingerprint(name, params, inputs, upstream)
-        prev = manifest["stages"].get(name)
+        # an entry that counts as not run is neither up to date nor cleaned up
+        prev = manifest["stages"][name] if _chain_valid(manifest, name) else None
         if prev is not None and prev["fingerprint"] == fp and _outputs_ok(run, prev):
             return False, prev
         _refuse_taken(run, manifest, name,
@@ -393,12 +395,13 @@ def _per_network_plan(params: Mapping, deps) -> list[str]:
 def _per_network(run: RunDir, manifest: Mapping, name: str, params: Mapping, make):
     """Write one JSON artifact per network as `make(tag, opts)`.
 
-    A network whose opts equal the previous entry's and whose file is
-    intact keeps that file.
+    A network whose opts equal those of the previous entry, when that entry
+    still counts as run, and whose file is intact keeps that file.
     """
-    prev = manifest["stages"].get(name, {})
-    prev_networks = prev.get("params", {}).get("networks", {})
-    prev_outputs = prev.get("outputs", {})
+    prev_networks, prev_outputs = {}, {}
+    if _chain_valid(manifest, name):
+        prev = manifest["stages"][name]
+        prev_networks, prev_outputs = prev["params"]["networks"], prev["outputs"]
     outputs = {}
     for tag, opts in params["networks"].items():
         rel = f"{params['out']}/{tag}.json"

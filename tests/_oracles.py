@@ -11,7 +11,7 @@ from typing import Iterable, Mapping, Sequence
 
 from hashjack.community import MIN_GAIN, _strengths
 from hashjack.graph import ORIGINAL, RetweetNetwork, UndirectedGraph, add_edges
-from hashjack.ingest import _FIELDS, _check_fields
+from hashjack.ingest import _FIELDS, _check_fields, record_to_obj
 
 
 def naive_modularity(
@@ -223,3 +223,9 @@ def ordered_jsonl_check(line: str):
         tuple(hashtags),
         obj.get("timestamp"),
     )
+
+
+def json_line(record) -> str:
+    """The canonical JSONL line of a record, from the general JSON encoder,
+    as ingest.record_to_json_line writes it."""
+    return json.dumps(record_to_obj(record), sort_keys=True, separators=(",", ":"))

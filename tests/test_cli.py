@@ -619,6 +619,32 @@ class TestBadInputExits2:
         assert "stage 'ingest' has not been run" in err
         assert "internal error" not in err
 
+    @pytest.mark.parametrize("resolution", ["2", "1"])
+    def test_hand_edited_previous_entry_is_not_used(self, resolution, corpus, tmp_path, capsys):
+        """A stage whose own previous entry was edited by hand recomputes
+        every output, with the same params too, instead of reading the
+        edited params or skipping as up to date."""
+        source = tmp_path / "c40.jsonl"
+        source.write_text("".join(corpus["corpus"].read_text().splitlines(True)[:40]))
+        run = tmp_path / "run"
+        assert run_cli("pipeline", "ingest", "build", "communities", "--input", source,
+                       "--tracked", TRACKED, "--run-dir", run) == 0
+        manifest = json.loads((run / "manifest.json").read_text())
+        built = sorted(manifest["stages"]["communities"]["params"]["networks"])
+        manifest["stages"]["communities"]["params"]["networks"] = ["x"]
+        (run / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run_cli("communities", "--resolution", resolution, "--run-dir", run) == 0
+        captured = capsys.readouterr()
+        assert "internal error" not in captured.err
+        assert captured.out == f"communities: {len(built)} partitions -> partitions/\n"
+        networks = manifest_stages(run)["communities"]["params"]["networks"]
+        assert sorted(networks) == built
+        for tag in built:
+            assert networks[tag]["resolution"] == float(resolution)
+            assert load_json(run / "partitions" / f"{tag}.json")["resolution"] == float(resolution)
+        assert run_cli("label", "report", "--network", built[0], "--run-dir", run) == 0
+
     @pytest.mark.parametrize("argv", [
         ("label", "apply", "--labels", "{deep}"),
         ("synth", "--config", "{deep}", "--out", "{tmp}/o.jsonl"),

@@ -1,14 +1,17 @@
 import io
 import json
-from datetime import datetime, timezone
+import re
+from datetime import datetime, timedelta, timezone
 
 import pytest
-from _oracles import ordered_jsonl_check, record_stats, record_store
+from _oracles import json_line, ordered_jsonl_check, record_stats, record_store
 from hypothesis import example, given, strategies as st
 
 from hashjack.errors import IngestError, RejectRateError
 from hashjack.ingest import (
+    _CANONICAL_LINE,
     _check_jsonl_line,
+    Reject,
     CorpusStats,
     EventColumns,
     TweetRecord,
@@ -231,6 +234,18 @@ class TestTagSets:
         assert rejects[0].reason == "unknown fields: ['alpha', 'zeta']"
 
 
+# Text json.dumps writes as it is, and characters it escapes: quotes,
+# backslashes, control characters, DEL, non-ASCII text and lone surrogates.
+PLAIN = re.compile(r'[ !#-\[\]-~]*')
+plain_text = st.from_regex(PLAIN, fullmatch=True)
+ESCAPED_CHARS = '"\\\x00\x1f\x7f\xe9\u2028\ud800\udfff\ufffe\U0001f600'
+line_moments = st.datetimes(
+    min_value=datetime(1900, 1, 1), max_value=datetime(2100, 1, 1),
+    timezones=st.sampled_from([
+        timezone.utc, timezone(timedelta(hours=2)), timezone(-timedelta(hours=5, minutes=30)),
+    ]),
+)
+
 class TestJsonlRoundTrip:
     def test_write_then_parse_is_identity(self):
         records, _ = parse_records(
@@ -247,6 +262,27 @@ class TestJsonlRoundTrip:
         line = record_to_json_line(records[0])
         assert json.loads(line)["hashtags"] == ["#a", "#b"]
         assert line == record_to_json_line(records[0])
+
+    @given(st.lists(plain_text, min_size=3, max_size=7), st.booleans(), line_moments,
+           st.data())
+    def test_json_line_equals_the_general_encoder(self, strings, original, moment, data):
+        """A record's line is the general encoder's, and the reader's pattern
+        takes it while no id or tag holds a character json.dumps escapes."""
+
+        def line_of(strings):
+            tweet_id, author, retweeted, *tags = strings
+            record = TweetRecord(tweet_id, author, None if original else retweeted,
+                                 frozenset(tags), moment)
+            line = record_to_json_line(record)
+            assert line == json_line(record)
+            return line
+
+        assert _CANONICAL_LINE.fullmatch(line_of(strings))
+        i = data.draw(st.integers(0, len(strings) - 1))
+        at = data.draw(st.integers(0, len(strings[i])))
+        drawn = data.draw(st.characters().filter(lambda c: not PLAIN.fullmatch(c)))
+        for char in [*ESCAPED_CHARS, drawn]:  # one character to escape, in one string
+            line_of([*strings[:i], strings[i][:at] + char + strings[i][at:], *strings[i + 1:]])
 
 
 accounts = st.text(alphabet="abcdefgh", min_size=1, max_size=4)
@@ -431,6 +467,38 @@ def utc(*args):
     return datetime(*args, tzinfo=timezone.utc)
 
 
+CANONICAL = (
+    '{"author":"alice","hashtags":["#afd","#x"],"retweeted_author":"bob",'
+    '"timestamp":"2020-03-01T12:00:00Z","tweet_id":"t00000000"}'
+)
+MIXED_LINES = [
+    CANONICAL,
+    CANONICAL.replace('"t00000000"', '"t2"').replace(',"retweeted_author":"bob"', ""),
+    CANONICAL.replace('"t00000000"', '"t3"').replace('"#afd","#x"', '"#AfD"'),
+    CANONICAL.replace('"t00000000"', '"t4"').replace("12:00:00Z", "12:00:00.250000Z"),
+    CANONICAL.replace('"t00000000"', '"t5"').replace('"alice"', '"\\u00e4lice"'),  # escaped
+    CANONICAL.replace('"t00000000"', '"t6"').replace('"alice"', '"\u00e4lice"'),  # raw UTF-8
+    CANONICAL.replace('"t00000000"', '"t7"').replace('"bob"', '"alice"'),
+    CANONICAL.replace('"t00000000"', '"t8"').replace('"#afd","#x"', ""),
+    CANONICAL.replace('"t00000000"', '"t9"').replace("12:00:00Z", "12:00:00+01:00"),
+    json.dumps({"tweet_id": "t10", "author": "carol", "retweeted_author": "bob",
+                "hashtags": ["#x"], "timestamp": "2020-03-01T14:00:00+02:00"}),
+    json.dumps({"tweet_id": "t11", "author": "carol", "hashtags": ["#afd"],
+                "timestamp": "2020-03-01T09:00:00Z"}),
+    # the benchmark's injected lines: five malformed, three repeating t00000000
+    '{"tweet_id": "bad-1", "author": "x"',
+    '["not", "an", "object"]',
+    '{"tweet_id": "bad-3", "author": "u1", "retweeted_author": "u1", '
+    '"hashtags": ["#agenda"], "timestamp": "2020-03-01T00:00:00Z"}',
+    '{"tweet_id": "bad-4", "author": "u1", "retweeted_author": "u2", '
+    '"hashtags": ["#agenda"], "timestamp": "yesterday"}',
+    '{"tweet_id": "bad-5", "author": "u1", "retweeted_author": "u2", '
+    '"hashtags": ["#not a tag"], "timestamp": "2020-03-01T00:00:00Z"}',
+    *(f'{{"tweet_id": "t00000000", "author": "dup{i}", "retweeted_author": "u2", '
+      f'"hashtags": ["#party1"], "timestamp": "2020-03-01T00:00:00Z"}}' for i in range(3)),
+]
+
+
 class TestOnePass:
     """parse_records and read_columns share one checked pass over the lines."""
 
@@ -467,6 +535,27 @@ class TestOnePass:
         assert [columns.tag_sets[k] for k in columns.tag_set] == [r.hashtags for r in records]
         stamps = [r.timestamp for r in records]
         assert columns.window == (min(stamps), max(stamps))
+
+    def test_mixed_corpus_gives_what_the_ordered_checks_give(self):
+        """Canonical lines, json.dumps-default lines and the benchmark's
+        eight injected line shapes, through both consumers of the pass."""
+        source = "\n".join(MIXED_LINES)
+        fields, rejects = [], []
+        for lineno, line in enumerate(MIXED_LINES, start=1):
+            try:
+                checked = ordered_jsonl_check(line)
+                if checked[0] in {f[0] for f in fields}:
+                    raise ValueError(f"duplicate tweet_id: {checked[0]}")
+            except ValueError as exc:
+                rejects.append(Reject(lineno, str(exc), line))
+            else:
+                fields.append(checked)
+        assert len(fields) == 9 and len(rejects) == 10
+        records, record_rejects = parse_records(source)
+        assert records == [TweetRecord(*f) for f in fields]
+        columns, column_rejects = read_columns(source)
+        assert vars(columns) == vars(EventColumns(fields))
+        assert record_rejects == column_rejects == rejects
 
     def test_reject_rate_and_errors_come_from_the_pass(self):
         with pytest.raises(RejectRateError):
@@ -585,10 +674,15 @@ class TestLineCheck:
 
     @given(
         st.lists(st.tuples(st.sampled_from(sorted(LINE_MUTATIONS)), st.data()), max_size=3),
-        st.sampled_from([None, (",", ":"), (" , ", " : ")]),
+        st.sampled_from([
+            {}, {"separators": (",", ":")}, {"separators": (" , ", " : ")},
+            {"separators": (",", ":"), "sort_keys": True},  # the canonical form
+            {"separators": (",", ":"), "sort_keys": True, "ensure_ascii": False},
+        ]),
     )
-    @example([], None)
-    def test_same_fields_or_reason_as_the_ordered_checks(self, mutations, separators):
+    @example([], {})
+    @example([], {"separators": (",", ":"), "sort_keys": True})
+    def test_same_fields_or_reason_as_the_ordered_checks(self, mutations, dumps):
         obj = dict(CLEAN_LINE)
         for field, data in mutations:
             value = data.draw(st.sampled_from([MISSING_FIELD, *LINE_MUTATIONS[field]]))
@@ -596,7 +690,7 @@ class TestLineCheck:
                 obj.pop(field, None)
             else:
                 obj[field] = value
-        line = json.dumps(obj, separators=separators)
+        line = json.dumps(obj, **dumps)
         assert check_outcome(_check_jsonl_line, line) == check_outcome(ordered_jsonl_check, line)
 
     @pytest.mark.parametrize("stamp", LINE_STAMPS)
