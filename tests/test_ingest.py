@@ -11,9 +11,9 @@ from hashjack.errors import IngestError, RejectRateError
 from hashjack.ingest import (
     _CANONICAL_LINE,
     _check_jsonl_line,
-    Reject,
     CorpusStats,
     EventColumns,
+    Reject,
     TweetRecord,
     corpus_stats,
     format_rfc3339,
@@ -245,6 +245,7 @@ line_moments = st.datetimes(
         timezone.utc, timezone(timedelta(hours=2)), timezone(-timedelta(hours=5, minutes=30)),
     ]),
 )
+
 
 class TestJsonlRoundTrip:
     def test_write_then_parse_is_identity(self):
