@@ -1,7 +1,10 @@
+import hashlib
+import json
 import math
 
 import pytest
 
+from hashjack.cli import entrypoint
 from hashjack.community import CommunityPartition
 from hashjack.errors import SynthConfigError
 from hashjack.graph import AccountRegistry, build_networks
@@ -29,6 +32,36 @@ def small_config(seed=3, hijack=None, participation=1.0):
         hijack=hijack or {},
         participation=participation,
     )
+
+
+# sha256 of what `hashjack synth` writes for
+# small_config(hijack={("afd", "tide"): 0.2}, participation=0.7)
+PINNED_SHA256 = {
+    "corpus.jsonl": "461a89fbf982e26efd0b437dd4cf1e57b41e0028253e15fe574c219fdc647df3",
+    "corpus.csv": "e1e73fd501e68a6bab2c82101a940ca532cd680a97d9b29497b6c86dfbd80c58",
+    "truth.json": "da343f8d387ced83e93292097fb2edc92108cb4613b92ce9c6d1530cc01ee9cc",
+}
+
+
+def test_synth_output_bytes_pinned(tmp_path):
+    config = {
+        "seed": 3,
+        "parties": [{"name": "afd", "partisans": 40, "contras": 15}],
+        "public_hashtags": [{"name": "tide", "pro": 60, "contra": 12}],
+        "activity": {"zipf_s": 1.1, "events_per_member": 4.0},
+        "mixing": {"p_in": 0.9, "p_out": 0.05},
+        "hijack": {"afd": {"tide": 0.2}},
+        "participation": 0.7,
+    }
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    assert entrypoint(["synth", "--config", str(cfg), "--out", str(tmp_path / "corpus.jsonl"),
+                       "--truth", str(tmp_path / "truth.json")]) == 0
+    assert entrypoint(["synth", "--config", str(cfg), "--out", str(tmp_path / "corpus.csv"),
+                       "--format", "csv"]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in PINNED_SHA256}
+    assert digests == PINNED_SHA256
 
 
 class TestConfigValidation:
