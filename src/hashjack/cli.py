@@ -20,9 +20,8 @@ from pathlib import Path
 
 from . import pipeline as pl
 from .errors import HashjackError, StageError
-from .ingest import write_csv, write_jsonl
 from .store import dump_json, load_json, write_text_atomic
-from .synth import SynthConfig, generate
+from .synth import SynthConfig, generate, write_corpus
 
 DEFAULT_SEED = 42
 
@@ -188,9 +187,9 @@ def _run_synth(args, fmt: str, seed: int | None) -> int:
         ancestor = next(a for a in Path(dest).parents if a.exists())
         if not ancestor.is_dir():
             raise StageError(f"{ancestor} is not a directory")
-    records, truth = generate(config)
+    corpus, truth = generate(config)
     text = io.StringIO()
-    count = (write_jsonl if fmt == "jsonl" else write_csv)(records, text)
+    count = write_corpus(corpus, text, fmt)
     write_text_atomic(out, text.getvalue())
     detail = f"synth: {count} records -> {out}"
     if args.truth:

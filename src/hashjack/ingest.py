@@ -15,9 +15,10 @@ stream per tracked hashtag; a record carrying several tracked hashtags is
 intentionally duplicated into each of those streams, which is what lets
 the same account show up in several hashtag networks downstream.
 
-`synth` and `write_jsonl` emit one canonical line per record, json.dumps(
-record_to_obj(r), sort_keys=True, separators=(",", ":")): from a template
-when no id or tag holds a character json.dumps escapes, and read back
+The canonical line, json.dumps(record_to_obj(r), sort_keys=True,
+separators=(",", ":")), fills one template when no id or tag holds a
+character json.dumps escapes: per record in `write_jsonl`, per event from
+columns in `write_retweets`, which `synth` writes with. It is read back
 without the JSON decoder when no string in it holds '"', '\\' or a control
 character. Every other valid JSON line is still accepted, with the same
 reject reasons.
@@ -518,16 +519,25 @@ def record_to_obj(record: TweetRecord) -> dict:
     return obj
 
 
+# The canonical line for strings that need no escaping, filled with the
+# author, the tag list, "" or the retweet field, the timestamp and the tweet id
+_JSONL_LINE = '{"author":"%s","hashtags":%s%s,"timestamp":"%s","tweet_id":"%s"}'
+_RETWEET_FIELD = ',"retweeted_author":"%s"'
+
+
+def _tag_list(tags: list[str]) -> str:
+    return '["#' + '","#'.join(tags) + '"]' if tags else "[]"
+
+
 def record_to_json_line(record: TweetRecord) -> str:
     """The record's canonical line (see the module docstring)."""
     tags = sorted(record.hashtags)
     retweeted = record.retweeted_author
     if _ESCAPED.search("".join((record.tweet_id, record.author, retweeted or "", *tags))):
         return json.dumps(record_to_obj(record), sort_keys=True, separators=(",", ":"))
-    listed = '["#' + '","#'.join(tags) + '"]' if tags else "[]"
-    retweet = "" if retweeted is None else f',"retweeted_author":"{retweeted}"'
-    return (f'{{"author":"{record.author}","hashtags":{listed}{retweet},"timestamp":'
-            f'"{format_rfc3339(record.timestamp)}","tweet_id":"{record.tweet_id}"}}')
+    retweet = "" if retweeted is None else _RETWEET_FIELD % retweeted
+    return _JSONL_LINE % (record.author, _tag_list(tags), retweet,
+                          format_rfc3339(record.timestamp), record.tweet_id)
 
 
 def write_jsonl(records: Iterable[TweetRecord], sink: IO[str]) -> int:
@@ -543,28 +553,37 @@ def write_csv(records: Iterable[TweetRecord], sink: IO[str]) -> int:
     writer.writerow(CSV_COLUMNS)
     n = 0
     for record in records:
-        writer.writerow(
-            [
-                record.tweet_id,
-                record.author,
-                record.retweeted_author or "",
-                "|".join("#" + t for t in sorted(record.hashtags)),
-                format_rfc3339(record.timestamp),
-            ]
-        )
+        writer.writerow((record.tweet_id, record.author, record.retweeted_author or "",
+                         "|".join("#" + t for t in sorted(record.hashtags)),
+                         format_rfc3339(record.timestamp)))
         n += 1
+    return n
+
+
+def write_retweets(networks: Iterable[tuple], sink: IO[str], fmt: str = "jsonl") -> int:
+    """Write retweets as write_jsonl or write_csv writes them as records,
+    from items (tag, tweet_ids, authors, retweeted, timestamps): the one tag
+    of every event, then lists of strings, one event per position. No string
+    may need JSON escaping or CSV quoting. One write per item."""
+    if fmt == "csv":
+        sink.write(",".join(CSV_COLUMNS) + "\n")
+    n = 0
+    for tag, tweet_ids, authors, retweeted, timestamps in networks:
+        if fmt == "csv":
+            line = f"%s,%s,%s,#{tag},%s\n"
+            rows = zip(tweet_ids, authors, retweeted, timestamps)
+        else:
+            line = _JSONL_LINE % ("%s", _tag_list([tag]), _RETWEET_FIELD, "%s", "%s") + "\n"
+            rows = zip(authors, retweeted, timestamps, tweet_ids)
+        sink.write("".join(map(line.__mod__, rows)))
+        n += len(tweet_ids)
     return n
 
 
 def write_rejects(rejects: Iterable[Reject], sink: IO[str]) -> int:
     n = 0
     for reject in rejects:
-        sink.write(
-            json.dumps(
-                {"line": reject.line, "reason": reject.reason, "raw": reject.raw},
-                sort_keys=True,
-            )
-        )
-        sink.write("\n")
+        sink.write(json.dumps({"line": reject.line, "reason": reject.reason,
+                               "raw": reject.raw}, sort_keys=True) + "\n")
         n += 1
     return n

@@ -31,23 +31,31 @@ are independent of whether an account is a native or a planted partisan.
 Given a seed the whole corpus is a pure function of the config. The PRNG
 algorithm is recorded in GroundTruth so reproducibility claims are scoped
 to this implementation.
+
+The corpus is event columns: per network, in emission order, its tag,
+member names and each event's author and retweeted member index. Events
+tick once a second from 2020-03-01T00:00:00Z across networks, and the tick
+names the tweet (t00000000, ...), so a config that would emit more than
+10**8 events is refused before any is drawn. `write_corpus` writes a corpus
+as ingest's record writers would write the same events.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta, timezone
-from typing import Iterator, Mapping, Sequence
+from itertools import accumulate
+from typing import IO, Mapping, NamedTuple
 
 from .errors import SynthConfigError
-from .graph import UndirectedGraph
-from .ingest import TweetRecord, normalize_hashtag
+from .ingest import normalize_hashtag, write_retweets
 
 PRNG_NAME = "numpy.random.default_rng(PCG64)"
 
-# fixed origin for the synthetic event clock, one event per second
-_BASE_TS = datetime(2020, 3, 1, tzinfo=timezone.utc)
+# fixed origin for the synthetic event clock, one event per second (UTC)
+_BASE_TS = "2020-03-01T00:00:00"
+# the clock's capacity: ticks, and so tweet ids t%08d, stop at 10**8 - 1
+MAX_EVENTS = 10**8
 
 
 @dataclass(frozen=True)
@@ -93,8 +101,7 @@ class ActivitySpec:
 class MixingSpec:
     """Relative odds of within-side vs cross-side retweet targets.
 
-    Events go within-side with probability p_in / (p_in + p_out). The same
-    two numbers are exact edge probabilities in planted_partition_graph.
+    Events go within-side with probability p_in / (p_in + p_out).
     """
 
     p_in: float
@@ -223,15 +230,8 @@ class SynthConfig:
 
     @classmethod
     def from_dict(cls, obj: Mapping) -> "SynthConfig":
-        known = {
-            "seed",
-            "parties",
-            "public_hashtags",
-            "activity",
-            "mixing",
-            "participation",
-            "hijack",
-        }
+        known = {"seed", "parties", "public_hashtags", "activity", "mixing",
+                 "participation", "hijack"}
         if not isinstance(obj, Mapping):
             raise SynthConfigError("a synth config must be a JSON object")
         unknown = set(obj) - known
@@ -311,14 +311,10 @@ class GroundTruth:
             "event_count": self.event_count,
             "account_count": self.account_count,
             "partisans": {p: list(v) for p, v in self.partisans.items()},
-            "sides": {
-                tag: {side: list(v) for side, v in planted.items()}
-                for tag, planted in self.sides.items()
-            },
-            "activity": {
-                tag: {kind: dict(sorted(v.items())) for kind, v in acts.items()}
-                for tag, acts in self.activity.items()
-            },
+            "sides": {tag: {side: list(v) for side, v in planted.items()}
+                      for tag, planted in self.sides.items()},
+            "activity": {tag: {kind: dict(sorted(v.items())) for kind, v in acts.items()}
+                         for tag, acts in self.activity.items()},
             "tables": self.tables,
         }
 
@@ -366,15 +362,24 @@ class _Side:
         """k attention-weighted member positions, rejecting position `skip`."""
         u = rng.random(k)
         pos = self.cum.searchsorted(u * self.total, side="right")
-        if skip is not None:
-            while True:
-                bad = pos == skip
-                n_bad = int(bad.sum())
-                if not n_bad:
-                    break
-                redo = rng.random(n_bad)
-                pos[bad] = self.cum.searchsorted(redo * self.total, side="right")
+        # `skip in pos` is one C call; a redraw is rare
+        while skip is not None and skip in pos:
+            import numpy as np
+
+            bad = pos == skip
+            redo = rng.random(np.count_nonzero(bad))
+            pos[bad] = self.cum.searchsorted(redo * self.total, side="right")
         return pos + self.offset
+
+
+class NetworkEvents(NamedTuple):
+    """One network's events in emission order: `author` and `retweeted` are
+    int64 arrays of indices into `members`."""
+
+    tag: str
+    members: list[str]
+    author: np.ndarray
+    retweeted: np.ndarray
 
 
 def _emit_network(
@@ -383,75 +388,60 @@ def _emit_network(
     contra: _Side,
     rng: np.random.Generator,
     config: SynthConfig,
-    clock: Iterator[int],
-    records: list[TweetRecord],
-) -> tuple[dict[str, int], dict[str, int]]:
-    """Emit all events of one network; returns (made, received) tallies."""
+) -> tuple[NetworkEvents, dict[str, int], dict[str, int]]:
+    """Emit all events of one network; returns them with the (made,
+    received) tallies."""
     import numpy as np
 
     members = pro.members + contra.members
-    n = len(members)
-    made = np.zeros(n, dtype=np.int64)
-    received = np.zeros(n, dtype=np.int64)
-    if n == 0:
-        return {}, {}
     mix = config.mixing
     p_within = mix.p_in / (mix.p_in + mix.p_out)
-    hashtags = frozenset({tag})  # shared by every record of this stream
     epm = config.activity.events_per_member
+    empty = np.zeros(0, dtype=np.int64)
+    made, authors, targets = [empty], [empty], [empty]
 
     for own, other in ((pro, contra), (contra, pro)):
-        if len(own) == 0:
+        n_own, n_other = len(own), len(other)
+        if n_own == 0:
             continue
-        budget = int(round(epm * len(own)))
-        counts = _sorted_multinomial(rng, budget, len(own), config.activity.zipf_s)
-        for gpos, cnt in enumerate(counts):
-            cnt = int(cnt)
+        budget = int(round(epm * n_own))
+        counts = _sorted_multinomial(rng, budget, n_own, config.activity.zipf_s)
+        made.append(counts)
+        authors.append(np.repeat(own.offset + np.arange(n_own), counts))
+        for gpos, cnt in enumerate(counts.tolist()):
             if cnt == 0:
                 continue
-            actor_idx = own.offset + gpos
             if own.hijacker[gpos]:
                 # hijack events: uniform over the other contra members
-                tpos = rng.integers(0, len(own) - 1, size=cnt)
+                tpos = rng.integers(0, n_own - 1, size=cnt)
                 tpos[tpos >= gpos] += 1
-                targets = tpos + own.offset
-            else:
-                within = rng.random(cnt) < p_within
-                if len(own) < 2:
-                    within[:] = False
-                if len(other) == 0:
-                    within[:] = True
-                if len(own) < 2 and len(other) == 0:
-                    raise SynthConfigError(
-                        f"network {tag}: no valid retweet target"
-                    )
-                targets = np.empty(cnt, dtype=np.int64)
-                n_within = int(within.sum())
-                if n_within:
-                    targets[within] = own.draw(rng, n_within, skip=gpos)
-                if cnt - n_within:
-                    targets[~within] = other.draw(rng, cnt - n_within, skip=None)
-            made[actor_idx] += cnt
-            np.add.at(received, targets, 1)
-            author = members[actor_idx]
-            for t in targets:
-                tick = next(clock)
-                records.append(
-                    TweetRecord(
-                        tweet_id=f"t{tick:08d}",
-                        author=author,
-                        retweeted_author=members[int(t)],
-                        hashtags=hashtags,
-                        timestamp=_BASE_TS + timedelta(seconds=tick),
-                    )
-                )
-    made_tally = {members[i]: int(made[i]) for i in np.flatnonzero(made)}
-    recv_tally = {members[i]: int(received[i]) for i in np.flatnonzero(received)}
-    return made_tally, recv_tally
+                targets.append(tpos + own.offset)
+                continue
+            within = rng.random(cnt) < p_within
+            if n_own < 2:
+                within[:] = False
+            if n_other == 0:
+                within[:] = True
+            if n_own < 2 and n_other == 0:
+                raise SynthConfigError(f"network {tag}: no valid retweet target")
+            actor_targets = np.empty(cnt, dtype=np.int64)
+            n_within = np.count_nonzero(within)
+            if n_within:
+                actor_targets[within] = own.draw(rng, n_within, skip=gpos)
+            if cnt - n_within:
+                actor_targets[~within] = other.draw(rng, cnt - n_within, skip=None)
+            targets.append(actor_targets)
+    retweeted = np.concatenate(targets)
+    received = np.bincount(retweeted, minlength=len(members))
+    events = NetworkEvents(tag, members, np.concatenate(authors), retweeted)
+    made_tally = {members[i]: c for i, c in enumerate(np.concatenate(made).tolist()) if c}
+    recv_tally = {members[i]: c for i, c in enumerate(received.tolist()) if c}
+    return events, made_tally, recv_tally
 
 
-def generate(config: SynthConfig) -> tuple[list[TweetRecord], GroundTruth]:
-    """Emit a corpus and its exact bookkeeping; pure function of config."""
+def generate(config: SynthConfig) -> tuple[list[NetworkEvents], GroundTruth]:
+    """Emit a corpus, one NetworkEvents per hashtag, and its exact
+    bookkeeping; pure function of config."""
     import numpy as np
 
     config.validate()
@@ -476,9 +466,8 @@ def generate(config: SynthConfig) -> tuple[list[TweetRecord], GroundTruth]:
             joins = rng.random(len(accounts)) < config.participation
             hijacks = rng.random(len(accounts)) < config.h(party.name, spec.name)
             native_like = rng.random(len(accounts)) < q
-            for account, joined, hijacked, contra_base in zip(
-                accounts, joins, hijacks, native_like
-            ):
+            for account, joined, hijacked, contra_base in zip(accounts, joins, hijacks,
+                                                              native_like):
                 if not joined:
                     continue
                 if hijacked:
@@ -512,21 +501,27 @@ def generate(config: SynthConfig) -> tuple[list[TweetRecord], GroundTruth]:
     for spec in config.publics:
         pro_members = [f"{spec.name}_p{i:06d}" for i in range(spec.pro)]
         pro_members += placements[spec.name]["pro"]
+        joiners = placements[spec.name]["contra"]
         contra_members = [f"{spec.name}_c{i:06d}" for i in range(spec.contra)]
-        hijacker = [False] * len(contra_members)
-        for account, is_hijacker in placements[spec.name]["contra"]:
-            contra_members.append(account)
-            hijacker.append(is_hijacker)
+        contra_members += [account for account, _ in joiners]
+        hijacker = [False] * spec.contra + [is_hijacker for _, is_hijacker in joiners]
         pro = arrange(pro_members, [False] * len(pro_members), 0)
         contra = arrange(contra_members, hijacker, len(pro_members))
         sides[spec.name] = {"pro": tuple(pro.members), "contra": tuple(contra.members)}
         plans.append((spec.name, pro, contra))
 
-    records: list[TweetRecord] = []
+    # every side emits exactly its budget (see _sorted_multinomial)
+    epm = config.activity.events_per_member
+    event_count = sum(int(round(epm * len(side)))
+                      for _, pro, contra in plans for side in (pro, contra))
+    if event_count > MAX_EVENTS:
+        raise SynthConfigError(f"config emits {event_count} events; the synthetic "
+                               f"clock holds at most {MAX_EVENTS}")
+    corpus: list[NetworkEvents] = []
     activity: dict[str, dict[str, dict[str, int]]] = {}
-    clock = iter(range(10**8))
     for tag, pro, contra in plans:
-        made, received = _emit_network(tag, pro, contra, rng, config, clock, records)
+        events, made, received = _emit_network(tag, pro, contra, rng, config)
+        corpus.append(events)
         activity[tag] = {"made": made, "received": received}
 
     tables: dict[str, dict[str, dict[str, int]]] = {}
@@ -543,12 +538,8 @@ def generate(config: SynthConfig) -> tuple[list[TweetRecord], GroundTruth]:
             members = pset & appearing
             a = len(members & contra_app)
             c = len(contra_app) - a
-            row[public.name] = {
-                "a": a,
-                "b": len(members) - a,
-                "c": c,
-                "d": len(appearing) - len(members) - c,
-            }
+            row[public.name] = {"a": a, "b": len(members) - a, "c": c,
+                                "d": len(appearing) - len(members) - c}
         tables[party.name] = row
 
     account_count = sum(len(v) for v in partisans.values())
@@ -561,38 +552,28 @@ def generate(config: SynthConfig) -> tuple[list[TweetRecord], GroundTruth]:
         sides=sides,
         activity=activity,
         tables=tables,
-        event_count=len(records),
+        event_count=event_count,
         account_count=account_count,
     )
-    return records, truth
+    return corpus, truth
 
 
-def planted_partition_graph(
-    sizes: Sequence[int], p_in: float, p_out: float, seed: int = 0
-) -> tuple[UndirectedGraph, list[int]]:
-    """Stochastic block model with known blocks.
-
-    Every within-block pair is an edge with probability p_in, every
-    cross-block pair with probability p_out; weights are 1. Returns the
-    graph and the planted block label per node.
-    """
+def network_columns(events: NetworkEvents, first_tick: int) -> tuple:
+    """One network's events at consecutive ticks from first_tick, as the
+    (tag, tweet ids, authors, retweeted authors, timestamps) columns that
+    ingest.write_retweets writes."""
     import numpy as np
 
-    if not 0.0 <= p_out < p_in <= 1.0:
-        raise SynthConfigError("planted partition requires 0 <= p_out < p_in <= 1")
-    if any(size < 0 for size in sizes):
-        raise SynthConfigError("block sizes must be >= 0")
-    membership = [block for block, size in enumerate(sizes) for _ in range(size)]
-    n = len(membership)
-    rng = np.random.default_rng(seed)
-    graph = UndirectedGraph()
-    for node in range(n):
-        graph.add_node(node)
-    for i in range(n):
-        draws = rng.random(n - i - 1)
-        for off, u in enumerate(draws):
-            j = i + 1 + off
-            p = p_in if membership[i] == membership[j] else p_out
-            if u < p:
-                graph.add_edge(i, j, 1.0)
-    return graph, membership
+    ticks = np.arange(first_tick, first_tick + len(events.author))
+    stamps = np.datetime_as_string(np.datetime64(_BASE_TS, "s") + ticks, unit="s")
+    name = events.members.__getitem__
+    return (events.tag, ["t%08d" % tick for tick in ticks.tolist()],
+            list(map(name, events.author.tolist())), list(map(name, events.retweeted.tolist())),
+            np.char.add(stamps, "Z").tolist())
+
+
+def write_corpus(corpus: list[NetworkEvents], sink: IO[str], fmt: str = "jsonl") -> int:
+    """Write a generated corpus as JSONL or CSV; returns the event count."""
+    first_ticks = accumulate((len(events.author) for events in corpus), initial=0)
+    return write_retweets(map(network_columns, corpus, first_ticks), sink, fmt)
+

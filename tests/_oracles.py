@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import random
 from collections import deque
@@ -10,8 +11,10 @@ from math import comb
 from typing import Iterable, Mapping, Sequence
 
 from hashjack.community import MIN_GAIN, _strengths
+from hashjack.errors import SynthConfigError
 from hashjack.graph import ORIGINAL, RetweetNetwork, UndirectedGraph, add_edges
-from hashjack.ingest import _FIELDS, _check_fields, record_to_obj
+from hashjack.ingest import _FIELDS, _check_fields, parse_records, record_to_obj
+from hashjack.synth import write_corpus
 
 
 def naive_modularity(
@@ -229,3 +232,44 @@ def json_line(record) -> str:
     """The canonical JSONL line of a record, from the general JSON encoder,
     as ingest.record_to_json_line writes it."""
     return json.dumps(record_to_obj(record), sort_keys=True, separators=(",", ":"))
+
+
+def synth_records(corpus) -> list:
+    """The TweetRecords of a generated corpus through the real codec: the
+    corpus as `hashjack synth` writes it, read back by parse_records."""
+    text = io.StringIO()
+    write_corpus(corpus, text)
+    records, rejects = parse_records(text.getvalue())
+    assert not rejects
+    return records
+
+
+def planted_partition_graph(
+    sizes: Sequence[int], p_in: float, p_out: float, seed: int = 0
+) -> tuple[UndirectedGraph, list[int]]:
+    """Stochastic block model with known blocks.
+
+    Every within-block pair is an edge with probability p_in, every
+    cross-block pair with probability p_out; weights are 1. Returns the
+    graph and the planted block label per node.
+    """
+    import numpy as np
+
+    if not 0.0 <= p_out < p_in <= 1.0:
+        raise SynthConfigError("planted partition requires 0 <= p_out < p_in <= 1")
+    if any(size < 0 for size in sizes):
+        raise SynthConfigError("block sizes must be >= 0")
+    membership = [block for block, size in enumerate(sizes) for _ in range(size)]
+    n = len(membership)
+    rng = np.random.default_rng(seed)
+    graph = UndirectedGraph()
+    for node in range(n):
+        graph.add_node(node)
+    for i in range(n):
+        draws = rng.random(n - i - 1)
+        for off, u in enumerate(draws):
+            j = i + 1 + off
+            p = p_in if membership[i] == membership[j] else p_out
+            if u < p:
+                graph.add_edge(i, j, 1.0)
+    return graph, membership

@@ -19,7 +19,9 @@ from hypothesis import given, settings, strategies as st
 from _oracles import (
     adjusted_rand_index,
     blocks_to_assignment,
+    planted_partition_graph,
     set_partitions,
+    synth_records,
 )
 from hashjack.cli import entrypoint
 from hashjack.community import louvain, modularity
@@ -30,7 +32,7 @@ from hashjack.graph import (
     build_networks,
     undirected_projection,
 )
-from hashjack.ingest import TweetRecord, parse_records, split_streams, write_jsonl
+from hashjack.ingest import TweetRecord, parse_records, split_streams
 from hashjack.labeling import ClusterLabeling, PartisanAssignment, label_by_seeds, partisans
 from hashjack.metrics import (
     cluster_composition,
@@ -52,7 +54,7 @@ from hashjack.synth import (
     PublicSpec,
     SynthConfig,
     generate,
-    planted_partition_graph,
+    write_corpus,
 )
 from hashjack.store import load_json
 
@@ -60,8 +62,10 @@ BARBELL_Q = 6.0 / 7.0 - 0.5
 
 
 def run_chain(cfg, resolution=0.5, seed_count=10):
-    """generate -> split -> build -> louvain -> seed labeling, per network."""
-    records, truth = generate(cfg)
+    """generate -> write and parse -> split -> build -> louvain -> seed
+    labeling, per network."""
+    corpus, truth = generate(cfg)
+    records = synth_records(corpus)
     tracked = [s.name for s in cfg.parties] + [s.name for s in cfg.publics]
     streams, _ = split_streams(records, tracked)
     nets, registry = build_networks(streams)
@@ -361,13 +365,13 @@ def test_criterion_8_scale(criterion):
         hijack={("party1", "agenda"): 0.1},
         participation=0.8,
     )
-    records, truth = generate(cfg)
+    corpus, truth = generate(cfg)
     assert truth.account_count == 100_000
     assert truth.event_count >= 500_000
     buf = io.StringIO()
-    write_jsonl(records, buf)
+    write_corpus(corpus, buf)
     text = buf.getvalue()
-    del records, buf
+    del corpus, buf
 
     t0 = time.perf_counter()
     parsed, _ = parse_records(io.StringIO(text), "jsonl")

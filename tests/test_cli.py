@@ -149,6 +149,24 @@ class TestSynthCommand:
         assert run_cli("synth", "--config", bad, "--out", tmp_path / "o.jsonl") == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_config_past_the_synth_clock_exits_2(self, tmp_path, capsys):
+        # two sides of two accounts at 3e7 events each make 1.2e8 events, past
+        # the clock's 10**8 ticks; refused before any event is drawn
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps({
+            "seed": 1,
+            "parties": [{"name": "party1", "partisans": 2, "contras": 2}],
+            "activity": {"zipf_s": 1.05, "events_per_member": 3e7},
+            "mixing": {"p_in": 0.95, "p_out": 0.001},
+        }))
+        code = run_cli("synth", "--config", big, "--out", tmp_path / "o.jsonl",
+                       "--truth", tmp_path / "truth.json")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "internal error" not in err
+        assert "config emits 120000000 events" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["big.json"]
+
 
 def _child_env():
     src = str(Path(hashjack.__file__).resolve().parent.parent)

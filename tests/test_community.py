@@ -9,13 +9,13 @@ from _oracles import (
     dict_local_move,
     disconnected_communities,
     naive_modularity,
+    planted_partition_graph,
     set_partitions,
 )
 import hashjack.community
 from hashjack.community import CommunityPartition, _local_move, louvain, modularity
 from hashjack.errors import EdgelessGraphError
 from hashjack.graph import UndirectedGraph
-from hashjack.synth import planted_partition_graph
 
 BARBELL_Q = 6.0 / 7.0 - 0.5
 

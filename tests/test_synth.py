@@ -1,14 +1,27 @@
+import csv
 import hashlib
+import io
 import json
 import math
+from datetime import datetime, timedelta, timezone
 
+import numpy as np
 import pytest
 
+from _oracles import json_line, planted_partition_graph, synth_records
 from hashjack.cli import entrypoint
 from hashjack.community import CommunityPartition
 from hashjack.errors import SynthConfigError
 from hashjack.graph import AccountRegistry, build_networks
-from hashjack.ingest import split_streams
+from hashjack.ingest import (
+    CSV_COLUMNS,
+    EventColumns,
+    TweetRecord,
+    parse_rfc3339,
+    read_columns,
+    split_streams,
+    write_retweets,
+)
 from hashjack.labeling import ClusterLabeling, PartisanAssignment
 from hashjack.odds import contingency
 from hashjack.synth import (
@@ -16,9 +29,11 @@ from hashjack.synth import (
     MixingSpec,
     PartySpec,
     PublicSpec,
+    NetworkEvents,
     SynthConfig,
     generate,
-    planted_partition_graph,
+    network_columns,
+    write_corpus,
 )
 
 
@@ -166,18 +181,20 @@ class TestConfigValidation:
 
 class TestGenerate:
     def test_deterministic_given_seed(self):
-        r1, t1 = generate(small_config(hijack={("afd", "tide"): 0.2}))
-        r2, t2 = generate(small_config(hijack={("afd", "tide"): 0.2}))
+        c1, t1 = generate(small_config(hijack={("afd", "tide"): 0.2}))
+        c2, t2 = generate(small_config(hijack={("afd", "tide"): 0.2}))
+        r1, r2 = synth_records(c1), synth_records(c2)
         assert r1 == r2
         assert t1.to_dict() == t2.to_dict()
 
     def test_seed_changes_corpus(self):
-        r1, _ = generate(small_config(seed=1))
-        r2, _ = generate(small_config(seed=2))
+        r1 = synth_records(generate(small_config(seed=1))[0])
+        r2 = synth_records(generate(small_config(seed=2))[0])
         assert r1 != r2
 
     def test_records_are_well_formed(self):
-        records, truth = generate(small_config())
+        corpus, truth = generate(small_config())
+        records = synth_records(corpus)
         assert len(records) == truth.event_count
         ids = {r.tweet_id for r in records}
         assert len(ids) == len(records)
@@ -190,7 +207,7 @@ class TestGenerate:
 
     def test_event_count_matches_budgets(self):
         cfg = small_config()
-        records, truth = generate(cfg)
+        _, truth = generate(cfg)
         epm = cfg.activity.events_per_member
         expected = 0
         for tag, planted in truth.sides.items():
@@ -229,6 +246,48 @@ class TestGenerate:
         assert not members & set(truth.partisans["afd"])
 
 
+class TestWriteCorpus:
+    """The column writer against the record writers' oracles."""
+
+    @pytest.mark.parametrize("tick,stamp", [
+        (0, "2020-03-01T00:00:00Z"),
+        (59, "2020-03-01T00:00:59Z"),
+        (86_399, "2020-03-01T23:59:59Z"),
+        (26_438_400, "2021-01-01T00:00:00Z"),
+        (10**8 - 1, "2023-05-02T09:46:39Z"),
+    ])
+    def test_line_matches_record_oracle(self, tick, stamp):
+        moment = datetime(2020, 3, 1, tzinfo=timezone.utc) + timedelta(seconds=tick)
+        assert moment == parse_rfc3339(stamp)
+        record = TweetRecord(f"t{tick:08d}", "afd_p000007", "afd_c000012",
+                             frozenset({"afd"}), moment)
+        events = NetworkEvents("afd", ["afd_c000012", "afd_p000007"],
+                               np.array([1], dtype=np.int64), np.array([0], dtype=np.int64))
+        jsonl, text = io.StringIO(), io.StringIO()
+        assert write_retweets([network_columns(events, tick)], jsonl) == 1
+        assert jsonl.getvalue() == json_line(record) + "\n"
+        assert write_retweets([network_columns(events, tick)], text, "csv") == 1
+        rows = io.StringIO()
+        writer = csv.writer(rows, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        writer.writerow([record.tweet_id, record.author, record.retweeted_author, "#afd", stamp])
+        assert text.getvalue() == rows.getvalue()
+
+    def test_written_corpus_reads_back_as_its_records(self):
+        corpus, truth = generate(small_config(hijack={("afd", "tide"): 0.2}, participation=0.7))
+        text = io.StringIO()
+        assert write_corpus(corpus, text) == truth.event_count
+        columns, rejects = read_columns(text.getvalue())
+        assert rejects == []
+        records = EventColumns.from_records(synth_records(corpus))
+        for name in ("accounts", "tag_sets", "author", "retweeted", "tag_set", "window"):
+            assert getattr(columns, name) == getattr(records, name)
+        planted = [(events.members[a], events.members[r]) for events in corpus
+                   for a, r in zip(events.author.tolist(), events.retweeted.tolist())]
+        assert [(columns.accounts[a], columns.accounts[r])
+                for a, r in zip(columns.author, columns.retweeted)] == planted
+
+
 class TestAnalyzerAgreement:
     """The pipeline's arithmetic must reproduce the generator's bookkeeping."""
 
@@ -243,7 +302,8 @@ class TestAnalyzerAgreement:
             hijack={("afd", "tide"): 0.3, ("spd", "strike"): 0.15},
             participation=0.8,
         )
-        records, truth = generate(cfg)
+        corpus, truth = generate(cfg)
+        records = synth_records(corpus)
         tracked = [s.name for s in cfg.parties] + [s.name for s in cfg.publics]
         streams, dropped = split_streams(records, tracked)
         assert dropped == 0
