@@ -355,9 +355,6 @@ class _Side:
         self.cum = weights.cumsum()
         self.total = float(self.cum[-1]) if len(members) else 0.0
 
-    def __len__(self) -> int:
-        return len(self.members)
-
     def draw(self, rng: np.random.Generator, k: int, skip: int | None) -> np.ndarray:
         """k attention-weighted member positions, rejecting position `skip`."""
         u = rng.random(k)
@@ -401,7 +398,7 @@ def _emit_network(
     made, authors, targets = [empty], [empty], [empty]
 
     for own, other in ((pro, contra), (contra, pro)):
-        n_own, n_other = len(own), len(other)
+        n_own, n_other = len(own.members), len(other.members)
         if n_own == 0:
             continue
         budget = int(round(epm * n_own))
@@ -512,7 +509,7 @@ def generate(config: SynthConfig) -> tuple[list[NetworkEvents], GroundTruth]:
 
     # every side emits exactly its budget (see _sorted_multinomial)
     epm = config.activity.events_per_member
-    event_count = sum(int(round(epm * len(side)))
+    event_count = sum(int(round(epm * len(side.members)))
                       for _, pro, contra in plans for side in (pro, contra))
     if event_count > MAX_EVENTS:
         raise SynthConfigError(f"config emits {event_count} events; the synthetic "
