@@ -548,23 +548,12 @@ def write_jsonl(records: Iterable[TweetRecord], sink: IO[str]) -> int:
     return n
 
 
-def write_csv(records: Iterable[TweetRecord], sink: IO[str]) -> int:
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    n = 0
-    for record in records:
-        writer.writerow((record.tweet_id, record.author, record.retweeted_author or "",
-                         "|".join("#" + t for t in sorted(record.hashtags)),
-                         format_rfc3339(record.timestamp)))
-        n += 1
-    return n
-
-
 def write_retweets(networks: Iterable[tuple], sink: IO[str], fmt: str = "jsonl") -> int:
-    """Write retweets as write_jsonl or write_csv writes them as records,
-    from items (tag, tweet_ids, authors, retweeted, timestamps): the one tag
-    of every event, then lists of strings, one event per position. No string
-    may need JSON escaping or CSV quoting. One write per item."""
+    """Write retweets as canonical JSONL lines or as CSV rows under the
+    CSV_COLUMNS header, from items (tag, tweet_ids, authors, retweeted,
+    timestamps): the one tag of every event, then lists of strings, one
+    event per position. No string may need JSON escaping or CSV quoting.
+    One write per item."""
     if fmt == "csv":
         sink.write(",".join(CSV_COLUMNS) + "\n")
     n = 0
@@ -583,7 +572,12 @@ def write_retweets(networks: Iterable[tuple], sink: IO[str], fmt: str = "jsonl")
 def write_rejects(rejects: Iterable[Reject], sink: IO[str]) -> int:
     n = 0
     for reject in rejects:
-        sink.write(json.dumps({"line": reject.line, "reason": reject.reason,
-                               "raw": reject.raw}, sort_keys=True) + "\n")
+        sink.write(
+            json.dumps(
+                {"line": reject.line, "reason": reject.reason, "raw": reject.raw},
+                sort_keys=True,
+            )
+        )
+        sink.write("\n")
         n += 1
     return n

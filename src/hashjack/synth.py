@@ -230,8 +230,15 @@ class SynthConfig:
 
     @classmethod
     def from_dict(cls, obj: Mapping) -> "SynthConfig":
-        known = {"seed", "parties", "public_hashtags", "activity", "mixing",
-                 "participation", "hijack"}
+        known = {
+            "seed",
+            "parties",
+            "public_hashtags",
+            "activity",
+            "mixing",
+            "participation",
+            "hijack",
+        }
         if not isinstance(obj, Mapping):
             raise SynthConfigError("a synth config must be a JSON object")
         unknown = set(obj) - known
@@ -311,10 +318,14 @@ class GroundTruth:
             "event_count": self.event_count,
             "account_count": self.account_count,
             "partisans": {p: list(v) for p, v in self.partisans.items()},
-            "sides": {tag: {side: list(v) for side, v in planted.items()}
-                      for tag, planted in self.sides.items()},
-            "activity": {tag: {kind: dict(sorted(v.items())) for kind, v in acts.items()}
-                         for tag, acts in self.activity.items()},
+            "sides": {
+                tag: {side: list(v) for side, v in planted.items()}
+                for tag, planted in self.sides.items()
+            },
+            "activity": {
+                tag: {kind: dict(sorted(v.items())) for kind, v in acts.items()}
+                for tag, acts in self.activity.items()
+            },
             "tables": self.tables,
         }
 
@@ -463,8 +474,9 @@ def generate(config: SynthConfig) -> tuple[list[NetworkEvents], GroundTruth]:
             joins = rng.random(len(accounts)) < config.participation
             hijacks = rng.random(len(accounts)) < config.h(party.name, spec.name)
             native_like = rng.random(len(accounts)) < q
-            for account, joined, hijacked, contra_base in zip(accounts, joins, hijacks,
-                                                              native_like):
+            for account, joined, hijacked, contra_base in zip(
+                accounts, joins, hijacks, native_like
+            ):
                 if not joined:
                     continue
                 if hijacked:
@@ -498,10 +510,11 @@ def generate(config: SynthConfig) -> tuple[list[NetworkEvents], GroundTruth]:
     for spec in config.publics:
         pro_members = [f"{spec.name}_p{i:06d}" for i in range(spec.pro)]
         pro_members += placements[spec.name]["pro"]
-        joiners = placements[spec.name]["contra"]
         contra_members = [f"{spec.name}_c{i:06d}" for i in range(spec.contra)]
-        contra_members += [account for account, _ in joiners]
-        hijacker = [False] * spec.contra + [is_hijacker for _, is_hijacker in joiners]
+        hijacker = [False] * len(contra_members)
+        for account, is_hijacker in placements[spec.name]["contra"]:
+            contra_members.append(account)
+            hijacker.append(is_hijacker)
         pro = arrange(pro_members, [False] * len(pro_members), 0)
         contra = arrange(contra_members, hijacker, len(pro_members))
         sides[spec.name] = {"pro": tuple(pro.members), "contra": tuple(contra.members)}
@@ -509,10 +522,10 @@ def generate(config: SynthConfig) -> tuple[list[NetworkEvents], GroundTruth]:
 
     # every side emits exactly its budget (see _sorted_multinomial)
     epm = config.activity.events_per_member
-    event_count = sum(int(round(epm * len(side.members)))
-                      for _, pro, contra in plans for side in (pro, contra))
-    if event_count > MAX_EVENTS:
-        raise SynthConfigError(f"config emits {event_count} events; the synthetic "
+    budgets = sum(int(round(epm * len(side.members)))
+                  for _, pro, contra in plans for side in (pro, contra))
+    if budgets > MAX_EVENTS:
+        raise SynthConfigError(f"config emits {budgets} events; the synthetic "
                                f"clock holds at most {MAX_EVENTS}")
     corpus: list[NetworkEvents] = []
     activity: dict[str, dict[str, dict[str, int]]] = {}
@@ -535,8 +548,12 @@ def generate(config: SynthConfig) -> tuple[list[NetworkEvents], GroundTruth]:
             members = pset & appearing
             a = len(members & contra_app)
             c = len(contra_app) - a
-            row[public.name] = {"a": a, "b": len(members) - a, "c": c,
-                                "d": len(appearing) - len(members) - c}
+            row[public.name] = {
+                "a": a,
+                "b": len(members) - a,
+                "c": c,
+                "d": len(appearing) - len(members) - c,
+            }
         tables[party.name] = row
 
     account_count = sum(len(v) for v in partisans.values())
@@ -549,7 +566,7 @@ def generate(config: SynthConfig) -> tuple[list[NetworkEvents], GroundTruth]:
         sides=sides,
         activity=activity,
         tables=tables,
-        event_count=event_count,
+        event_count=sum(len(events.author) for events in corpus),
         account_count=account_count,
     )
     return corpus, truth

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 import random
@@ -13,7 +14,14 @@ from typing import Iterable, Mapping, Sequence
 from hashjack.community import MIN_GAIN, _strengths
 from hashjack.errors import SynthConfigError
 from hashjack.graph import ORIGINAL, RetweetNetwork, UndirectedGraph, add_edges
-from hashjack.ingest import _FIELDS, _check_fields, parse_records, record_to_obj
+from hashjack.ingest import (
+    CSV_COLUMNS,
+    _FIELDS,
+    _check_fields,
+    format_rfc3339,
+    parse_records,
+    record_to_obj,
+)
 from hashjack.synth import write_corpus
 
 
@@ -232,6 +240,25 @@ def json_line(record) -> str:
     """The canonical JSONL line of a record, from the general JSON encoder,
     as ingest.record_to_json_line writes it."""
     return json.dumps(record_to_obj(record), sort_keys=True, separators=(",", ":"))
+
+
+def write_csv(records: Iterable, sink) -> int:
+    """Records as CSV rows under the CSV_COLUMNS header, from csv.writer."""
+    writer = csv.writer(sink, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    n = 0
+    for record in records:
+        writer.writerow(
+            [
+                record.tweet_id,
+                record.author,
+                record.retweeted_author or "",
+                "|".join("#" + t for t in sorted(record.hashtags)),
+                format_rfc3339(record.timestamp),
+            ]
+        )
+        n += 1
+    return n
 
 
 def synth_records(corpus) -> list:

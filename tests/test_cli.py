@@ -22,10 +22,10 @@ import hashjack.pipeline
 from hashjack.cli import entrypoint
 from hashjack.errors import StageError
 from hashjack.graph import build_networks
-from hashjack.ingest import CSV_COLUMNS, CorpusStats, parse_records, split_streams, write_csv
+from hashjack.ingest import CSV_COLUMNS, CorpusStats, parse_records, split_streams
 from hashjack.store import file_digest, json_text, load_json, network_to_obj, pairs_to_npy, \
     registry_to_obj
-from _oracles import record_stats, record_store
+from _oracles import record_stats, record_store, write_csv
 
 
 GEXF_NS = "{http://www.gexf.net/1.2draft}"

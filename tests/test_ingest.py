@@ -4,7 +4,7 @@ import re
 from datetime import datetime, timedelta, timezone
 
 import pytest
-from _oracles import json_line, ordered_jsonl_check, record_stats, record_store
+from _oracles import json_line, ordered_jsonl_check, record_stats, record_store, write_csv
 from hypothesis import example, given, strategies as st
 
 from hashjack.errors import IngestError, RejectRateError
@@ -23,7 +23,6 @@ from hashjack.ingest import (
     read_columns,
     record_to_json_line,
     split_streams,
-    write_csv,
     write_jsonl,
     write_rejects,
 )
