@@ -12,7 +12,6 @@ read or written), 1 internal errors.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
 from dataclasses import replace
@@ -188,10 +187,9 @@ def _run_synth(args, fmt: str, seed: int | None) -> int:
         if not ancestor.is_dir():
             raise StageError(f"{ancestor} is not a directory")
     corpus, truth = generate(config)
-    text = io.StringIO()
-    count = write_corpus(corpus, text, fmt)
-    write_text_atomic(out, text.getvalue())
-    detail = f"synth: {count} records -> {out}"
+    # each network's text goes to the temporary file as it is made
+    write_text_atomic(out, lambda sink: write_corpus(corpus, sink, fmt))
+    detail = f"synth: {truth.event_count} records -> {out}"
     if args.truth:
         try:
             dump_json(truth.to_dict(), args.truth)

@@ -23,7 +23,7 @@ import json
 import math
 import os
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import IO, Callable, Mapping, Sequence
 
 from .community import CommunityPartition
 from .graph import AccountRegistry, RetweetNetwork, add_edges
@@ -44,9 +44,10 @@ def _finite(value):
     return value
 
 
-def write_text_atomic(path: Path | str, data: str | bytes) -> Path:
-    """Write UTF-8 text or raw bytes so readers see the old file or the new
-    one, never a part.
+def write_text_atomic(path: Path | str, data: str | bytes | Callable[[IO[str]], object]) -> Path:
+    """Write UTF-8 text, raw bytes or what `data(sink)` writes into the
+    open text file, so readers see the old file or the new one, never a
+    part.
 
     The temporary name carries the pid, so two processes writing the same
     file do not write into one temporary file, and a writer stage can tell
@@ -58,8 +59,11 @@ def write_text_atomic(path: Path | str, data: str | bytes) -> Path:
     try:
         if isinstance(data, bytes):
             tmp.write_bytes(data)
-        else:
+        elif isinstance(data, str):
             tmp.write_text(data, encoding="utf-8")
+        else:
+            with open(tmp, "w", encoding="utf-8") as sink:
+                data(sink)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)

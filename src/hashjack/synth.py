@@ -28,9 +28,17 @@ Membership is decided first, events second:
 Each side's member order is shuffled once per corpus, so activity ranks
 are independent of whether an account is a native or a planted partisan.
 
-Given a seed the whole corpus is a pure function of the config. The PRNG
-algorithm is recorded in GroundTruth so reproducibility claims are scoped
-to this implementation.
+Given a seed the whole corpus is a pure function of the config. Its bytes
+rest on the order of draws from one PCG64 stream (named in GroundTruth):
+per public hashtag and party, three rng.random(partisans) calls (join,
+hijack, native placement); one permutation per side, parties first; then
+per network and side, a multinomial for the event counts and, for each
+actor by rank, a hijacker's rng.integers call or a non-hijacker's
+doubles: cnt for its within/across split, then its own-side targets with
+every redraw of one that picked itself, then its other-side targets.
+rng.random(a) then rng.random(b) yields the doubles of rng.random(a + b),
+so doubles may be fetched in blocks, provided every other call, and the
+end of each network, finds exactly as many drawn as this order draws.
 
 The corpus is event columns: per network, in emission order, its tag,
 member names and each event's author and retweeted member index. Events
@@ -56,6 +64,8 @@ PRNG_NAME = "numpy.random.default_rng(PCG64)"
 _BASE_TS = "2020-03-01T00:00:00"
 # the clock's capacity: ticks, and so tweet ids t%08d, stop at 10**8 - 1
 MAX_EVENTS = 10**8
+# events formatted per write of a corpus
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -123,8 +133,9 @@ class SynthConfig:
 
     def validate(self) -> None:
         """Reject invalid or statically infeasible configs before emission."""
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise SynthConfigError("seed must be a non-negative integer")
+        # a count is an int, never a bool, a float or a string that casts to one
+        if type(self.seed) is not int or self.seed < 0:
+            raise SynthConfigError(f"seed ({self.seed!r}) must be an integer >= 0")
         names = [s.name for s in self.parties] + [s.name for s in self.publics]
         for name in names:
             if not isinstance(name, str):
@@ -139,11 +150,13 @@ class SynthConfig:
             if normalized != name:
                 raise SynthConfigError(f"hashtag name {name!r} is not normalized")
         for spec in self.parties:
-            if spec.partisans < 0 or spec.contras < 0:
-                raise SynthConfigError(f"party {spec.name}: counts must be >= 0")
+            if not all(type(n) is int and n >= 0 for n in (spec.partisans, spec.contras)):
+                raise SynthConfigError(f"party {spec.name}: partisans ({spec.partisans!r}) "
+                                       f"and contras ({spec.contras!r}) must be integers >= 0")
         for spec in self.publics:
-            if spec.pro < 0 or spec.contra < 0:
-                raise SynthConfigError(f"public {spec.name}: counts must be >= 0")
+            if not all(type(n) is int and n >= 0 for n in (spec.pro, spec.contra)):
+                raise SynthConfigError(f"public {spec.name}: pro ({spec.pro!r}) and "
+                                       f"contra ({spec.contra!r}) must be integers >= 0")
         act = self.activity
         if not 0 < act.zipf_s < math.inf:
             raise SynthConfigError("zipf_s must be finite and > 0")
@@ -251,11 +264,11 @@ class SynthConfig:
             raise SynthConfigError("hijack must map each party to an object {public: h}")
         try:
             parties = tuple(
-                PartySpec(p["name"], int(p["partisans"]), int(p["contras"]))
+                PartySpec(p["name"], p["partisans"], p["contras"])
                 for p in obj.get("parties", [])
             )
             publics = tuple(
-                PublicSpec(p["name"], int(p["pro"]), int(p["contra"]))
+                PublicSpec(p["name"], p["pro"], p["contra"])
                 for p in obj.get("public_hashtags", [])
             )
             act = obj.get("activity", {})
@@ -274,7 +287,7 @@ class SynthConfig:
                 for public, h in targets.items()
             }
             config = cls(
-                seed=int(obj["seed"]),
+                seed=obj["seed"],
                 parties=parties,
                 publics=publics,
                 activity=activity,
@@ -366,18 +379,9 @@ class _Side:
         self.cum = weights.cumsum()
         self.total = float(self.cum[-1]) if len(members) else 0.0
 
-    def draw(self, rng: np.random.Generator, k: int, skip: int | None) -> np.ndarray:
-        """k attention-weighted member positions, rejecting position `skip`."""
-        u = rng.random(k)
-        pos = self.cum.searchsorted(u * self.total, side="right")
-        # `skip in pos` is one C call; a redraw is rare
-        while skip is not None and skip in pos:
-            import numpy as np
-
-            bad = pos == skip
-            redo = rng.random(np.count_nonzero(bad))
-            pos[bad] = self.cum.searchsorted(redo * self.total, side="right")
-        return pos + self.offset
+    def pick(self, u: np.ndarray) -> np.ndarray:
+        """The attention-weighted member position each uniform in u picks."""
+        return self.cum.searchsorted(u * self.total, side="right")
 
 
 class NetworkEvents(NamedTuple):
@@ -388,6 +392,77 @@ class NetworkEvents(NamedTuple):
     members: list[str]
     author: np.ndarray
     retweeted: np.ndarray
+
+
+# actors in the first window of a run of non-hijackers; a window without a
+# redraw doubles the next and a redraw starts over, which bounds the work
+# a redraw discards
+_WINDOW = 8
+
+
+def _side_targets(tag: str, own: _Side, other: _Side, counts: np.ndarray,
+                  rng: np.random.Generator, p_within: float) -> list[np.ndarray]:
+    """The targets of one side's events in the stream's order (module
+    docstring). A window of non-hijackers takes the 2 * cnt doubles each
+    actor uses without a redraw; at the first actor that draws itself the
+    rest is handed back, and its redraws and other-side draws are taken."""
+    import numpy as np
+
+    live = np.flatnonzero(counts)  # the actors that emit, by rank
+    cnt = counts[live]
+    stops = np.append(np.flatnonzero(np.asarray(own.hijacker, dtype=bool)[live]), len(live))
+    out, back, k, window = [], np.zeros(0), 0, _WINDOW
+    # a lone own member retweets across, an empty other side within; u < 1
+    p_own = 0.0 if len(own.members) < 2 else 1.0 if not other.members else p_within
+
+    def take(n: int) -> np.ndarray:
+        # the stream's next n doubles, handed-back ones first, so no double
+        # is drawn before the serial loop would draw it
+        nonlocal back
+        head, back = back[:n], back[n:]
+        return np.concatenate((head, rng.random(n - len(head))))
+
+    while k < len(live):
+        g = int(live[k])
+        if own.hijacker[g]:  # uniform over the other contra members
+            tpos = rng.integers(0, len(own.members) - 1, size=int(cnt[k]))
+            tpos[tpos >= g] += 1
+            out.append(tpos + own.offset)
+            k, window = k + 1, _WINDOW
+            continue
+        if len(own.members) < 2 and not other.members:
+            raise SynthConfigError(f"network {tag}: no valid retweet target")
+        m = min(k + window, int(stops[stops.searchsorted(k)]))
+        c = cnt[k:m]
+        before = c.cumsum() - c
+        first, size = np.repeat(before, c), np.repeat(c, c)
+        rank = np.arange(len(first)) - first  # each event's place in its actor
+        u = take(2 * len(first))  # per actor: cnt split doubles, then cnt draws
+        within = u[2 * first + rank] < p_own
+        wc = np.concatenate(([0], within.cumsum()))
+        wb, nw = wc[:-1] - wc[first], wc[first + size] - wc[first]
+        draws = u[2 * first + size + np.where(within, wb, nw + rank - wb)]
+        local, across = own.pick(draws), ~within
+        local[across] = other.pick(draws[across])
+        tgt = local + np.where(within, own.offset, other.offset)
+        hit = within & (local == np.repeat(live[k:m], c))
+        if not hit.any():
+            out.append(tgt)
+            k, window = m, 2 * window
+            continue
+        a = int(before.searchsorted(hit.argmax(), side="right")) - 1
+        s, n, g = int(before[a]), int(c[a]), int(live[k + a])
+        w = within[s:s + n]
+        pos = local[s:s + n][w]
+        back = np.concatenate((u[2 * s + n + len(pos):], back))
+        while g in pos:
+            bad = pos == g
+            pos[bad] = own.pick(take(np.count_nonzero(bad)))
+        tgt[s:s + n][w] = pos + own.offset
+        tgt[s:s + n][~w] = other.pick(take(n - len(pos))) + other.offset
+        out.append(tgt[:s + n])
+        k, window = k + a + 1, _WINDOW
+    return out
 
 
 def _emit_network(
@@ -409,36 +484,14 @@ def _emit_network(
     made, authors, targets = [empty], [empty], [empty]
 
     for own, other in ((pro, contra), (contra, pro)):
-        n_own, n_other = len(own.members), len(other.members)
+        n_own = len(own.members)
         if n_own == 0:
             continue
         budget = int(round(epm * n_own))
         counts = _sorted_multinomial(rng, budget, n_own, config.activity.zipf_s)
         made.append(counts)
         authors.append(np.repeat(own.offset + np.arange(n_own), counts))
-        for gpos, cnt in enumerate(counts.tolist()):
-            if cnt == 0:
-                continue
-            if own.hijacker[gpos]:
-                # hijack events: uniform over the other contra members
-                tpos = rng.integers(0, n_own - 1, size=cnt)
-                tpos[tpos >= gpos] += 1
-                targets.append(tpos + own.offset)
-                continue
-            within = rng.random(cnt) < p_within
-            if n_own < 2:
-                within[:] = False
-            if n_other == 0:
-                within[:] = True
-            if n_own < 2 and n_other == 0:
-                raise SynthConfigError(f"network {tag}: no valid retweet target")
-            actor_targets = np.empty(cnt, dtype=np.int64)
-            n_within = np.count_nonzero(within)
-            if n_within:
-                actor_targets[within] = own.draw(rng, n_within, skip=gpos)
-            if cnt - n_within:
-                actor_targets[~within] = other.draw(rng, cnt - n_within, skip=None)
-            targets.append(actor_targets)
+        targets += _side_targets(tag, own, other, counts, rng, p_within)
     retweeted = np.concatenate(targets)
     received = np.bincount(retweeted, minlength=len(members))
     events = NetworkEvents(tag, members, np.concatenate(authors), retweeted)
@@ -460,13 +513,13 @@ def generate(config: SynthConfig) -> tuple[list[NetworkEvents], GroundTruth]:
         for spec in config.parties
     }
 
-    # membership stage: which partisans show up where, and on which side
-    placements: dict[str, dict[str, list]] = {}
+    # membership stage: which partisans show up where, and on which side;
+    # per public hashtag its pro joiners, contra joiners and which of those hijack
+    placements: dict[str, tuple[list[str], list[str], list[bool]]] = {}
     for spec in config.publics:
         natives = spec.pro + spec.contra
         q = spec.contra / natives if natives else 0.0
-        pro_joiners: list[str] = []
-        contra_joiners: list[tuple[str, bool]] = []  # (account, is hijacker)
+        pro_joiners, contra_joiners, hijackers = [], [], []
         for party in config.parties:
             accounts = partisans[party.name]
             if not accounts:
@@ -474,18 +527,11 @@ def generate(config: SynthConfig) -> tuple[list[NetworkEvents], GroundTruth]:
             joins = rng.random(len(accounts)) < config.participation
             hijacks = rng.random(len(accounts)) < config.h(party.name, spec.name)
             native_like = rng.random(len(accounts)) < q
-            for account, joined, hijacked, contra_base in zip(
-                accounts, joins, hijacks, native_like
-            ):
-                if not joined:
-                    continue
-                if hijacked:
-                    contra_joiners.append((account, True))
-                elif contra_base:
-                    contra_joiners.append((account, False))
-                else:
-                    pro_joiners.append(account)
-        placements[spec.name] = {"pro": pro_joiners, "contra": contra_joiners}
+            contra = np.flatnonzero(joins & (hijacks | native_like)).tolist()
+            pro_joiners += [accounts[i] for i in np.flatnonzero(joins & ~(hijacks | native_like))]
+            contra_joiners += [accounts[i] for i in contra]
+            hijackers += hijacks[contra].tolist()
+        placements[spec.name] = (pro_joiners, contra_joiners, hijackers)
 
     s_att = config.activity.target_exponent
 
@@ -498,27 +544,16 @@ def generate(config: SynthConfig) -> tuple[list[NetworkEvents], GroundTruth]:
 
     sides: dict[str, dict[str, tuple[str, ...]]] = {}
     plans: list[tuple[str, _Side, _Side]] = []
-    for spec in config.parties:
-        pro = arrange(list(partisans[spec.name]), [False] * spec.partisans, 0)
-        contra = arrange(
-            [f"{spec.name}_c{i:06d}" for i in range(spec.contras)],
-            [False] * spec.contras,
-            spec.partisans,
-        )
-        sides[spec.name] = {"pro": tuple(pro.members), "contra": tuple(contra.members)}
-        plans.append((spec.name, pro, contra))
-    for spec in config.publics:
-        pro_members = [f"{spec.name}_p{i:06d}" for i in range(spec.pro)]
-        pro_members += placements[spec.name]["pro"]
-        contra_members = [f"{spec.name}_c{i:06d}" for i in range(spec.contra)]
-        hijacker = [False] * len(contra_members)
-        for account, is_hijacker in placements[spec.name]["contra"]:
-            contra_members.append(account)
-            hijacker.append(is_hijacker)
+    # a party network is its partisans (pro) and contras, with no joiners
+    networks = [(s.name, s.partisans, s.contras) for s in config.parties]
+    for tag, n_pro, n_contra in networks + [(s.name, s.pro, s.contra) for s in config.publics]:
+        pro_joiners, contra_joiners, hijackers = placements.get(tag, ([], [], []))
+        pro_members = [f"{tag}_p{i:06d}" for i in range(n_pro)] + pro_joiners
+        contra_members = [f"{tag}_c{i:06d}" for i in range(n_contra)] + contra_joiners
         pro = arrange(pro_members, [False] * len(pro_members), 0)
-        contra = arrange(contra_members, hijacker, len(pro_members))
-        sides[spec.name] = {"pro": tuple(pro.members), "contra": tuple(contra.members)}
-        plans.append((spec.name, pro, contra))
+        contra = arrange(contra_members, [False] * n_contra + hijackers, len(pro_members))
+        sides[tag] = {"pro": tuple(pro.members), "contra": tuple(contra.members)}
+        plans.append((tag, pro, contra))
 
     # every side emits exactly its budget (see _sorted_multinomial)
     epm = config.activity.events_per_member
@@ -572,22 +607,25 @@ def generate(config: SynthConfig) -> tuple[list[NetworkEvents], GroundTruth]:
     return corpus, truth
 
 
-def network_columns(events: NetworkEvents, first_tick: int) -> tuple:
-    """One network's events at consecutive ticks from first_tick, as the
-    (tag, tweet ids, authors, retweeted authors, timestamps) columns that
-    ingest.write_retweets writes."""
+def network_columns(events: NetworkEvents, first_tick: int, lo: int = 0) -> tuple:
+    """Events lo to lo + _CHUNK of a network whose events tick on from
+    first_tick, as the (tag, tweet ids, authors, retweeted authors,
+    timestamps) columns that ingest.write_retweets writes."""
     import numpy as np
 
-    ticks = np.arange(first_tick, first_tick + len(events.author))
+    author, retweeted = events.author[lo:lo + _CHUNK], events.retweeted[lo:lo + _CHUNK]
+    ticks = np.arange(first_tick + lo, first_tick + lo + len(author))
     stamps = np.datetime_as_string(np.datetime64(_BASE_TS, "s") + ticks, unit="s")
     name = events.members.__getitem__
     return (events.tag, ["t%08d" % tick for tick in ticks.tolist()],
-            list(map(name, events.author.tolist())), list(map(name, events.retweeted.tolist())),
+            list(map(name, author.tolist())), list(map(name, retweeted.tolist())),
             np.char.add(stamps, "Z").tolist())
 
 
 def write_corpus(corpus: list[NetworkEvents], sink: IO[str], fmt: str = "jsonl") -> int:
-    """Write a generated corpus as JSONL or CSV; returns the event count."""
+    """Write a generated corpus as JSONL or CSV, a chunk of _CHUNK events
+    per write, so one chunk's text is the most held; returns the event count."""
     first_ticks = accumulate((len(events.author) for events in corpus), initial=0)
-    return write_retweets(map(network_columns, corpus, first_ticks), sink, fmt)
-
+    chunks = (network_columns(events, tick, lo) for events, tick in zip(corpus, first_ticks)
+              for lo in range(0, len(events.author), _CHUNK))
+    return write_retweets(chunks, sink, fmt)

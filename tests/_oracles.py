@@ -22,7 +22,7 @@ from hashjack.ingest import (
     parse_records,
     record_to_obj,
 )
-from hashjack.synth import write_corpus
+from hashjack.synth import NetworkEvents, _sorted_multinomial, write_corpus
 
 
 def naive_modularity(
@@ -269,6 +269,67 @@ def synth_records(corpus) -> list:
     records, rejects = parse_records(text.getvalue())
     assert not rejects
     return records
+
+
+def serial_emit_network(tag, pro, contra, rng, config, redraws=None):
+    """synth._emit_network's reference, one actor at a time: one rng.random
+    call for an actor's within split, one per side it draws from and one
+    per redraw round. `redraws`, if given, gets each own-side draw's
+    number of redraw rounds."""
+    import numpy as np
+
+    def draw(side, k, skip):
+        pos, rounds = side.pick(rng.random(k)), 0
+        while skip is not None and skip in pos:
+            bad = pos == skip
+            pos[bad] = side.pick(rng.random(np.count_nonzero(bad)))
+            rounds += 1
+        if redraws is not None and skip is not None:
+            redraws.append(rounds)
+        return pos + side.offset
+
+    members = pro.members + contra.members
+    mix = config.mixing
+    p_within = mix.p_in / (mix.p_in + mix.p_out)
+    epm = config.activity.events_per_member
+    empty = np.zeros(0, dtype=np.int64)
+    made, authors, targets = [empty], [empty], [empty]
+    for own, other in ((pro, contra), (contra, pro)):
+        n_own, n_other = len(own.members), len(other.members)
+        if n_own == 0:
+            continue
+        budget = int(round(epm * n_own))
+        counts = _sorted_multinomial(rng, budget, n_own, config.activity.zipf_s)
+        made.append(counts)
+        authors.append(np.repeat(own.offset + np.arange(n_own), counts))
+        for gpos, cnt in enumerate(counts.tolist()):
+            if cnt == 0:
+                continue
+            if own.hijacker[gpos]:
+                tpos = rng.integers(0, n_own - 1, size=cnt)
+                tpos[tpos >= gpos] += 1
+                targets.append(tpos + own.offset)
+                continue
+            within = rng.random(cnt) < p_within
+            if n_own < 2:
+                within[:] = False
+            if n_other == 0:
+                within[:] = True
+            if n_own < 2 and n_other == 0:
+                raise SynthConfigError(f"network {tag}: no valid retweet target")
+            actor_targets = np.empty(cnt, dtype=np.int64)
+            n_within = np.count_nonzero(within)
+            if n_within:
+                actor_targets[within] = draw(own, n_within, gpos)
+            if cnt - n_within:
+                actor_targets[~within] = draw(other, cnt - n_within, None)
+            targets.append(actor_targets)
+    retweeted = np.concatenate(targets)
+    received = np.bincount(retweeted, minlength=len(members))
+    events = NetworkEvents(tag, members, np.concatenate(authors), retweeted)
+    made_tally = {members[i]: c for i, c in enumerate(np.concatenate(made).tolist()) if c}
+    recv_tally = {members[i]: c for i, c in enumerate(received.tolist()) if c}
+    return events, made_tally, recv_tally
 
 
 def planted_partition_graph(

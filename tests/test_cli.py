@@ -19,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import hashjack.pipeline
+from hashjack import synth
 from hashjack.cli import entrypoint
 from hashjack.errors import StageError
 from hashjack.graph import build_networks
@@ -142,6 +143,28 @@ class TestSynthCommand:
         assert code == 2
         assert "--out and --truth both name" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json"]
+
+    def test_write_failing_after_the_first_network_leaves_no_file(
+        self, corpus, tmp_path, monkeypatch, capsys
+    ):
+        written, real = [], synth.network_columns
+
+        def columns(events, *ticks):
+            if written:
+                # the first network's text is in the temporary file already
+                written.extend(p.stat().st_size for p in tmp_path.glob("*.tmp"))
+                raise OSError(28, "No space left on device")
+            written.append(events.tag)
+            return real(events, *ticks)
+
+        monkeypatch.setattr(synth, "network_columns", columns)
+        assert run_cli("synth", "--config", corpus["cfg"], "--out", tmp_path / "o.jsonl",
+                       "--truth", tmp_path / "truth.json") == 2
+        err = capsys.readouterr().err
+        assert "No space left on device" in err
+        assert "internal error" not in err
+        assert written[0] == "party1" and len(written) == 2 and written[1] > 0
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -561,6 +584,17 @@ BAD_SYNTH_CONFIGS += [
         (("public_hashtags", 0, "contra"), math.inf),
     ]
 ]
+# The seed and the counts given as a float, a bool or a string.
+NOT_INTEGERS = [
+    (("seed",), 1.5),
+    (("seed",), True),
+    (("seed",), "7"),
+    (("parties", 0, "partisans"), 12.7),
+    (("parties", 1, "contras"), 30.0),
+    (("public_hashtags", 0, "pro"), "200"),
+    (("public_hashtags", 0, "contra"), False),
+]
+BAD_SYNTH_CONFIGS += [synth_cfg_with(path, value) for path, value in NOT_INTEGERS]
 BAD_INPUTS += [
     (("synth", "--config", "{labels}", "--out", "{tmp}/o.jsonl"), cfg)
     for cfg in BAD_SYNTH_CONFIGS
@@ -625,6 +659,15 @@ class TestBadInputExits2:
         assert (f"error: {manifest} is not a hashjack manifest; run into a new run directory"
                 in capsys.readouterr().err)
         assert manifest.read_bytes() == data
+
+    @pytest.mark.parametrize("path, value", NOT_INTEGERS)
+    def test_synth_count_that_is_not_an_integer_is_named(self, path, value, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(synth_cfg_with(path, value)))
+        assert run_cli("synth", "--config", cfg, "--out", tmp_path / "o.jsonl") == 2
+        err = capsys.readouterr().err
+        assert f"{path[-1]} ({value!r})" in err and "must be" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     def test_hand_edited_entry_counts_as_not_run(self, tmp_path, capsys):
         """An entry whose fingerprint is not that of its own params, inputs

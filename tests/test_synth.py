@@ -3,12 +3,16 @@ import hashlib
 import io
 import json
 import math
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
+from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from _oracles import json_line, planted_partition_graph, synth_records
+from _oracles import json_line, planted_partition_graph, serial_emit_network, synth_records
 from hashjack.cli import entrypoint
 from hashjack.community import CommunityPartition
 from hashjack.errors import SynthConfigError
@@ -22,6 +26,7 @@ from hashjack.ingest import (
     split_streams,
     write_retweets,
 )
+from hashjack import synth
 from hashjack.labeling import ClusterLabeling, PartisanAssignment
 from hashjack.odds import contingency
 from hashjack.synth import (
@@ -31,6 +36,7 @@ from hashjack.synth import (
     PublicSpec,
     NetworkEvents,
     SynthConfig,
+    _Side,
     generate,
     network_columns,
     write_corpus,
@@ -58,18 +64,20 @@ PINNED_SHA256 = {
 }
 
 
+PINNED_CONFIG = {
+    "seed": 3,
+    "parties": [{"name": "afd", "partisans": 40, "contras": 15}],
+    "public_hashtags": [{"name": "tide", "pro": 60, "contra": 12}],
+    "activity": {"zipf_s": 1.1, "events_per_member": 4.0},
+    "mixing": {"p_in": 0.9, "p_out": 0.05},
+    "hijack": {"afd": {"tide": 0.2}},
+    "participation": 0.7,
+}
+
+
 def test_synth_output_bytes_pinned(tmp_path):
-    config = {
-        "seed": 3,
-        "parties": [{"name": "afd", "partisans": 40, "contras": 15}],
-        "public_hashtags": [{"name": "tide", "pro": 60, "contra": 12}],
-        "activity": {"zipf_s": 1.1, "events_per_member": 4.0},
-        "mixing": {"p_in": 0.9, "p_out": 0.05},
-        "hijack": {"afd": {"tide": 0.2}},
-        "participation": 0.7,
-    }
     cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps(config))
+    cfg.write_text(json.dumps(PINNED_CONFIG))
     assert entrypoint(["synth", "--config", str(cfg), "--out", str(tmp_path / "corpus.jsonl"),
                        "--truth", str(tmp_path / "truth.json")]) == 0
     assert entrypoint(["synth", "--config", str(cfg), "--out", str(tmp_path / "corpus.csv"),
@@ -178,6 +186,26 @@ class TestConfigValidation:
         with pytest.raises(SynthConfigError, match="malformed"):
             SynthConfig.from_dict({"seed": 1, "activity": {}})
 
+    @pytest.mark.parametrize("path,value", [
+        (("seed",), 1.5),
+        (("seed",), True),
+        (("seed",), "7"),
+        (("parties", 0, "partisans"), 12.7),
+        (("parties", 0, "contras"), 15.0),
+        (("public_hashtags", 0, "pro"), False),
+        (("public_hashtags", 0, "contra"), "12"),
+    ])
+    def test_count_fields_must_be_json_integers(self, path, value):
+        obj = json.loads(json.dumps(PINNED_CONFIG))
+        *parents, field = path
+        node = obj
+        for key in parents:
+            node = node[key]
+        node[field] = value
+        with pytest.raises(SynthConfigError, match="must be (an )?integers? >= 0") as info:
+            SynthConfig.from_dict(obj)
+        assert f"{field} ({value!r})" in str(info.value)
+
 
 class TestGenerate:
     def test_deterministic_given_seed(self):
@@ -244,6 +272,111 @@ class TestGenerate:
         _, truth = generate(cfg)
         members = set(truth.sides["tide"]["pro"]) | set(truth.sides["tide"]["contra"])
         assert not members & set(truth.partisans["afd"])
+
+
+BENCH_SEED_1 = {  # the seed-1 config of the benchmark's quarter scale
+    "seed": 1,
+    "parties": [
+        {"name": "party1", "partisans": 6000, "contras": 1250},
+        {"name": "party2", "partisans": 6000, "contras": 1250},
+    ],
+    "public_hashtags": [{"name": "agenda", "pro": 9000, "contra": 1500}],
+    "activity": {"zipf_s": 1.05, "events_per_member": 3.7, "attention_s": 2.2},
+    "mixing": {"p_in": 0.95, "p_out": 0.001},
+    "participation": 0.8,
+    "hijack": {"party1": {"agenda": 0.1}},
+}
+
+
+def emissions(config, emit):
+    """generate(config) with `emit` as its network emitter: per network the
+    events, both tallies and the rng state after it, then the truth or
+    the error."""
+    networks = []
+
+    def recorded(tag, pro, contra, rng, cfg):
+        events, made, received = emit(tag, pro, contra, rng, cfg)
+        networks.append((events.tag, events.author.tolist(), events.retweeted.tolist(),
+                         made, received, rng.bit_generator.state))
+        return events, made, received
+
+    with mock.patch.object(synth, "_emit_network", recorded):
+        try:
+            return networks, generate(config)[1].to_dict()
+        except (SynthConfigError, ValueError) as exc:
+            return networks, repr(exc)
+
+
+class TestBlockDraws:
+    """The block draws of _emit_network against the serial per-actor
+    reference: the same events and tallies, and the same rng state after
+    every network, so every later draw is the same too."""
+
+    def assert_same(self, config):
+        redraws = []
+        serial = partial(serial_emit_network, redraws=redraws)
+        assert emissions(config, synth._emit_network) == emissions(config, serial)
+        return redraws
+
+    def test_bench_seed_1_config(self):
+        assert max(self.assert_same(SynthConfig.from_dict(BENCH_SEED_1))) >= 2
+
+    @pytest.mark.parametrize("participation", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("h", [0.0, 0.2, 1.0])
+    def test_hijack_rates_and_participation(self, h, participation):
+        self.assert_same(small_config(hijack={("afd", "tide"): h}, participation=participation))
+
+    @pytest.mark.parametrize("changes", [
+        dict(mixing=MixingSpec(1.0, 0.0)),
+        dict(parties=(PartySpec("afd", 2, 2),), publics=(PublicSpec("tide", 2, 2),)),
+        dict(parties=(PartySpec("afd", 2, 2),), publics=(PublicSpec("tide", 2, 2),),
+             mixing=MixingSpec(1.0, 0.0)),
+        dict(activity=ActivitySpec(zipf_s=1.1, events_per_member=0.3)),
+    ], ids=["p_out 0 p_in 1", "two-member sides", "two-member sides p_out 0",
+            "zero-count actors"])
+    def test_edge_configs(self, changes):
+        self.assert_same(replace(small_config(hijack={("afd", "tide"): 0.2},
+                                              participation=0.7), **changes))
+
+    @pytest.mark.parametrize("zipf_s,attention_s", [(3.0, 8.0), (9.0, 3.0)])
+    def test_steep_weights_force_runs_of_redraws(self, zipf_s, attention_s):
+        config = replace(small_config(hijack={("afd", "tide"): 0.2}),
+                         activity=ActivitySpec(zipf_s, 6.0, attention_s))
+        redraws = self.assert_same(config)
+        assert max(redraws) >= 3
+        assert sum(r > 0 for r in redraws) >= 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pro=st.integers(0, 7),
+        hijacker=st.lists(st.booleans(), max_size=9),
+        s=st.sampled_from([0.5, 2.2, 8.0]),
+        epm=st.sampled_from([0.3, 1.0, 4.0, 9.0]),
+        mixing=st.sampled_from([MixingSpec(0.9, 0.05), MixingSpec(1.0, 0.0),
+                                MixingSpec(0.6, 0.4)]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(pro=3, hijacker=[True, False, False, False, True], s=8.0, epm=4.0,
+             mixing=MixingSpec(0.9, 0.05), seed=5)
+    @example(pro=0, hijacker=[True, False, True], s=2.2, epm=9.0,
+             mixing=MixingSpec(1.0, 0.0), seed=1)
+    def test_any_two_sides(self, pro, hijacker, s, epm, mixing, seed):
+        """Sides built directly, hijackers at any ranks: the first, the
+        last, runs of them, none."""
+        config = replace(small_config(), activity=ActivitySpec(1.1, epm, s), mixing=mixing)
+
+        def emit(fn):
+            rng = np.random.default_rng(seed)
+            sides = (_Side([f"tide_p{i:06d}" for i in range(pro)], [False] * pro, 0, s),
+                     _Side([f"tide_c{i:06d}" for i in range(len(hijacker))], hijacker, pro, s))
+            try:
+                events, made, received = fn("tide", *sides, rng, config)
+            except (SynthConfigError, ValueError) as exc:
+                return repr(exc)
+            return (events.author.tolist(), events.retweeted.tolist(), made, received,
+                    rng.bit_generator.state)
+
+        assert emit(synth._emit_network) == emit(serial_emit_network)
 
 
 class TestWriteCorpus:
