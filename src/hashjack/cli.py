@@ -187,7 +187,7 @@ def _run_synth(args, fmt: str, seed: int | None) -> int:
         if not ancestor.is_dir():
             raise StageError(f"{ancestor} is not a directory")
     corpus, truth = generate(config)
-    # each network's text goes to the temporary file as it is made
+    # the corpus goes to the temporary file a chunk at a time
     write_text_atomic(out, lambda sink: write_corpus(corpus, sink, fmt))
     detail = f"synth: {truth.event_count} records -> {out}"
     if args.truth:

@@ -440,6 +440,8 @@ def _side_targets(tag: str, own: _Side, other: _Side, counts: np.ndarray,
         u = take(2 * len(first))  # per actor: cnt split doubles, then cnt draws
         within = u[2 * first + rank] < p_own
         wc = np.concatenate(([0], within.cumsum()))
+        # within events before each event in its actor, and its actor's total:
+        # an actor's own-side draws come first, then its other-side draws
         wb, nw = wc[:-1] - wc[first], wc[first + size] - wc[first]
         draws = u[2 * first + size + np.where(within, wb, nw + rank - wb)]
         local, across = own.pick(draws), ~within
@@ -450,6 +452,8 @@ def _side_targets(tag: str, own: _Side, other: _Side, counts: np.ndarray,
             out.append(tgt)
             k, window = m, 2 * window
             continue
+        # the first actor that drew itself keeps its split and first own-side
+        # draws; the doubles after them are handed back
         a = int(before.searchsorted(hit.argmax(), side="right")) - 1
         s, n, g = int(before[a]), int(c[a]), int(live[k + a])
         w = within[s:s + n]
