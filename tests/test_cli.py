@@ -594,11 +594,8 @@ NOT_INTEGERS = [
     (("public_hashtags", 0, "pro"), "200"),
     (("public_hashtags", 0, "contra"), False),
 ]
-BAD_SYNTH_CONFIGS += [synth_cfg_with(path, value) for path, value in NOT_INTEGERS]
-BAD_INPUTS += [
-    (("synth", "--config", "{labels}", "--out", "{tmp}/o.jsonl"), cfg)
-    for cfg in BAD_SYNTH_CONFIGS
-]
+SYNTH_ARGV = ("synth", "--config", "{labels}", "--out", "{tmp}/o.jsonl")
+BAD_INPUTS += [(SYNTH_ARGV, cfg) for cfg in BAD_SYNTH_CONFIGS]
 # Output paths that cannot be written: a file where a directory must be,
 # or a directory where a file must be.
 BAD_INPUTS += [
@@ -621,6 +618,8 @@ BAD_INPUTS += [
      {"profiles": [{"network": "#agenda", "basis": "retweet-volume", **row}]})
     for row in BAD_COMPARE_ROWS
 ]
+# Appended last so that the cases above keep their parameter ids.
+BAD_INPUTS += [(SYNTH_ARGV, synth_cfg_with(path, value)) for path, value in NOT_INTEGERS]
 
 
 class TestBadInputExits2:
