@@ -138,6 +138,10 @@ class CorpusStats:
         }
 
 
+# _tag_set misses normalise each distinct tag once per pass; _scan clears it
+_normal_tag = functools.cache(normalize_hashtag)  # unbounded: a hit is one dict get
+
+
 @functools.lru_cache(maxsize=4096)
 def _tag_set(hashtags: tuple[str, ...]) -> frozenset[str]:
     """The normalized tags of one raw hashtag list.
@@ -146,7 +150,7 @@ def _tag_set(hashtags: tuple[str, ...]) -> frozenset[str]:
     list share one set. An invalid list raises each time: lru_cache keeps
     results, not exceptions.
     """
-    tags = frozenset(normalize_hashtag(tag) for tag in hashtags)
+    tags = frozenset(map(_normal_tag, hashtags))
     if not tags:
         raise ValueError("hashtags must be non-empty")
     return tags
@@ -305,6 +309,8 @@ def _scan(source: str | Iterable[str], fmt: str, strict: bool, rejects: list[Rej
         raise IngestError(f"source is not valid UTF-8: {exc}") from exc
     except OSError as exc:
         raise IngestError(f"unreadable source: {exc}") from exc
+    finally:
+        _normal_tag.cache_clear()
 
     total = len(seen_ids) + len(rejects)
     if total and len(rejects) * 2 > total:

@@ -53,9 +53,9 @@ from .labeling import DEFAULT_MIN_COMMUNITY_SIZE, PRO, CONTRA, OTHER, \
 from .metrics import BASIS_ACCOUNTS, BASIS_VOLUME, PolarisationProfile, \
     cluster_composition, concentration, polarisation, polarisation_shift
 from .odds import hashjack_matrix
-from .store import file_digest, json_text, load_json, obj_digest, pairs_from_npy, \
+from .store import compact_text, file_digest, json_text, load_json, obj_digest, pairs_from_npy, \
     pairs_to_npy, write_text_atomic, labeling_from_obj, labeling_to_obj, network_from_obj, \
-    network_text, partition_from_obj, partition_to_obj, registry_from_obj, registry_to_obj
+    network_to_obj, partition_from_obj, partition_to_obj, registry_from_obj, registry_to_obj
 
 STAGE_ORDER = (
     "ingest", "build", "communities", "label", "polarisation", "odds", "activity"
@@ -393,7 +393,7 @@ def _per_network_plan(params: Mapping, deps) -> list[str]:
 
 
 def _per_network(run: RunDir, manifest: Mapping, name: str, params: Mapping, make):
-    """Write one JSON artifact per network as `make(tag, opts)`.
+    """Write one artifact per network, the text `make(tag, opts)` returns.
 
     A network whose opts equal those of the previous entry, when that entry
     still counts as run, and whose file is intact keeps that file.
@@ -412,7 +412,7 @@ def _per_network(run: RunDir, manifest: Mapping, name: str, params: Mapping, mak
         ):
             outputs[rel] = prev_outputs[rel]
         else:
-            outputs[rel] = run.write(rel, json_text(make(tag, opts)))
+            outputs[rel] = run.write(rel, make(tag, opts))
     return outputs
 
 
@@ -456,12 +456,12 @@ def stage_ingest(run, input_path, tracked, fmt="jsonl", strict=False, out="store
             write_rejects(rejects, buffer)
             write("rejects.jsonl", buffer.getvalue())
         accounts, pairs = columns.index_pairs(tags)
-        write("registry.json", json_text(registry_to_obj(AccountRegistry(accounts))))
+        write("registry.json", compact_text(registry_to_obj(AccountRegistry(accounts))))
         for tag, tag_pairs in pairs.items():
             write(f"{tag}.npy", pairs_to_npy(tag_pairs))
         stats = columns.stats().to_dict()
         stats["reject_count"] = len(rejects)
-        write("stats.json", json_text(stats))
+        write("stats.json", compact_text(stats))
         manifest["tracked"] = tags
         return outputs
 
@@ -499,7 +499,7 @@ def stage_build(run, out="networks"):
         outputs = {f"{out}/registry.json": run.write(f"{out}/registry.json", registry)}
         for tag in sorted(nets):
             rel = f"{out}/{tag}.json"
-            outputs[rel] = run.write(rel, network_text(nets[tag]))
+            outputs[rel] = run.write(rel, compact_text(network_to_obj(nets[tag])))
         return outputs
 
     def plan(params, deps):
@@ -540,7 +540,7 @@ def stage_communities(run, networks=None, resolution=1.0, seed=42, out="partitio
                 )
             except EdgelessGraphError:
                 raise StageError(f"#{tag} has no retweet edges to cluster") from None
-            return partition_to_obj(partition, registry, tag)
+            return compact_text(partition_to_obj(partition, registry, tag))
 
         return _per_network(run, manifest, "communities", params, make)
 
@@ -622,7 +622,7 @@ def stage_label(run, requests: Sequence[Mapping], out="labels"):
                 labeling = manual_labeling(
                     partition, overrides, network=tag, evidence=evidence
                 )
-            return labeling_to_obj(labeling, seeds=seeds)
+            return json_text(labeling_to_obj(labeling, seeds=seeds))
 
         return _per_network(run, manifest, "label", params, make)
 

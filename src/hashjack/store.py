@@ -2,10 +2,10 @@
 
 Every writer here produces byte-identical output for equal inputs. JSON
 keys are sorted, floats go through repr, and files end with a newline.
-JSON artifacts are indented by two spaces (`json_text`), except network
-files: they are the largest artifacts, hold only ints and the hashtag, and
-are written as one compact line by json's C encoder (`network_text`),
-which `indent` would rule out. The ingest store keeps each tracked
+JSON artifacts that grow with the corpus (registry, networks, partitions,
+`stats.json`) are one compact line from json's C encoder (`compact_text`),
+which `indent` would rule out; fixed-size ones people read are indented by
+two spaces (`json_text`). Either form reads. The ingest store keeps each tracked
 hashtag's events as an (n, 2) little-endian int32 .npy array of (author,
 retweeted) registry indices, -1 for an original tweet. Artifacts reference
 accounts by string id where the file is meant to be read by people
@@ -31,6 +31,7 @@ from .ingest import normalize_hashtag
 from .labeling import ClusterLabeling
 
 JSON_KWARGS = {"sort_keys": True, "indent": 2, "ensure_ascii": False}
+COMPACT_KWARGS = {"sort_keys": True, "separators": (",", ":"), "ensure_ascii": False}
 
 
 def _finite(value):
@@ -70,13 +71,22 @@ def write_text_atomic(path: Path | str, data: str | bytes | Callable[[IO[str]], 
     return path
 
 
-def json_text(obj) -> str:
-    """The canonical JSON text of an artifact. The `_finite` walk runs only
-    when strict encoding meets a NaN or an infinity."""
+def _strict_text(obj, kwargs) -> str:
+    """Text with no NaN or Infinity token; `_finite` runs only if one is met."""
     try:
-        return json.dumps(obj, allow_nan=False, **JSON_KWARGS) + "\n"
+        return json.dumps(obj, allow_nan=False, **kwargs) + "\n"
     except ValueError:
-        return json.dumps(_finite(obj), **JSON_KWARGS) + "\n"
+        return json.dumps(_finite(obj), **kwargs) + "\n"
+
+
+def json_text(obj) -> str:
+    """The canonical text of a fixed-size artifact, indented by two spaces."""
+    return _strict_text(obj, JSON_KWARGS)
+
+
+def compact_text(obj) -> str:
+    """The canonical text of an artifact that grows with the corpus, one line."""
+    return _strict_text(obj, COMPACT_KWARGS)
 
 
 def dump_json(obj, path: Path | str) -> Path:
@@ -146,15 +156,6 @@ def network_to_obj(net: RetweetNetwork) -> dict:
         "edges": [[i, j, w] for (i, j), w in sorted(net.edges.items())],
         "original_count": net.original_count,
     }
-
-
-def network_text(net: RetweetNetwork) -> str:
-    """The file text of a network: compact JSON from json's C encoder.
-
-    The object holds only ints and the hashtag, so there is no float for
-    `_finite` to replace, and `indent` would force the pure-Python encoder.
-    """
-    return json.dumps(network_to_obj(net), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def network_from_obj(obj: Mapping) -> RetweetNetwork:

@@ -186,6 +186,18 @@ class SynthConfig:
         act = self.activity
         if act.events_per_member == 0:
             return
+        # An n-member side's rank-1 member picks itself with probability 1/H,
+        # H = sum of r ** -s over ranks 1..n, and redraws until it does not:
+        # H / (H - 1) draws per own-side target, most on the smallest side of
+        # two or more. Past rank 64, a tail H - 1 below 1e-6 gains < 1e-35.
+        joiners = sum(s.partisans for s in self.parties) if self.participation > 0 else 0
+        sizes = [n for s in self.parties for n in (s.partisans, s.contras) if n >= 2]
+        sizes += [max(n, 2) for s in self.publics for n in (s.pro, s.contra) if n + joiners >= 2]
+        tail = sum(r ** -act.target_exponent for r in range(2, min(sizes + [64]) + 1))
+        if sizes and tail * (10**6 - 1) < 1:  # H / (H - 1) > 10**6
+            raise SynthConfigError(f"attention_s {act.target_exponent!r} is too steep: the "
+                                   f"rank-1 member of a {min(sizes)}-member side would need "
+                                   "more than 10**6 draws per own-side retweet")
         lone_budget = int(round(act.events_per_member))
         cross_possible = self.mixing.p_out > 0
         for spec in self.parties:

@@ -24,8 +24,8 @@ from hashjack.cli import entrypoint
 from hashjack.errors import StageError
 from hashjack.graph import build_networks
 from hashjack.ingest import CSV_COLUMNS, CorpusStats, parse_records, split_streams
-from hashjack.store import file_digest, json_text, load_json, network_to_obj, pairs_to_npy, \
-    registry_to_obj
+from hashjack.store import compact_text, file_digest, json_text, load_json, network_to_obj, \
+    pairs_to_npy, registry_to_obj
 from _oracles import record_stats, record_store, write_csv
 
 
@@ -355,7 +355,7 @@ class TestStageChain:
         run = tmp_path / "run"
         bootstrap(run, corpus, upto="label")
         path = run / "partitions" / "agenda.json"
-        path.write_bytes(path.read_bytes().replace(b'"seed": 42', b'"seed": 43'))
+        path.write_bytes(path.read_bytes().replace(b'"seed":42', b'"seed":43'))
         capsys.readouterr()
         code = run_cli(
             "export", "--network", "agenda", "--gexf", tmp_path / "net.gexf",
@@ -620,6 +620,14 @@ BAD_INPUTS += [
 ]
 # Appended last so that the cases above keep their parameter ids.
 BAD_INPUTS += [(SYNTH_ARGV, synth_cfg_with(path, value)) for path, value in NOT_INTEGERS]
+# Two-member sides whose rank-1 member picks itself with probability
+# 1 / (1 + 2**-40): each of its own-side draws would redraw about 2**40 times.
+STEEP_ATTENTION = {
+    "seed": 1, "parties": [{"name": "party1", "partisans": 2, "contras": 2}],
+    "activity": {"zipf_s": 1.0, "events_per_member": 4, "attention_s": 40},
+    "mixing": {"p_in": 1.0, "p_out": 0.0},
+}
+BAD_INPUTS += [(SYNTH_ARGV, STEEP_ATTENTION)]
 
 
 class TestBadInputExits2:
@@ -666,6 +674,14 @@ class TestBadInputExits2:
         assert run_cli("synth", "--config", cfg, "--out", tmp_path / "o.jsonl") == 2
         err = capsys.readouterr().err
         assert f"{path[-1]} ({value!r})" in err and "must be" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    def test_synth_attention_too_steep_is_named(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(STEEP_ATTENTION))
+        assert run_cli("synth", "--config", cfg, "--out", tmp_path / "o.jsonl",
+                       "--truth", tmp_path / "truth.json") == 2
+        assert "attention_s 40.0 is too steep" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     def test_hand_edited_entry_counts_as_not_run(self, tmp_path, capsys):
@@ -851,7 +867,7 @@ class TestPerNetworkReuse:
         bootstrap(run, corpus, upto="communities")
         path = run / "partitions" / "party2.json"
         original = path.read_bytes()
-        path.write_bytes(original.replace(b'"seed": 42', b'"seed": 43'))
+        path.write_bytes(original.replace(b'"seed":42', b'"seed":43'))
         capsys.readouterr()
         assert run_cli("communities", "--resolution", "0.5", "--run-dir", run) == 0
         assert capsys.readouterr().out == "communities: 3 partitions -> partitions/\n"
@@ -1001,14 +1017,7 @@ class TestStoredEvents:
         """A run directory whose network files are in the older indented form."""
         run = tmp_path / "run"
         shutil.copytree(finished, run)
-        manifest = load_json(run / "manifest.json")
-        outputs = manifest["stages"]["build"]["outputs"]
-        for tag in TRACKED.split(","):
-            path = run / "networks" / f"{tag}.json"
-            path.write_text(json_text(load_json(path)))
-            assert path.read_text().count("\n") > 1
-            outputs[f"networks/{tag}.json"] = file_digest(path)
-        (run / "manifest.json").write_text(json_text(manifest))
+        indent_outputs(run, {"build": [f"networks/{tag}.json" for tag in TRACKED.split(",")]})
         original = tmp_path / "original.gexf"
         assert run_cli("export", "--network", "agenda", "--gexf", original,
                        "--run-dir", finished) == 0
@@ -1019,6 +1028,48 @@ class TestStoredEvents:
         again = tmp_path / "again.gexf"
         assert run_cli("export", "--network", "agenda", "--gexf", again, "--run-dir", run) == 0
         assert again.read_bytes() == original.read_bytes()
+
+    def test_indented_corpus_sized_files_still_read(self, corpus, finished, tmp_path, capsys):
+        """A run directory whose registries, partitions and stats.json are in
+        the older indented form: every stage stays up to date."""
+        run = tmp_path / "run"
+        shutil.copytree(finished, run)
+        indent_outputs(run, {
+            "ingest": ["store/registry.json", "store/stats.json"],
+            "build": ["networks/registry.json"],
+            "communities": [f"partitions/{tag}.json" for tag in TRACKED.split(",")],
+        })
+        manifest = (run / "manifest.json").read_bytes()
+        original = tmp_path / "original.gexf"
+        assert run_cli("export", "--network", "agenda", "--gexf", original,
+                       "--run-dir", finished) == 0
+        capsys.readouterr()
+        assert run_cli(
+            "pipeline", *hashjack.pipeline.STAGE_ORDER, "report", "--input", corpus["corpus"],
+            "--tracked", TRACKED, "--resolution", "0.5", "--labels", corpus["labels"],
+            "--targets", "agenda", "--run-dir", run) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:-1] == [f"{stage}: up to date" for stage in hashjack.pipeline.STAGE_ORDER]
+        assert lines[-1].startswith("report: -> ")
+        assert (run / "manifest.json").read_bytes() == manifest
+        assert (run / "report.json").read_bytes() == (finished / "report.json").read_bytes()
+        again = tmp_path / "again.gexf"
+        assert run_cli("export", "--network", "agenda", "--gexf", again, "--run-dir", run) == 0
+        assert again.read_bytes() == original.read_bytes()
+
+
+def indent_outputs(run: Path, rels: dict) -> None:
+    """Rewrite the JSON outputs `rels[stage]` of each stage in the indented
+    form of earlier versions, and record their digests in the manifest."""
+    manifest = load_json(run / "manifest.json")
+    for stage, paths in rels.items():
+        outputs = manifest["stages"][stage]["outputs"]
+        for rel in paths:
+            path = run / rel
+            path.write_text(json_text(load_json(path)))
+            assert path.read_text().count("\n") > 1
+            outputs[rel] = file_digest(path)
+    (run / "manifest.json").write_text(json_text(manifest))
 
 
 MIXED_OFFSETS = [
@@ -1091,8 +1142,8 @@ class TestColumnarIngest:
         stats = CorpusStats(**record_stats(records)).to_dict()
         stats["reject_count"] = 0
         expected = {f"{tag}.npy": pairs_to_npy(pairs[tag]) for tag in pairs}
-        expected["registry.json"] = json_text({"accounts": ids}).encode()
-        expected["stats.json"] = json_text(stats).encode()
+        expected["registry.json"] = compact_text({"accounts": ids}).encode()
+        expected["stats.json"] = compact_text(stats).encode()
         assert len(stats["per_hashtag"]) == len(records) + 3
         assert store_bytes(run) == expected
 
@@ -1292,7 +1343,7 @@ class TestArtifactIO:
         assert hashjack.pipeline.stage_polarisation(run)[0]
         path = root / "partitions" / "agenda.json"
         original = path.read_bytes()
-        path.write_bytes(original.replace(b'"seed": 42', b'"seed": 43'))
+        path.write_bytes(original.replace(b'"seed":42', b'"seed":43'))
         with pytest.raises(StageError, match="stage 'communities' are missing or modified"):
             hashjack.pipeline.stage_odds(run, ["agenda"])
         assert run_cli("odds", "--targets", "agenda", "--run-dir", root) == 2

@@ -15,7 +15,7 @@ from hashjack.graph import (
     UndirectedGraph,
 )
 from hashjack.ingest import TweetRecord
-from hashjack.store import network_text
+from hashjack.store import compact_text, network_to_obj
 
 TS = datetime(2020, 3, 1, tzinfo=timezone.utc)
 
@@ -183,4 +183,4 @@ class TestNetworkFromEvents:
             net = network_from_events("tide", given_pairs)
             assert net == expected
             assert list(net.nodes) == list(expected.nodes)
-            assert network_text(net) == network_text(expected)
+            assert compact_text(network_to_obj(net)) == compact_text(network_to_obj(expected))

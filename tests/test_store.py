@@ -13,8 +13,10 @@ from hashjack.graph import ORIGINAL, AccountRegistry, build_network, network_fro
 from hashjack.ingest import TweetRecord
 from hashjack.labeling import ClusterLabeling, PartisanAssignment
 from hashjack.store import (
+    COMPACT_KWARGS,
     JSON_KWARGS,
     _finite,
+    compact_text,
     dump_json,
     file_digest,
     json_text,
@@ -22,7 +24,6 @@ from hashjack.store import (
     labeling_to_obj,
     load_json,
     network_from_obj,
-    network_text,
     network_to_obj,
     obj_digest,
     partition_from_obj,
@@ -115,6 +116,43 @@ class TestDumpJson:
         assert obj_digest({"a": 1}) != obj_digest({"a": 2})
 
 
+FINITE_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=3)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+class TestCompactText:
+    """The one writer of artifacts that grow with the corpus."""
+
+    @given(FINITE_VALUES)
+    def test_text_is_one_compact_line(self, obj):
+        text = compact_text(obj)
+        assert text == json.dumps(
+            obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False) + "\n"
+        assert text.count("\n") == 1 and text.endswith("\n")
+
+    @given(st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+        lambda inner: st.lists(inner, max_size=3) | st.tuples(inner, inner)
+        | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+        max_leaves=12,
+    ))
+    def test_text_of_any_value_is_that_of_the_finite_walk(self, obj):
+        assert compact_text(obj) == json.dumps(_finite(obj), **COMPACT_KWARGS) + "\n"
+
+    def test_non_ascii_account_id_is_utf8(self):
+        text = compact_text(registry_to_obj(AccountRegistry(["zoë", "ü\u2028x", "北京"])))
+        assert text == '{"accounts":["zoë","ü\u2028x","北京"]}\n'
+        assert "\\u" not in text
+
+    def test_nan_becomes_null(self):
+        assert compact_text({"m": math.nan, "w": [math.inf, 1.5]}) == '{"m":null,"w":[null,1.5]}\n'
+
+
 class TestRegistryRoundTrip:
     def test_round_trip_preserves_order(self):
         reg = AccountRegistry(["zoe", "adam", "mia"])
@@ -147,7 +185,7 @@ class TestNetworkRoundTrip:
 
     def test_file_text_is_one_compact_line(self):
         reg, net = sample_network()
-        text = network_text(net)
+        text = compact_text(network_to_obj(net))
         assert text.endswith("\n") and text.count("\n") == 1
         assert json.loads(text) == network_to_obj(net)
         assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"

@@ -131,6 +131,8 @@ class TestConfigValidation:
             (dict(hijack={("ghost", "tide"): 0.1}), "unknown party"),
             (dict(hijack={("afd", "ghost"): 0.1}), "unknown hashtag"),
             (dict(hijack={("afd", "tide"): 1.0001}), "not in"),
+            (dict(activity=ActivitySpec(1.0, 4.0, attention_s=40.0)), "attention_s 40.0"),
+            (dict(activity=ActivitySpec(40.0, 4.0)), "attention_s 40.0"),
         ],
     )
     def test_bad_fields_rejected(self, patch, message):
@@ -157,6 +159,28 @@ class TestConfigValidation:
         )
         with pytest.raises(SynthConfigError, match="p_out=0"):
             cfg.validate()
+
+    @pytest.mark.parametrize("attention_s, members, ok", [
+        (19.9, 2, True), (20.0, 2, False), (20.0, 1000, False), (1e4, 2, False),
+        (40.0, 1, True),
+    ])
+    def test_attention_that_needs_over_a_million_redraws_rejected(
+            self, attention_s, members, ok):
+        """A side's rank-1 member redraws itself H / (H - 1) times per own-side
+        target, H = sum of r ** -attention_s over its ranks: 2**s + 1 for two
+        members. A one-member side never draws within itself."""
+        cfg = SynthConfig(
+            seed=0,
+            parties=(PartySpec("afd", members, members),),
+            publics=(),
+            activity=ActivitySpec(1.0, 4.0, attention_s),
+            mixing=MixingSpec(1.0, 0.5),
+        )
+        if ok:
+            cfg.validate()
+        else:
+            with pytest.raises(SynthConfigError, match=f"{members}-member side"):
+                cfg.validate()
 
     def test_hijack_without_native_contras_rejected(self):
         cfg = SynthConfig(
