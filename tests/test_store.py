@@ -56,6 +56,16 @@ def sample_network():
     return reg, net
 
 
+def json_values(floats=st.floats()):
+    """Nested values json.dumps takes: lists, tuples and string-keyed dicts."""
+    return st.recursive(
+        st.none() | st.booleans() | st.integers() | floats | st.text(max_size=3),
+        lambda inner: st.lists(inner, max_size=3) | st.tuples(inner, inner)
+        | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+        max_leaves=12,
+    )
+
+
 class TestDumpJson:
     def test_canonical_and_stable(self, tmp_path):
         p1 = tmp_path / "a.json"
@@ -89,12 +99,7 @@ class TestDumpJson:
     def test_text_is_that_of_the_finite_walk(self, obj):
         assert json_text(obj) == json.dumps(_finite(obj), **JSON_KWARGS) + "\n"
 
-    @given(st.recursive(
-        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
-        lambda inner: st.lists(inner, max_size=3) | st.tuples(inner, inner)
-        | st.dictionaries(st.text(max_size=3), inner, max_size=3),
-        max_leaves=12,
-    ))
+    @given(json_values())
     def test_text_of_any_value_is_that_of_the_finite_walk(self, obj):
         assert json_text(obj) == json.dumps(_finite(obj), **JSON_KWARGS) + "\n"
 
@@ -116,31 +121,17 @@ class TestDumpJson:
         assert obj_digest({"a": 1}) != obj_digest({"a": 2})
 
 
-FINITE_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.text(max_size=3)
-    | st.floats(allow_nan=False, allow_infinity=False),
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
-    max_leaves=12,
-)
-
-
 class TestCompactText:
     """The one writer of artifacts that grow with the corpus."""
 
-    @given(FINITE_VALUES)
+    @given(json_values(st.floats(allow_nan=False, allow_infinity=False)))
     def test_text_is_one_compact_line(self, obj):
         text = compact_text(obj)
         assert text == json.dumps(
             obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False) + "\n"
         assert text.count("\n") == 1 and text.endswith("\n")
 
-    @given(st.recursive(
-        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
-        lambda inner: st.lists(inner, max_size=3) | st.tuples(inner, inner)
-        | st.dictionaries(st.text(max_size=3), inner, max_size=3),
-        max_leaves=12,
-    ))
+    @given(json_values())
     def test_text_of_any_value_is_that_of_the_finite_walk(self, obj):
         assert compact_text(obj) == json.dumps(_finite(obj), **COMPACT_KWARGS) + "\n"
 
