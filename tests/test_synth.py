@@ -166,9 +166,9 @@ class TestConfigValidation:
     ])
     def test_attention_that_needs_over_a_million_redraws_rejected(
             self, attention_s, members, ok):
-        """A side's rank-1 member redraws itself H / (H - 1) times per own-side
-        target, H = sum of r ** -attention_s over its ranks: 2**s + 1 for two
-        members. A one-member side never draws within itself."""
+        """A side's rank-1 member draws H / (H - 1) times per own-side target,
+        H = sum of r ** -attention_s over its ranks: 2**s + 1 for two members.
+        A one-member side never draws within itself."""
         cfg = SynthConfig(
             seed=0,
             parties=(PartySpec("afd", members, members),),
@@ -180,6 +180,28 @@ class TestConfigValidation:
             cfg.validate()
         else:
             with pytest.raises(SynthConfigError, match=f"{members}-member side"):
+                cfg.validate()
+
+    @pytest.mark.parametrize("public, participation, ok", [
+        (PublicSpec("tide", 3, 3), 1.0, True),
+        (PublicSpec("tide", 1, 3), 1.0, False),  # a partisan may join the lone pro native
+        (PublicSpec("tide", 1, 3), 0.0, True),  # none joins: that side never draws within
+    ])
+    def test_smallest_side_sets_the_redraw_bound(self, public, participation, ok):
+        """Just above attention_s = log2(10**6 - 1), a two-member side needs
+        more than 10**6 draws and a three-member side does not."""
+        cfg = SynthConfig(
+            seed=0,
+            parties=(PartySpec("afd", 3, 3),),
+            publics=(public,),
+            activity=ActivitySpec(1.0, 4.0, math.log2(10**6 - 1) + 1e-4),
+            mixing=MixingSpec(1.0, 0.5),
+            participation=participation,
+        )
+        if ok:
+            cfg.validate()
+        else:
+            with pytest.raises(SynthConfigError, match="2-member side"):
                 cfg.validate()
 
     def test_hijack_without_native_contras_rejected(self):
