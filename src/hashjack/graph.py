@@ -5,6 +5,10 @@ means account i retweeted account j w times inside that hashtag's stream.
 All networks of a run share one AccountRegistry, so the same account keeps
 the same integer index across networks and cross-network membership can be
 compared index-for-index. Clustering consumes the symmetrized projection.
+
+One numpy aggregation, `network_obj`, turns stored event pairs into the
+network file's object; a RetweetNetwork's dicts are built only when a
+network is decoded (`network_from_stored`).
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .ingest import TweetRecord, normalize_hashtag
+from .ingest import TweetRecord, _distinct, normalize_hashtag
 
 
 class AccountRegistry:
@@ -91,30 +95,42 @@ def add_edges(net: RetweetNetwork, weighted: Iterable[Sequence[int]]) -> None:
         net.retweet_count += w
 
 
-def network_from_events(hashtag: str, pairs) -> RetweetNetwork:
-    """Aggregate one hashtag's (author, retweeted) registry-index pairs, an
-    (n, 2) array or a sequence of pairs.
-
-    retweeted is ORIGINAL for an original tweet, which adds its author as a
-    node but no edge. Every pair counts as one event; nothing is deduplicated.
-    Edges are counted by sorting the keys author << 32 | retweeted and go
-    to add_edges in ascending (author, retweeted) order.
+def network_obj(hashtag: str, pairs) -> dict:
+    """The stored network of a hashtag's (author, retweeted) registry-index
+    pairs, an (n, 2) array or a sequence of pairs: nodes ascending, [i, j,
+    count] edges ascending and original_count. Every pair is one event; one
+    whose retweeted is ORIGINAL adds its author as a node but no edge. Edge
+    counts are the run lengths of the sorted keys author << 32 | retweeted.
     """
     import numpy as np
 
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    net = RetweetNetwork(hashtag=hashtag)
-    # event order, author before retweeted: the set iterates as when built one add at a time
     flat = pairs.ravel()
-    net.nodes.update(flat[flat != ORIGINAL].tolist())
     retweet = pairs[:, 1] != ORIGINAL
-    net.original_count = len(pairs) - int(np.count_nonzero(retweet))
     keys = np.sort(pairs[retweet, 0] << 32 | pairs[retweet, 1])
     first = np.flatnonzero(np.diff(keys, prepend=-1))  # where each run of equal keys starts
     counts = np.diff(np.append(first, len(keys)))
     keys = keys[first]
-    add_edges(net, zip((keys >> 32).tolist(), (keys & 0xFFFFFFFF).tolist(), counts.tolist()))
+    return {
+        "hashtag": hashtag,
+        "nodes": _distinct(flat[flat != ORIGINAL]).tolist(),
+        "edges": np.stack((keys >> 32, keys & 0xFFFFFFFF, counts), axis=1).tolist(),
+        "original_count": len(pairs) - int(np.count_nonzero(retweet)),
+    }
+
+
+def network_from_stored(obj: Mapping) -> RetweetNetwork:
+    """The RetweetNetwork of a network_obj, with its per-node tallies."""
+    net = RetweetNetwork(hashtag=obj["hashtag"])
+    net.nodes.update(obj["nodes"])
+    net.original_count = obj["original_count"]
+    add_edges(net, obj["edges"])
     return net
+
+
+def network_from_events(hashtag: str, pairs) -> RetweetNetwork:
+    """The RetweetNetwork of network_obj(hashtag, pairs), as it decodes."""
+    return network_from_stored(network_obj(hashtag, pairs))
 
 
 def stream_registry(streams: Iterable[Iterable[TweetRecord]]) -> AccountRegistry:

@@ -19,9 +19,12 @@ The canonical line, json.dumps(record_to_obj(r), sort_keys=True,
 separators=(",", ":")), fills one template when no id or tag holds a
 character json.dumps escapes: per record in `write_jsonl`, per event from
 columns in `write_retweets`, which `synth` writes with. It is read back
-without the JSON decoder when no string in it holds '"', '\\' or a control
-character. Every other valid JSON line is still accepted, with the same
-reject reasons.
+without the JSON decoder by one pattern, when no string in it holds '"',
+'\\' or a control character, no id holds a character that `_BAD_ID_CHAR`
+names and the timestamp ends in 'Z'; a match then needs only the emptiness
+and self-retweet tests, the tag set and the timestamp parse. Every other
+valid JSON line is still accepted, through the decoder and the ordered
+checks, with the same reject reasons.
 """
 
 from __future__ import annotations
@@ -97,10 +100,6 @@ class TweetRecord:
     retweeted_author: str | None
     hashtags: frozenset[str]
     timestamp: datetime
-
-    @property
-    def is_retweet(self) -> bool:
-        return self.retweeted_author is not None
 
 
 @dataclass(frozen=True, slots=True)
@@ -194,19 +193,33 @@ _scan_json = json.JSONDecoder().scan_once  # the scanner json.loads runs
 
 # A character json.dumps escapes, which the canonical line's template cannot write
 _ESCAPED = re.compile(r'[^ !#-\[\]-~]')
-# The canonical line. Its strings hold no '"', '\' or control character, so
-# each is the text json.loads would decode; a tag list splits at '","'.
+# The canonical line. Its strings (S) hold no '"', '\' or control character,
+# so each is the text json.loads would decode, and a tag list splits at
+# '","'. Its ids (I) also hold no character that _BAD_ID_CHAR names, and its
+# timestamp ends in 'Z'.
 _CANONICAL_LINE = re.compile(
-    r'\{"author":"(S)","hashtags":\[(?:"(S(?:","S)*)")?\](?:,"retweeted_author":"(S)")?'
-    r',"timestamp":"(S)","tweet_id":"(S)"\}'.replace("S", r'[^"\\\x00-\x1f]*'))
+    r'\{"author":"(I)","hashtags":\[(?:"(S(?:","S)*)")?\](?:,"retweeted_author":"(I)")?'
+    r',"timestamp":"(S)Z","tweet_id":"(I)"\}'
+    .replace("I", r'[^"\\\x00-\x1f\ud800-\udfff\ufffe\uffff]*')
+    .replace("S", r'[^"\\\x00-\x1f]*'))
 
 
 def _check_jsonl_line(line: str):
     canonical = _CANONICAL_LINE.fullmatch(line)
-    obj = None
     if canonical is not None:
+        # The pattern checked the shape and the id characters. A line failing
+        # a test here takes the ordered checks, the one source of reject reasons.
         author, hashtags, retweeted, timestamp, tweet_id = canonical.groups()
-        hashtags = [] if hashtags is None else hashtags.split('","')
+        if tweet_id and author and retweeted not in ("", author):
+            try:
+                tags = _tag_set(() if hashtags is None else tuple(hashtags.split('","')))
+                moment = datetime.fromisoformat(timestamp + "+00:00")
+            except ValueError:
+                pass
+            else:
+                if moment.tzinfo is not None:  # a date alone parses without one
+                    return tweet_id, author, retweeted, tags, moment
+        obj = json.loads(line)
     else:
         # A stripped line that holds exactly one JSON value decodes as
         # json.loads decodes it, without its Python-level wrappers; any other
@@ -217,30 +230,6 @@ def _check_jsonl_line(line: str):
             end = -1
         if end != len(line):
             obj = json.loads(line)
-        tweet_id = None  # fails the clean test below unless obj has its fields
-        if type(obj) is dict and obj.keys() <= _FIELDS:
-            get = obj.get
-            tweet_id, author, retweeted = get("tweet_id"), get("author"), get("retweeted_author")
-            hashtags, timestamp = get("hashtags"), get("timestamp")
-    # A clean line passes one test; any other line takes the ordered checks
-    # below, the one source of reject reasons. A tag that is not a string
-    # fails in _tag_set (AttributeError, or TypeError when unhashable).
-    if (type(tweet_id) is str and tweet_id and type(author) is str and author
-            and (retweeted is None or type(retweeted) is str and retweeted
-                 and retweeted != author)
-            and not _BAD_ID_CHAR.search(tweet_id + author + (retweeted or ""))
-            and type(hashtags) is list and type(timestamp) is str
-            and timestamp[-1:] == "Z"):
-        try:
-            tags = _tag_set(tuple(hashtags))
-            moment = datetime.fromisoformat(timestamp[:-1] + "+00:00")
-        except (ValueError, AttributeError, TypeError):
-            pass
-        else:
-            if moment.tzinfo is not None:  # a date alone parses without one
-                return tweet_id, author, retweeted, tags, moment
-    if obj is None:  # not decoded yet: a canonical line that failed the test
-        obj = json.loads(line)
     if not isinstance(obj, dict):
         raise ValueError("line is not a JSON object")
     if not _FIELDS.issuperset(obj):

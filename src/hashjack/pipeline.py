@@ -46,7 +46,7 @@ from typing import Mapping, Sequence
 from .community import louvain
 from .errors import EdgelessGraphError, LabelingError, StageError, RunLockError
 from .gexf import gexf_document
-from .graph import AccountRegistry, network_from_events, undirected_projection
+from .graph import AccountRegistry, network_obj, undirected_projection
 from .ingest import normalize_hashtag, read_columns, write_rejects
 from .labeling import DEFAULT_MIN_COMMUNITY_SIZE, PRO, CONTRA, OTHER, \
     apply_overrides, label_by_seeds, manual_labeling, partisans, top_retweeted
@@ -55,7 +55,7 @@ from .metrics import BASIS_ACCOUNTS, BASIS_VOLUME, PolarisationProfile, \
 from .odds import hashjack_matrix
 from .store import compact_text, file_digest, json_text, load_json, obj_digest, pairs_from_npy, \
     pairs_to_npy, write_text_atomic, labeling_from_obj, labeling_to_obj, network_from_obj, \
-    network_to_obj, partition_from_obj, partition_to_obj, registry_from_obj, registry_to_obj
+    partition_from_obj, partition_to_obj, registry_from_obj, registry_to_obj
 
 STAGE_ORDER = (
     "ingest", "build", "communities", "label", "polarisation", "odds", "activity"
@@ -491,7 +491,7 @@ def stage_build(run, out="networks"):
         for tag in ingest_entry["params"]["tracked"]:
             pairs = run.read("ingest", ingest_entry, f"{store}/{tag}.npy", pairs_from_npy)
             if len(pairs):
-                nets[tag] = network_from_events(tag, pairs)
+                nets[tag] = network_obj(tag, pairs)
         if not nets:
             raise StageError("no tracked hashtag appears in the corpus")
         # The registry is copied byte for byte: build never needs it decoded.
@@ -499,7 +499,7 @@ def stage_build(run, out="networks"):
         outputs = {f"{out}/registry.json": run.write(f"{out}/registry.json", registry)}
         for tag in sorted(nets):
             rel = f"{out}/{tag}.json"
-            outputs[rel] = run.write(rel, compact_text(network_to_obj(nets[tag])))
+            outputs[rel] = run.write(rel, compact_text(nets[tag]))
         return outputs
 
     def plan(params, deps):

@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import IO, Callable, Mapping, Sequence
 
 from .community import CommunityPartition
-from .graph import AccountRegistry, RetweetNetwork, add_edges
+from .graph import AccountRegistry, RetweetNetwork, network_from_stored
 from .ingest import normalize_hashtag
 from .labeling import ClusterLabeling
 
@@ -144,26 +144,10 @@ def registry_from_obj(obj: Mapping) -> AccountRegistry:
 
 # -- retweet networks ---------------------------------------------------
 
-def network_to_obj(net: RetweetNetwork) -> dict:
-    """Nodes and weighted edges by registry index, plus event counters.
-
-    Per-node tallies are derivable from the edge list and are rebuilt on
-    load instead of being stored.
-    """
-    return {
-        "hashtag": net.hashtag,
-        "nodes": sorted(net.nodes),
-        "edges": [[i, j, w] for (i, j), w in sorted(net.edges.items())],
-        "original_count": net.original_count,
-    }
-
-
 def network_from_obj(obj: Mapping) -> RetweetNetwork:
-    net = RetweetNetwork(hashtag=obj["hashtag"])
-    net.nodes.update(obj["nodes"])
-    net.original_count = obj["original_count"]
-    add_edges(net, obj["edges"])
-    return net
+    """The network of a decoded network file (`graph.network_obj` form); its
+    per-node tallies are not stored but rebuilt from the edge list."""
+    return network_from_stored(obj)
 
 
 # -- community partitions -----------------------------------------------

@@ -155,6 +155,18 @@ def record_store(records: Sequence, tracked: Iterable[str]) -> tuple[list[str], 
     return ids, pairs
 
 
+def network_to_obj(net: RetweetNetwork) -> dict:
+    """The network file's object from a RetweetNetwork's dicts: nodes and
+    weighted edges by registry index, sorted, plus original_count. What
+    graph.network_obj gives from the network's events."""
+    return {
+        "hashtag": net.hashtag,
+        "nodes": sorted(net.nodes),
+        "edges": [[i, j, w] for (i, j), w in sorted(net.edges.items())],
+        "original_count": net.original_count,
+    }
+
+
 def dict_network_from_events(hashtag: str, pairs: Sequence[Sequence[int]]) -> RetweetNetwork:
     """network_from_events as a loop over Python (author, retweeted) pairs,
     one event at a time, with the edges added in event order."""

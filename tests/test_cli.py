@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import fcntl
+import gc
 import io
 import json
 import math
@@ -18,15 +19,16 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import hashjack.cli
 import hashjack.pipeline
 from hashjack import synth
 from hashjack.cli import entrypoint
 from hashjack.errors import StageError
 from hashjack.graph import build_networks
 from hashjack.ingest import CSV_COLUMNS, CorpusStats, parse_records, split_streams
-from hashjack.store import compact_text, file_digest, json_text, load_json, network_to_obj, \
-    pairs_to_npy, registry_to_obj
-from _oracles import record_stats, record_store, write_csv
+from hashjack.store import compact_text, file_digest, json_text, load_json, pairs_to_npy, \
+    registry_to_obj
+from _oracles import network_to_obj, record_stats, record_store, write_csv
 
 
 GEXF_NS = "{http://www.gexf.net/1.2draft}"
@@ -924,6 +926,41 @@ class TestPipelineDispatch:
         assert f"needs {flag}" in err and "internal error" not in err
 
 
+class TestCollectorState:
+    """A command runs with the cyclic collector off, and the collector is
+    left as the caller had it, whatever the exit code."""
+
+    @pytest.fixture
+    def gc_state(self):
+        restore = gc.enable if gc.isenabled() else gc.disable
+        yield
+        restore()
+
+    def argv(self, code, tmp_path, monkeypatch):
+        if code == 1:
+            def broken(argv):
+                assert not gc.isenabled()
+                raise RuntimeError("boom")
+
+            monkeypatch.setattr(hashjack.cli, "main", broken)
+        corpus = tmp_path / "one.jsonl"
+        corpus.write_text(json.dumps({"tweet_id": "t1", "author": "a", "hashtags": ["#x"],
+                                      "timestamp": "2020-05-01T12:00:00Z"}) + "\n")
+        missing = tmp_path / "missing.jsonl"
+        return ["ingest", str(corpus if code == 0 else missing), "--tracked", "x",
+                "--run-dir", str(tmp_path / "run")]
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("code", [0, 2, 1])
+    def test_state_is_restored(self, code, enabled, gc_state, tmp_path, monkeypatch, capsys):
+        argv = self.argv(code, tmp_path, monkeypatch)
+        (gc.enable if enabled else gc.disable)()
+        assert entrypoint(argv) == code
+        assert gc.isenabled() is enabled
+        if code == 1:
+            assert "internal error: RuntimeError: boom" in capsys.readouterr().err
+
+
 EVENTS = [
     # tweet_id, author, retweeted_author, hashtags
     ("t1", "alice", "bob", ["#a", "#b"]),
@@ -1465,7 +1502,7 @@ def assert_exports_accounts(source: Path, fmt: str, run: Path) -> None:
         root = ET.parse(gexf).getroot()
         exported = [n.get("id") for n in root.iter(f"{GEXF_NS}node")]
         accounts = {r.author for r in stream}
-        accounts |= {r.retweeted_author for r in stream if r.is_retweet}
+        accounts |= {r.retweeted_author for r in stream if r.retweeted_author is not None}
         assert exported == sorted(accounts)
 
 

@@ -4,18 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from _oracles import dict_network_from_events
+from _oracles import dict_network_from_events, network_to_obj
 from hashjack.graph import (
     ORIGINAL,
     AccountRegistry,
     build_network,
     build_networks,
     network_from_events,
+    network_obj,
     undirected_projection,
     UndirectedGraph,
 )
 from hashjack.ingest import TweetRecord
-from hashjack.store import compact_text, network_to_obj
+from hashjack.store import compact_text, network_from_obj
 
 TS = datetime(2020, 3, 1, tzinfo=timezone.utc)
 
@@ -171,7 +172,8 @@ def event_pair_lists(draw):
 
 class TestNetworkFromEvents:
     """The sorted numpy tally equals a loop over the events, for the stored
-    (n, 2) int32 array and for a list of pairs."""
+    (n, 2) int32 array and for a list of pairs, as the file object and as
+    the decoded network."""
 
     @given(event_pair_lists())
     @example([])
@@ -182,5 +184,7 @@ class TestNetworkFromEvents:
         for given_pairs in (pairs, np.array(pairs, dtype="<i4").reshape(-1, 2)):
             net = network_from_events("tide", given_pairs)
             assert net == expected
-            assert list(net.nodes) == list(expected.nodes)
-            assert compact_text(network_to_obj(net)) == compact_text(network_to_obj(expected))
+            obj = network_obj("tide", given_pairs)
+            assert compact_text(obj) == compact_text(network_to_obj(expected))
+            # an in-memory network iterates its nodes as its file decodes
+            assert list(net.nodes) == list(network_from_obj(network_to_obj(expected)).nodes)

@@ -77,12 +77,10 @@ class TestParseJsonl:
         assert records[0].author == "alice"
         assert records[0].retweeted_author == "bob"
         assert records[0].hashtags == frozenset({"afd"})
-        assert records[0].is_retweet
 
     def test_original_tweet_has_no_retweeted_author(self):
         records, _ = parse_records(jl(retweeted_author=None))
         assert records[0].retweeted_author is None
-        assert not records[0].is_retweet
 
     @pytest.mark.parametrize(
         "line",
@@ -389,7 +387,7 @@ REASON_LINES = [
     jl(tweet_id="t8", retweeted_author="alice"),
     jl(tweet_id="t9\x01"),
     jl(tweet_id="t10", author="a\ud800"),
-    jl(tweet_id="t11", retweeted_author="b￾"),
+    jl(tweet_id="t11", retweeted_author="b\ufffe"),
     jl(tweet_id="t12", hashtags=["bad tag"]),
     jl(tweet_id="t13", hashtags=[]),
     jl(tweet_id="t14", timestamp=5),
@@ -702,3 +700,101 @@ class TestLineCheck:
     def test_any_timestamp_text(self, stamp):
         line = jl(timestamp=stamp)
         assert check_outcome(_check_jsonl_line, line) == check_outcome(ordered_jsonl_check, line)
+
+
+
+def canonical(tweet_id, author="alice", retweeted="bob", tags=("#afd",),
+              stamp="2020-03-01T12:00:00Z"):
+    """A line in the canonical layout; its strings are written as given."""
+    retweet = "" if retweeted is None else f',"retweeted_author":"{retweeted}"'
+    tag_list = ",".join(f'"{t}"' for t in tags)
+    return (f'{{"author":"{author}","hashtags":[{tag_list}]{retweet},'
+            f'"timestamp":"{stamp}","tweet_id":"{tweet_id}"}}')
+
+
+# Canonical lines that the line pattern or its tests refuse; each must get
+# the reject reason and line number the ordered checks give.
+PATTERN_EDGE_LINES = [
+    canonical("t1"),
+    canonical(""),
+    canonical("t2", author=""),
+    canonical("t3", retweeted=""),
+    canonical("t4\ufffe"),
+    canonical("t5", author="alice\ufffe"),
+    canonical("t6", retweeted="\ufffebob"),
+    canonical("t7\uffff"),
+    canonical("t8", author="al\uffffice"),
+    canonical("t9", retweeted="\uffff"),
+    canonical("t10", retweeted="alice"),
+    canonical("t1", author="carol"),
+    canonical("t11", tags=("#afd", "#not a tag")),
+    canonical("t12", tags=()),
+    canonical("t13", retweeted=None),
+]
+BAD_CHAR = "{} holds a control character, lone surrogate or noncharacter"
+PATTERN_EDGE_REJECTS = [
+    (2, "tweet_id must be a non-empty string"),
+    (3, "author must be a non-empty string"),
+    (4, "retweeted_author must be a non-empty string when present"),
+    (5, BAD_CHAR.format("tweet_id")),
+    (6, BAD_CHAR.format("author")),
+    (7, BAD_CHAR.format("retweeted_author")),
+    (8, BAD_CHAR.format("tweet_id")),
+    (9, BAD_CHAR.format("author")),
+    (10, BAD_CHAR.format("retweeted_author")),
+    (11, "self-retweet"),
+    (12, "duplicate tweet_id: t1"),
+    (13, "invalid hashtag: 'not a tag'"),
+    (14, "hashtags must be non-empty"),
+]
+# Valid lines the pattern does not take: each is decoded and checked in order
+OFF_PATTERN_LINES = [
+    canonical("t1", stamp="2020-03-01T12:00:00z"),
+    canonical("t2", stamp="2020-03-01T14:00:00+02:00"),
+    canonical("t3", stamp="2020-03-01T07:00:00.500000-05:00"),
+    json.dumps({"tweet_id": "t4", "timestamp": "2020-03-01T12:00:00Z", "author": "carol",
+                "hashtags": ["#x"], "retweeted_author": "bob"}, separators=(",", ":")),
+    json.dumps({"author": "carol", "hashtags": ["#afd", "#x"], "retweeted_author": "bob",
+                "timestamp": "2020-03-01T12:00:00Z", "tweet_id": "t5"}, sort_keys=True),
+    canonical("t6", author="\\u00e4lice", tags=("#\\u0041fd",)),
+    canonical("t7", retweeted='b\\"o\\\\b'),
+    canonical("t8", author="al\\u00efce", retweeted=None, tags=("#AfD",)),
+]
+
+
+class TestLinePatternEdge:
+    """Lines at the edge of the canonical-line pattern get the reasons,
+    line numbers and fields that the ordered checks give."""
+
+    def test_refused_lines_get_the_ordered_reasons(self):
+        matched = [_CANONICAL_LINE.fullmatch(line) is not None for line in PATTERN_EDGE_LINES]
+        assert matched == [True] * 4 + [False] * 6 + [True] * 5
+        source = "\n".join(PATTERN_EDGE_LINES)
+        records, rejects = parse_records(source)
+        columns, column_rejects = read_columns(source)
+        assert [(r.line, r.reason) for r in rejects] == PATTERN_EDGE_REJECTS
+        assert column_rejects == rejects
+        assert [r.raw for r in rejects] == [PATTERN_EDGE_LINES[r.line - 1] for r in rejects]
+        assert [r.tweet_id for r in records] == ["t1", "t13"]
+        assert vars(columns) == vars(EventColumns.from_records(records))
+        for lineno, reason in PATTERN_EDGE_REJECTS:
+            if not reason.startswith("duplicate"):
+                line = PATTERN_EDGE_LINES[lineno - 1]
+                assert check_outcome(_check_jsonl_line, line)[1] == reason
+                assert check_outcome(ordered_jsonl_check, line)[1] == reason
+
+    def test_off_pattern_lines_give_the_same_columns(self):
+        assert not any(_CANONICAL_LINE.fullmatch(line) for line in OFF_PATTERN_LINES)
+        source = "\n".join(OFF_PATTERN_LINES)
+        fields = [ordered_jsonl_check(line) for line in OFF_PATTERN_LINES]
+        records, rejects = parse_records(source)
+        columns, column_rejects = read_columns(source)
+        assert rejects == column_rejects == []
+        assert records == [TweetRecord(*f) for f in fields]
+        assert vars(columns) == vars(EventColumns(fields))
+        assert vars(columns) == vars(EventColumns.from_records(records))
+        assert [r.timestamp for r in records[:3]] == [
+            utc(2020, 3, 1, 12), utc(2020, 3, 1, 12), utc(2020, 3, 1, 12, 0, 0, 500000)]
+        assert [r.author for r in records[5:]] == ["älice", "alice", "alïce"]
+        assert records[5].hashtags == records[7].hashtags == frozenset({"afd"})
+        assert records[6].retweeted_author == 'b"o\\b'

@@ -7,9 +7,11 @@ from datetime import datetime, timezone
 import pytest
 from hypothesis import given, strategies as st
 
+from _oracles import dict_network_from_events, network_to_obj
 from hashjack.community import CommunityPartition
 from hashjack.gexf import gexf_document
-from hashjack.graph import ORIGINAL, AccountRegistry, build_network, network_from_events
+from hashjack.graph import ORIGINAL, AccountRegistry, build_network, network_from_events, \
+    network_obj
 from hashjack.ingest import TweetRecord
 from hashjack.labeling import ClusterLabeling, PartisanAssignment
 from hashjack.store import (
@@ -24,7 +26,6 @@ from hashjack.store import (
     labeling_to_obj,
     load_json,
     network_from_obj,
-    network_to_obj,
     obj_digest,
     partition_from_obj,
     partition_to_obj,
@@ -173,6 +174,16 @@ class TestNetworkRoundTrip:
         assert obj["nodes"] == sorted(obj["nodes"])
         assert obj["edges"] == sorted(obj["edges"])
         assert all(len(edge) == 3 for edge in obj["edges"])
+
+    def test_build_obj_is_the_encoded_network(self):
+        """What build encodes, graph.network_obj of the events, is the
+        network's object from its dicts, and it decodes to that network."""
+        pairs = [(0, 1), (2, 1), (0, 1), (3, ORIGINAL), (1, 0), (2, 1), (0, 1)]
+        expected = dict_network_from_events("tide", pairs)
+        obj = network_obj("tide", pairs)
+        assert compact_text(obj) == compact_text(network_to_obj(expected))
+        assert obj["edges"] == [[0, 1, 3], [1, 0, 1], [2, 1, 2]]
+        assert network_from_obj(obj) == expected
 
     def test_file_text_is_one_compact_line(self):
         reg, net = sample_network()
