@@ -296,7 +296,7 @@ def main(argv=None) -> int:
 def entrypoint(argv=None) -> int:
     # A command frees no cycle it needs freed before it ends, so the cyclic
     # collector's passes over its many containers are pure cost: off for the
-    # call, then back as the caller (a test, an in-process driver) had it.
+    # call, then back as the caller (a test, the bench shim) had it.
     enabled = gc.isenabled()
     gc.disable()
     try:
