@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import pipeline as pl
 from .errors import HashjackError, StageError
-from .store import dump_json, load_json, write_text_atomic
+from .store import compact_text, load_json, write_text_atomic
 from .synth import SynthConfig, generate, write_corpus
 
 DEFAULT_SEED = 42
@@ -193,7 +193,7 @@ def _run_synth(args, fmt: str, seed: int | None) -> int:
     detail = f"synth: {truth.event_count} records -> {out}"
     if args.truth:
         try:
-            dump_json(truth.to_dict(), args.truth)
+            write_text_atomic(args.truth, compact_text(truth.to_dict()))
         except OSError:
             # a failed synth leaves neither file, even where --out held an
             # older corpus that the write above replaced

@@ -13,8 +13,8 @@ is shuffled by a seeded PRNG per level, ties between equally good candidate
 communities go to the lowest id, and a move is only accepted on strict
 improvement (delta Q > 1e-12).
 
-Both phases and `modularity` work on the graph's compact form
-(`UndirectedGraph.compact`), and `_quality` is the one Q formula: the
+Both phases and `modularity` take the CompactGraph of
+`graph.undirected_projection`, and `_quality` is the one Q formula: the
 singleton modularity of the aggregate graph of a partition.
 
 References
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import EdgelessGraphError
-from .graph import UndirectedGraph
+from .graph import CompactGraph
 
 # A move must beat staying put by more than this (in modularity units).
 MIN_GAIN = 1e-12
@@ -69,12 +69,12 @@ class CommunityPartition:
 
 
 def modularity(
-    graph: UndirectedGraph, assignment: Mapping[int, int], resolution: float = 1.0
+    graph: CompactGraph, assignment: Mapping[int, int], resolution: float = 1.0
 ) -> float:
     """Weighted modularity of a partition; raises on an edgeless graph."""
     if resolution <= 0:
         raise ValueError("resolution must be positive")
-    m = graph.total_weight()
+    m = _total_weight(graph)
     if m <= 0:
         raise EdgelessGraphError("modularity is undefined on an edgeless graph")
     # _quality sums communities in index order; indexing them by first
@@ -84,14 +84,18 @@ def modularity(
         if node not in assignment:
             raise ValueError(f"node {node} has no community assignment")
         relabel.setdefault(assignment[node], len(relabel))
-    node_ids, adj, selfw = graph.compact()
-    comm = [assignment[node] for node in node_ids]
-    return _quality(*_aggregate(adj, selfw, comm, relabel), m, resolution)
+    comm = [assignment[node] for node in graph.nodes]
+    return _quality(*_aggregate(graph.adj, graph.selfw, comm, relabel), m, resolution)
 
 
 def _strengths(adj: list[list[tuple[int, float]]], selfw: list[float]) -> list[float]:
     """Weighted degree of each compact node; a self-loop counts twice."""
     return [sum(w for _, w in row) + 2.0 * s for row, s in zip(adj, selfw)]
+
+
+def _total_weight(graph: CompactGraph) -> float:
+    """m, the total edge weight: half the strength sum, in node order."""
+    return sum(_strengths(graph.adj, graph.selfw)) / 2.0
 
 
 def _quality(
@@ -197,22 +201,22 @@ def _aggregate(
 
 
 def louvain(
-    graph: UndirectedGraph, resolution: float = 1.0, seed: int = 42
+    graph: CompactGraph, resolution: float = 1.0, seed: int = 42
 ) -> CommunityPartition:
     """Greedy modularity clustering, deterministic given (graph, resolution, seed).
 
-    Nodes are compacted in ascending node-id order before the seeded level
+    The graph's nodes are in ascending id order before the seeded level
     shuffle, so the result depends only on the graph's structure and ids,
     not on construction order.
     """
     if resolution <= 0:
         raise ValueError("resolution must be positive")
-    m = graph.total_weight()
+    m = _total_weight(graph)
     if m <= 0:
         raise EdgelessGraphError("community detection needs at least one edge")
-    node_ids, adj, selfw = graph.compact()
+    _, adj, selfw = graph
     rng = random.Random(seed)
-    membership = list(range(len(node_ids)))  # original compact node -> level node
+    membership = list(range(len(adj)))  # original compact node -> level node
     level_q: list[float] = []
     while True:
         comm, moved = _local_move(adj, selfw, m, resolution, rng)
@@ -223,7 +227,7 @@ def louvain(
         adj, selfw = _aggregate(adj, selfw, comm, relabel)
         level_q.append(_quality(adj, selfw, m, resolution))
 
-    assignment = dict(zip(node_ids, membership))
+    assignment = dict(zip(graph.nodes, membership))
     return CommunityPartition(
         assignment=assignment,
         modularity=modularity(graph, assignment, resolution),

@@ -4,7 +4,9 @@ One directed multigraph per tracked hashtag: an edge (i, j) with weight w
 means account i retweeted account j w times inside that hashtag's stream.
 All networks of a run share one AccountRegistry, so the same account keeps
 the same integer index across networks and cross-network membership can be
-compared index-for-index. Clustering consumes the symmetrized projection.
+compared index-for-index. Clustering consumes the symmetrized projection,
+`undirected_projection`, which gives the one form Louvain and modularity
+run on: a CompactGraph of sorted node ids and position rows.
 
 One numpy aggregation, `network_obj`, turns stored event pairs into the
 network file's object; a RetweetNetwork's dicts are built only when a
@@ -14,7 +16,8 @@ network is decoded (`network_from_stored`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from itertools import chain
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .ingest import TweetRecord, _distinct, normalize_hashtag
 
@@ -192,77 +195,37 @@ def build_networks(
     return nets, registry
 
 
-class UndirectedGraph:
-    """Symmetric weighted graph with optional self-loops.
+class CompactGraph(NamedTuple):
+    """The one graph form Louvain and modularity take: node ids ascending,
+    one row of (position, weight) pairs per node sorted by position, and
+    each node's self-loop weight, which counts twice toward its strength.
+    Every caller shares the lists and must not change them."""
 
-    Self-loop weight is stored once per node and counts twice toward the
-    node's strength, following the usual modularity convention.
+    nodes: list[int]
+    adj: list[list[tuple[int, float]]]
+    selfw: list[float]
+
+
+def undirected_projection(net: RetweetNetwork) -> CompactGraph:
+    """Symmetrize a directed network: weight'(i,j) = w(i,j) + w(j,i).
+
+    Each edge enters the keys pos_i << 32 | pos_j from both ends; each
+    distinct key, in sorted order, is one row entry with its summed weight.
+    Every edge endpoint must be one of net.nodes.
     """
+    import numpy as np
 
-    def __init__(self):
-        self._adj: dict[int, dict[int, float]] = {}
-        self._self: dict[int, float] = {}
-        self._compact = None
-
-    def add_node(self, node: int) -> None:
-        self._compact = None
-        self._adj.setdefault(node, {})
-
-    def add_edge(self, i: int, j: int, weight: float = 1.0) -> None:
-        self._compact = None
-        if i == j:
-            self._adj.setdefault(i, {})
-            self._self[i] = self._self.get(i, 0.0) + weight
-            return
-        row_i = self._adj.setdefault(i, {})
-        row_j = self._adj.setdefault(j, {})
-        row_i[j] = row_i.get(j, 0.0) + weight
-        row_j[i] = row_j.get(i, 0.0) + weight
-
-    @property
-    def nodes(self) -> list[int]:
-        return list(self._adj)
-
-    def compact(self) -> tuple[list[int], list[list[tuple[int, float]]], list[float]]:
-        """(node ids ascending, (position, weight) rows sorted by position,
-        self-loop weights), kept until the next add_node or add_edge.
-
-        Every caller shares the lists and must not change them.
-        """
-        if self._compact is None:
-            node_ids = sorted(self._adj)
-            pos = {node: i for i, node in enumerate(node_ids)}
-            self._compact = (
-                node_ids,
-                [sorted((pos[u], w) for u, w in self._adj[node].items()) for node in node_ids],
-                [self._self.get(node, 0.0) for node in node_ids],
-            )
-        return self._compact
-
-    def neighbors(self, node: int) -> dict[int, float]:
-        return self._adj[node]
-
-    def self_loop(self, node: int) -> float:
-        return self._self.get(node, 0.0)
-
-    def strength(self, node: int) -> float:
-        return sum(self._adj[node].values()) + 2.0 * self._self.get(node, 0.0)
-
-    def edge_weight(self, i: int, j: int) -> float:
-        if i == j:
-            return self._self.get(i, 0.0)
-        return self._adj.get(i, {}).get(j, 0.0)
-
-    def total_weight(self) -> float:
-        half = sum(w for row in self._adj.values() for w in row.values())
-        return half / 2.0 + sum(self._self.values())
-
-
-def undirected_projection(net: RetweetNetwork) -> UndirectedGraph:
-    """Symmetrize a directed network: weight'(i,j) = w(i,j) + w(j,i)."""
-    graph = UndirectedGraph()
-    for node in net.nodes:
-        graph.add_node(node)
-    for (i, j), w in net.edges.items():
-        graph.add_edge(i, j, float(w))
-    return graph
+    nodes = np.sort(np.fromiter(net.nodes, dtype=np.int64, count=len(net.nodes)))
+    ends = np.fromiter(chain.from_iterable(net.edges), dtype=np.int64, count=2 * len(net.edges))
+    pos = np.searchsorted(nodes, ends).reshape(-1, 2)
+    weights = np.fromiter(net.edges.values(), dtype=np.float64, count=len(net.edges))
+    loop = pos[:, 0] == pos[:, 1]
+    selfw = np.zeros(len(nodes))
+    selfw[pos[loop, 0]] = weights[loop]  # a node has at most one self-edge
+    i, j, w = pos[~loop, 0], pos[~loop, 1], weights[~loop]
+    keys, run = np.unique(np.concatenate((i << 32 | j, j << 32 | i)), return_inverse=True)
+    sums = np.bincount(run, np.concatenate((w, w)), minlength=len(keys))
+    bounds = np.searchsorted(keys >> 32, np.arange(len(nodes) + 1)).tolist()
+    entries = list(zip((keys & 0xFFFFFFFF).tolist(), sums.tolist()))
+    rows = [entries[a:b] for a, b in zip(bounds, bounds[1:])]
+    return CompactGraph(nodes.tolist(), rows, selfw.tolist())

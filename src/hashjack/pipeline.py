@@ -46,7 +46,7 @@ from typing import Mapping, Sequence
 from .community import louvain
 from .errors import EdgelessGraphError, LabelingError, StageError, RunLockError
 from .gexf import gexf_document
-from .graph import AccountRegistry, network_obj, undirected_projection
+from .graph import network_obj, undirected_projection
 from .ingest import normalize_hashtag, read_columns, write_rejects
 from .labeling import DEFAULT_MIN_COMMUNITY_SIZE, PRO, CONTRA, OTHER, \
     apply_overrides, label_by_seeds, manual_labeling, partisans, top_retweeted
@@ -55,7 +55,7 @@ from .metrics import BASIS_ACCOUNTS, BASIS_VOLUME, PolarisationProfile, \
 from .odds import hashjack_matrix
 from .store import compact_text, file_digest, json_text, load_json, obj_digest, pairs_from_npy, \
     pairs_to_npy, write_text_atomic, labeling_from_obj, labeling_to_obj, network_from_obj, \
-    partition_from_obj, partition_to_obj, registry_from_obj, registry_to_obj
+    partition_from_obj, partition_to_obj, registry_from_obj
 
 STAGE_ORDER = (
     "ingest", "build", "communities", "label", "polarisation", "odds", "activity"
@@ -456,7 +456,7 @@ def stage_ingest(run, input_path, tracked, fmt="jsonl", strict=False, out="store
             write_rejects(rejects, buffer)
             write("rejects.jsonl", buffer.getvalue())
         accounts, pairs = columns.index_pairs(tags)
-        write("registry.json", compact_text(registry_to_obj(AccountRegistry(accounts))))
+        write("registry.json", compact_text({"accounts": accounts}))
         for tag, tag_pairs in pairs.items():
             write(f"{tag}.npy", pairs_to_npy(tag_pairs))
         stats = columns.stats().to_dict()

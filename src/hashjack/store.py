@@ -134,10 +134,6 @@ def pairs_from_npy(data: bytes) -> np.ndarray:
 
 # -- account registry ---------------------------------------------------
 
-def registry_to_obj(registry: AccountRegistry) -> dict:
-    return {"accounts": list(registry.ids)}
-
-
 def registry_from_obj(obj: Mapping) -> AccountRegistry:
     return AccountRegistry(obj["accounts"])
 

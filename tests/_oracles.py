@@ -13,7 +13,7 @@ from typing import Iterable, Mapping, Sequence
 
 from hashjack.community import MIN_GAIN, _strengths
 from hashjack.errors import SynthConfigError
-from hashjack.graph import ORIGINAL, RetweetNetwork, UndirectedGraph, add_edges
+from hashjack.graph import ORIGINAL, CompactGraph, RetweetNetwork, add_edges
 from hashjack.ingest import (
     CSV_COLUMNS,
     _FIELDS,
@@ -23,6 +23,76 @@ from hashjack.ingest import (
     record_to_obj,
 )
 from hashjack.synth import NetworkEvents, _sorted_multinomial, write_corpus
+
+
+class UndirectedGraph:
+    """Symmetric weighted graph in dicts, built one edge at a time: the
+    reference for graph.undirected_projection and the builder of hand-made
+    test graphs, which reach Louvain and modularity through compact().
+
+    Self-loop weight is stored once per node and counts twice toward the
+    node's strength, following the usual modularity convention.
+    """
+
+    def __init__(self):
+        self._adj: dict[int, dict[int, float]] = {}
+        self._self: dict[int, float] = {}
+
+    def add_node(self, node: int) -> None:
+        self._adj.setdefault(node, {})
+
+    def add_edge(self, i: int, j: int, weight: float = 1.0) -> None:
+        if i == j:
+            self._adj.setdefault(i, {})
+            self._self[i] = self._self.get(i, 0.0) + weight
+            return
+        row_i = self._adj.setdefault(i, {})
+        row_j = self._adj.setdefault(j, {})
+        row_i[j] = row_i.get(j, 0.0) + weight
+        row_j[i] = row_j.get(i, 0.0) + weight
+
+    @property
+    def nodes(self) -> list[int]:
+        return list(self._adj)
+
+    def compact(self) -> CompactGraph:
+        """The graph in the form Louvain and modularity take."""
+        node_ids = sorted(self._adj)
+        pos = {node: i for i, node in enumerate(node_ids)}
+        return CompactGraph(
+            node_ids,
+            [sorted((pos[u], w) for u, w in self._adj[node].items()) for node in node_ids],
+            [self._self.get(node, 0.0) for node in node_ids],
+        )
+
+    def neighbors(self, node: int) -> dict[int, float]:
+        return self._adj[node]
+
+    def self_loop(self, node: int) -> float:
+        return self._self.get(node, 0.0)
+
+    def strength(self, node: int) -> float:
+        return sum(self._adj[node].values()) + 2.0 * self._self.get(node, 0.0)
+
+    def edge_weight(self, i: int, j: int) -> float:
+        if i == j:
+            return self._self.get(i, 0.0)
+        return self._adj.get(i, {}).get(j, 0.0)
+
+    def total_weight(self) -> float:
+        half = sum(w for row in self._adj.values() for w in row.values())
+        return half / 2.0 + sum(self._self.values())
+
+
+def dict_projection(net: RetweetNetwork) -> UndirectedGraph:
+    """graph.undirected_projection one edge at a time in dicts: weight'(i,j)
+    = w(i,j) + w(j,i)."""
+    graph = UndirectedGraph()
+    for node in net.nodes:
+        graph.add_node(node)
+    for (i, j), w in net.edges.items():
+        graph.add_edge(i, j, float(w))
+    return graph
 
 
 def naive_modularity(

@@ -26,8 +26,7 @@ from hashjack.cli import entrypoint
 from hashjack.errors import StageError
 from hashjack.graph import build_networks
 from hashjack.ingest import CSV_COLUMNS, CorpusStats, parse_records, split_streams
-from hashjack.store import compact_text, file_digest, json_text, load_json, pairs_to_npy, \
-    registry_to_obj
+from hashjack.store import compact_text, file_digest, json_text, load_json, pairs_to_npy
 from _oracles import network_to_obj, record_stats, record_store, write_csv
 
 
@@ -414,6 +413,17 @@ class TestIngestDetails:
         assert run_cli("ingest", bad, "--tracked", "a", "--run-dir", run) == 2
         assert "no valid records in input (line 1:" in capsys.readouterr().err
         assert not (run / "store").exists()
+
+    def test_original_tweets_only_leave_nothing_to_cluster(self, tmp_path, capsys):
+        originals = tmp_path / "originals.jsonl"
+        originals.write_text("".join(
+            json.dumps({"tweet_id": f"t{i}", "author": f"u{i}", "hashtags": ["#x"],
+                        "timestamp": "2020-05-01T12:00:00Z"}) + "\n"
+            for i in range(3)
+        ))
+        assert run_cli("pipeline", "ingest", "build", "communities", "--input", originals,
+                       "--tracked", "x", "--run-dir", tmp_path / "run") == 2
+        assert "#x has no retweet edges to cluster" in capsys.readouterr().err
 
     def test_rerun_removes_files_it_stops_listing(self, corpus, tmp_path):
         run = tmp_path / "run"
@@ -1015,7 +1025,7 @@ class TestStoredEvents:
         ]
         for tag in ("a", "b"):
             assert load_json(run / "networks" / f"{tag}.json") == network_to_obj(nets[tag])
-        expected = registry_to_obj(registry)
+        expected = {"accounts": list(registry.ids)}
         assert expected["accounts"] == ["alice", "bob", "carol", "dave"]
         assert load_json(run / "networks" / "registry.json") == expected
         assert load_json(run / "store" / "registry.json") == expected

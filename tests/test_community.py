@@ -11,11 +11,13 @@ from _oracles import (
     naive_modularity,
     planted_partition_graph,
     set_partitions,
+    UndirectedGraph,
 )
 import hashjack.community
-from hashjack.community import CommunityPartition, _local_move, louvain, modularity
+from hashjack.community import (
+    CommunityPartition, _local_move, _total_weight, louvain, modularity,
+)
 from hashjack.errors import EdgelessGraphError
-from hashjack.graph import UndirectedGraph
 
 BARBELL_Q = 6.0 / 7.0 - 0.5
 
@@ -50,19 +52,19 @@ def random_graph(rng, n=12, p=0.4, loops=True):
 
 class TestModularityOracles:
     def test_barbell_two_triangle_split(self):
-        q = modularity(barbell(), {0: 0, 1: 0, 2: 0, 3: 1, 4: 1, 5: 1})
+        q = modularity(barbell().compact(), {0: 0, 1: 0, 2: 0, 3: 1, 4: 1, 5: 1})
         assert abs(q - BARBELL_Q) < 1e-12
 
     def test_two_disjoint_triangles_give_half(self):
-        q = modularity(two_triangles(), {0: 0, 1: 0, 2: 0, 3: 1, 4: 1, 5: 1})
+        q = modularity(two_triangles().compact(), {0: 0, 1: 0, 2: 0, 3: 1, 4: 1, 5: 1})
         assert abs(q - 0.5) < 1e-12
 
     def test_single_community_is_zero(self):
-        q = modularity(barbell(), {v: 0 for v in range(6)})
+        q = modularity(barbell().compact(), {v: 0 for v in range(6)})
         assert abs(q) < 1e-12
 
     def test_barbell_split_is_global_optimum_of_all_203(self):
-        g = barbell()
+        g = barbell().compact()
         partitions = list(set_partitions(list(range(6))))
         assert len(partitions) == 203
         best = max(
@@ -78,7 +80,7 @@ class TestModularityOracles:
                 continue
             assignment = {v: rng.randrange(3) for v in g.nodes}
             for gamma in (0.5, 1.0, 1.7):
-                fast = modularity(g, assignment, gamma)
+                fast = modularity(g.compact(), assignment, gamma)
                 slow = naive_modularity(g, assignment, gamma)
                 assert fast == pytest.approx(slow, abs=1e-12)
 
@@ -86,48 +88,48 @@ class TestModularityOracles:
         g = UndirectedGraph()
         g.add_node(0)
         with pytest.raises(EdgelessGraphError):
-            modularity(g, {0: 0})
+            modularity(g.compact(), {0: 0})
         with pytest.raises(EdgelessGraphError):
-            louvain(g)
+            louvain(g.compact())
 
     def test_missing_assignment_raises(self):
         with pytest.raises(ValueError):
-            modularity(barbell(), {0: 0})
+            modularity(barbell().compact(), {0: 0})
 
     def test_nonpositive_resolution_raises(self):
         with pytest.raises(ValueError):
-            modularity(barbell(), {v: 0 for v in range(6)}, resolution=0.0)
+            modularity(barbell().compact(), {v: 0 for v in range(6)}, resolution=0.0)
 
 
 class TestLouvain:
     def test_finds_barbell_optimum(self):
-        part = louvain(barbell())
+        part = louvain(barbell().compact())
         assert part.n_communities == 2
         assert abs(part.modularity - BARBELL_Q) < 1e-12
         sides = part.communities()
         assert sorted(tuple(v) for v in sides.values()) == [(0, 1, 2), (3, 4, 5)]
 
     def test_community_ids_are_dense_from_zero(self):
-        part = louvain(barbell())
+        part = louvain(barbell().compact())
         assert set(part.assignment.values()) == set(range(part.n_communities))
 
     def test_reported_modularity_matches_recomputation(self):
-        part = louvain(barbell(), resolution=0.8, seed=3)
+        part = louvain(barbell().compact(), resolution=0.8, seed=3)
         assert part.modularity == pytest.approx(
-            modularity(barbell(), part.assignment, 0.8), abs=1e-12
+            modularity(barbell().compact(), part.assignment, 0.8), abs=1e-12
         )
 
     def test_deterministic_for_fixed_seed(self):
         g, _ = planted_partition_graph([20, 20, 20], 0.4, 0.02, seed=9)
-        a = louvain(g, seed=42)
-        b = louvain(g, seed=42)
+        a = louvain(g.compact(), seed=42)
+        b = louvain(g.compact(), seed=42)
         assert a.assignment == b.assignment
         assert a.modularity == b.modularity
         assert a.level_modularity == b.level_modularity
 
     def test_level_modularity_monotone(self):
         g, _ = planted_partition_graph([30, 30, 30, 30], 0.3, 0.02, seed=4)
-        part = louvain(g)
+        part = louvain(g.compact())
         levels = part.level_modularity
         assert len(levels) == part.levels >= 1
         assert all(b >= a - 1e-12 for a, b in zip(levels, levels[1:]))
@@ -143,7 +145,7 @@ class TestLouvain:
 
         monkeypatch.setattr(hashjack.community, "modularity", counting)
         g, _ = planted_partition_graph([10] * 12, 0.5, 0.02, seed=4)
-        part = louvain(g)
+        part = louvain(g.compact())
         assert part.levels == 3
         assert len(calls) == 1
         assert part.modularity == pytest.approx(part.level_modularity[-1], abs=1e-12)
@@ -155,7 +157,7 @@ class TestLouvain:
                 for j in range(i + 1, 10):
                     g.add_edge(base + i, base + j, 1.0)
         g.add_edge(0, 10, 1.0)
-        part = louvain(g)
+        part = louvain(g.compact())
         assert part.n_communities == 2
         left = {part.assignment[v] for v in range(10)}
         right = {part.assignment[v] for v in range(10, 20)}
@@ -163,7 +165,8 @@ class TestLouvain:
 
     def test_local_optimum_no_single_move_improves(self):
         g, _ = planted_partition_graph([15, 15, 15], 0.5, 0.05, seed=11)
-        part = louvain(g, seed=1)
+        graph = g.compact()
+        part = louvain(graph, seed=1)
         base = part.modularity
         for v in sorted(g.nodes):
             for target in set(part.assignment.values()):
@@ -171,10 +174,10 @@ class TestLouvain:
                     continue
                 trial = dict(part.assignment)
                 trial[v] = target
-                assert modularity(g, trial) <= base + 1e-9
+                assert modularity(graph, trial) <= base + 1e-9
 
     def test_resolution_extremes(self):
-        g = barbell()
+        g = barbell().compact()
         coarse = louvain(g, resolution=0.05)
         fine = louvain(g, resolution=20.0)
         assert coarse.n_communities <= 2
@@ -183,7 +186,7 @@ class TestLouvain:
     def test_seed_changes_are_still_valid_partitions(self):
         g, _ = planted_partition_graph([25, 25], 0.4, 0.02, seed=2)
         for seed in (0, 1, 7):
-            part = louvain(g, seed=seed)
+            part = louvain(g.compact(), seed=seed)
             assert set(part.assignment) == set(g.nodes)
             assert part.modularity > 0.2
 
@@ -214,38 +217,38 @@ class TestLouvain:
     @pytest.mark.parametrize("graph_args, resolution, assignment, q, levels", PINNED)
     def test_output_bits_are_pinned(self, graph_args, resolution, assignment, q, levels):
         g, _ = planted_partition_graph(*graph_args[:3], seed=graph_args[3])
-        part = louvain(g, resolution=resolution, seed=42)
+        part = louvain(g.compact(), resolution=resolution, seed=42)
         assert [part.assignment[v] for v in sorted(g.nodes)] == assignment
         assert repr(part.modularity) == q
         assert part.level_modularity == levels
-        assert part.modularity == modularity(g, part.assignment, resolution)
+        assert part.modularity == modularity(g.compact(), part.assignment, resolution)
 
     def test_modularity_bits_are_pinned(self):
         g, _ = planted_partition_graph([6] * 5, 0.6, 0.08, seed=4)
-        assert repr(modularity(g, {v: 2 * v % 5 for v in g.nodes}, 1.0)) == (
+        assert repr(modularity(g.compact(), {v: 2 * v % 5 for v in g.nodes}, 1.0)) == (
             "-0.05983875031494078"
         )
-        assert repr(modularity(g, {v: 3 * v % 4 for v in g.nodes}, 2.0)) == (
+        assert repr(modularity(g.compact(), {v: 3 * v % 4 for v in g.nodes}, 2.0)) == (
             "-0.3736457545981355"
         )
 
     def test_change_after_scoring_is_seen(self):
         g = barbell()
         split = {0: 0, 1: 0, 2: 0, 3: 1, 4: 1, 5: 1}
-        assert louvain(g).modularity == pytest.approx(BARBELL_Q, abs=1e-12)
+        assert louvain(g.compact()).modularity == pytest.approx(BARBELL_Q, abs=1e-12)
         g.add_edge(0, 5, 4.0)
-        q = modularity(g, split)
+        q = modularity(g.compact(), split)
         assert q == pytest.approx(naive_modularity(g, split), abs=1e-12)
         assert q < BARBELL_Q - 0.1
         g.add_node(6)
-        part = louvain(g)
+        part = louvain(g.compact())
         assert set(part.assignment) == set(range(7))
         assert part.modularity == pytest.approx(
             naive_modularity(g, part.assignment), abs=1e-12
         )
 
     def test_partition_members_and_communities_agree(self):
-        part = louvain(barbell())
+        part = louvain(barbell().compact())
         for cid, members in part.communities().items():
             assert set(members) == part.members(cid)
             for v in members:
@@ -255,7 +258,7 @@ class TestLouvain:
 class TestPlantedRecovery:
     def test_four_block_recovery_high_agreement(self):
         g, truth = planted_partition_graph([50, 50, 50, 50], 0.3, 0.01, seed=0)
-        part = louvain(g, seed=42)
+        part = louvain(g.compact(), seed=42)
         planted = {v: truth[v] for v in g.nodes}
         assert adjusted_rand_index(part.assignment, planted) >= 0.95
 
@@ -269,7 +272,7 @@ class TestPlantedRecovery:
         disconnected = 0
         for seed in range(20):
             g, _ = planted_partition_graph([50, 50, 50, 50], 0.3, 0.01, seed=seed)
-            part = louvain(g, resolution=resolution, seed=42)
+            part = louvain(g.compact(), resolution=resolution, seed=42)
             disconnected += disconnected_communities(g, part.assignment)
         assert disconnected == 0
 
@@ -286,7 +289,7 @@ class TestModularityProperty:
         if g.total_weight() == 0:
             return
         assignment = {v: rng.randrange(1, 4) for v in g.nodes}
-        assert modularity(g, assignment) == pytest.approx(
+        assert modularity(g.compact(), assignment) == pytest.approx(
             naive_modularity(g, assignment), abs=1e-12
         )
 
@@ -314,17 +317,52 @@ class TestLocalMoveDifferential:
     @settings(max_examples=80, deadline=None)
     @given(graph_cases, st.sampled_from([0.5, 1.0, 3.0, 8.0, 20.0]))
     def test_same_moves_and_bits(self, seed, resolution):
-        g = leafy_graph(random.Random(seed))
-        m = g.total_weight()
+        graph = leafy_graph(random.Random(seed)).compact()
+        m = _total_weight(graph)
         if m == 0:
             return
-        _, adj, selfw = g.compact()
+        _, adj, selfw = graph
         assert (_local_move(adj, selfw, m, resolution, random.Random(seed))
                 == dict_local_move(adj, selfw, m, resolution, random.Random(seed)))
-        part = louvain(g, resolution=resolution, seed=seed)
+        part = louvain(graph, resolution=resolution, seed=seed)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(hashjack.community, "_local_move", dict_local_move)
-            expected = louvain(g, resolution=resolution, seed=seed)
+            expected = louvain(graph, resolution=resolution, seed=seed)
         assert part.assignment == expected.assignment
         assert repr(part.modularity) == repr(expected.modularity)
         assert repr(part.level_modularity) == repr(expected.level_modularity)
+
+
+def tenths_edges(rng):
+    """The edges of a random graph on distinct node pairs, a few of them
+    self-loops, with weights that are multiples of 0.1."""
+    n = rng.randrange(6, 30)
+    return [
+        (i, j, rng.randrange(1, 40) / 10)
+        for i in range(n) for j in range(i, n)
+        if rng.random() < (0.05 if i == j else 0.2)
+    ]
+
+
+class TestConstructionOrder:
+    """One graph built in two edge orders is one input: same assignment and
+    the same bits of Q and of every level's Q. With fractional weights,
+    summing m or numbering communities in construction order would move
+    the last bits."""
+
+    def test_edge_order_changes_no_bit(self):
+        for seed in range(20):
+            rng = random.Random(seed)
+            edges = tenths_edges(rng)
+            shuffled = [(j, i, w) for i, j, w in edges]
+            rng.shuffle(shuffled)
+            parts = []
+            for order in (edges, shuffled):
+                g = UndirectedGraph()
+                for i, j, w in order:
+                    g.add_edge(i, j, w)
+                parts.append(louvain(g.compact(), resolution=0.8, seed=seed))
+            built, rebuilt = parts
+            assert built.assignment == rebuilt.assignment
+            assert repr(built.modularity) == repr(rebuilt.modularity)
+            assert repr(built.level_modularity) == repr(rebuilt.level_modularity)

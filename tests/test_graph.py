@@ -4,16 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from _oracles import dict_network_from_events, network_to_obj
+from _oracles import UndirectedGraph, dict_network_from_events, dict_projection, network_to_obj
+from hashjack.community import _total_weight
 from hashjack.graph import (
     ORIGINAL,
     AccountRegistry,
+    CompactGraph,
     build_network,
     build_networks,
     network_from_events,
     network_obj,
     undirected_projection,
-    UndirectedGraph,
 )
 from hashjack.ingest import TweetRecord
 from hashjack.store import compact_text, network_from_obj
@@ -94,10 +95,9 @@ class TestUndirectedProjection:
         stream = [rt("t1", "a", "b"), rt("t2", "b", "a"), rt("t3", "a", "b")]
         net = build_network(stream, reg, "afd")
         graph = undirected_projection(net)
-        a, b = reg.index_of("a"), reg.index_of("b")
-        assert graph.edge_weight(a, b) == 3.0
-        assert graph.strength(a) == 3.0
-        assert graph.total_weight() == 3.0
+        assert (reg.index_of("a"), reg.index_of("b")) == (0, 1)
+        assert graph == CompactGraph([0, 1], [[(1, 3.0)], [(0, 3.0)]], [0.0, 0.0])
+        assert _total_weight(graph) == 3.0
 
     def test_isolated_nodes_survive(self):
         reg = AccountRegistry()
@@ -106,8 +106,8 @@ class TestUndirectedProjection:
             rt("t2", "a", "b"),
         ]
         graph = undirected_projection(build_network(stream, reg, "afd"))
-        assert reg.index_of("solo") in graph.nodes
-        assert graph.strength(reg.index_of("solo")) == 0.0
+        solo = graph.nodes.index(reg.index_of("solo"))
+        assert graph.adj[solo] == [] and graph.selfw[solo] == 0.0
 
 
 class TestUndirectedGraph:
@@ -118,6 +118,7 @@ class TestUndirectedGraph:
         assert g.self_loop(0) == 2.0
         assert g.strength(0) == 2.0 * 2 + 1.0
         assert g.total_weight() == 3.0
+        assert g.compact() == CompactGraph([0, 1], [[(1, 1.0)], [(0, 1.0)]], [2.0, 0.0])
 
     def test_edge_weights_merge(self):
         g = UndirectedGraph()
@@ -156,7 +157,7 @@ class TestTallyProperties:
         stream = [rt(f"t{i}", f"u{a}", f"u{b}") for i, (a, b) in enumerate(pairs)]
         net = build_network(stream, reg, "afd")
         graph = undirected_projection(net)
-        assert graph.total_weight() == float(net.retweet_count)
+        assert _total_weight(graph) == float(net.retweet_count)
         assert set(graph.nodes) == net.nodes
 
 
@@ -188,3 +189,18 @@ class TestNetworkFromEvents:
             assert compact_text(obj) == compact_text(network_to_obj(expected))
             # an in-memory network iterates its nodes as its file decodes
             assert list(net.nodes) == list(network_from_obj(network_to_obj(expected)).nodes)
+
+
+class TestProjectionOracle:
+    """The numpy projection gives the lists, and their int and float types,
+    that the dict builder edge by edge compacts to: isolated nodes,
+    reciprocal and repeated edges, self-loops and no edges at all."""
+
+    @given(event_pair_lists())
+    @example([])
+    @example([(7, ORIGINAL), (3, ORIGINAL)])
+    @example([(0, 5), (5, 0), (0, 5), (9, ORIGINAL)])
+    @example([(2**31 - 1, 2**31 - 1), (2**31 - 1, 0)])
+    def test_equals_the_dict_builder(self, pairs):
+        net = network_from_events("tide", pairs)
+        assert repr(undirected_projection(net)) == repr(dict_projection(net).compact())

@@ -60,7 +60,7 @@ def small_config(seed=3, hijack=None, participation=1.0):
 PINNED_SHA256 = {
     "corpus.jsonl": "461a89fbf982e26efd0b437dd4cf1e57b41e0028253e15fe574c219fdc647df3",
     "corpus.csv": "e1e73fd501e68a6bab2c82101a940ca532cd680a97d9b29497b6c86dfbd80c58",
-    "truth.json": "da343f8d387ced83e93292097fb2edc92108cb4613b92ce9c6d1530cc01ee9cc",
+    "truth.json": "a3541bc62d5c75329e03cc0d56f783ff895a061e2179781436c444d13f695bc4",
 }
 
 
