@@ -82,7 +82,8 @@ ORIGINAL = -1  # retweeted index of an original tweet in an event pair
 
 
 def add_edges(net: RetweetNetwork, weighted: Iterable[Sequence[int]]) -> None:
-    """Add (retweeter, retweeted, count) edges to net with their tallies.
+    """Add (retweeter, retweeted, count) edges to net with their tallies;
+    both ends of every edge become nodes of net.
 
     This is the one place where edge weights, retweets_made,
     retweets_received and retweet_count are accumulated.
@@ -96,6 +97,7 @@ def add_edges(net: RetweetNetwork, weighted: Iterable[Sequence[int]]) -> None:
         made[i] = made.get(i, 0) + w
         received[j] = received.get(j, 0) + w
         net.retweet_count += w
+    net.nodes.update(made, received)
 
 
 def network_obj(hashtag: str, pairs) -> dict:
@@ -211,7 +213,7 @@ def undirected_projection(net: RetweetNetwork) -> CompactGraph:
 
     Each edge enters the keys pos_i << 32 | pos_j from both ends; each
     distinct key, in sorted order, is one row entry with its summed weight.
-    Every edge endpoint must be one of net.nodes.
+    Edge ends are looked up in net.nodes, which add_edges keeps a superset.
     """
     import numpy as np
 

@@ -10,6 +10,8 @@ from hashjack.graph import (
     ORIGINAL,
     AccountRegistry,
     CompactGraph,
+    RetweetNetwork,
+    add_edges,
     build_network,
     build_networks,
     network_from_events,
@@ -203,4 +205,10 @@ class TestProjectionOracle:
     @example([(2**31 - 1, 2**31 - 1), (2**31 - 1, 0)])
     def test_equals_the_dict_builder(self, pairs):
         net = network_from_events("tide", pairs)
+        assert repr(undirected_projection(net)) == repr(dict_projection(net).compact())
+
+    def test_edge_ends_become_nodes(self):
+        net = RetweetNetwork("tide", nodes={0, 1})
+        add_edges(net, [(0, 1, 2), (1, 7, 1), (7, 0, 1)])
+        assert net.nodes == {0, 1, 7}
         assert repr(undirected_projection(net)) == repr(dict_projection(net).compact())
