@@ -213,7 +213,7 @@ def undirected_projection(net: RetweetNetwork) -> CompactGraph:
 
     Each edge enters the keys pos_i << 32 | pos_j from both ends; each
     distinct key, in sorted order, is one row entry with its summed weight.
-    Edge ends are looked up in net.nodes, which add_edges keeps a superset.
+    Edge ends are looked up in net.nodes; add_edges makes every end a node.
     """
     import numpy as np
 
