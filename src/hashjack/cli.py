@@ -85,6 +85,12 @@ def _common_parser() -> argparse.ArgumentParser:
 
 def build_parser() -> argparse.ArgumentParser:
     common = _common_parser()
+    # stage options that `pipeline` takes too, each with its one default
+    resolution, threshold, top_k = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    resolution.add_argument("--resolution", type=float, default=1.0, help="modularity resolution")
+    threshold.add_argument("--threshold", type=float, default=0.05, help="stability threshold")
+    top_k.add_argument("--top-k", dest="top_k", type=int, default=100,
+                       help="accounts ranked per composition")
     parser = argparse.ArgumentParser(
         prog="hashjack",
         description="Polarisation and hashtag-hijacking analysis of retweet networks.",
@@ -106,9 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", parents=[common], help="build per-hashtag retweet networks")
     p.add_argument("--out", default="networks", help="network subdirectory")
 
-    p = sub.add_parser("communities", parents=[common], help="cluster networks")
+    p = sub.add_parser("communities", parents=[common, resolution], help="cluster networks")
     p.add_argument("--network", metavar="TAG", help="one network (default: all built)")
-    p.add_argument("--resolution", type=float, default=1.0, help="modularity resolution")
     p.add_argument("--out", default="partitions", help="partition subdirectory")
 
     label = sub.add_parser("label", parents=[common], help="pro/contra community labeling")
@@ -128,8 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out", default="labels", help="labeling subdirectory")
 
-    p = sub.add_parser("polarisation", parents=[common], help="pro/contra share profiles")
-    p.add_argument("--threshold", type=float, default=0.05, help="stability threshold")
+    p = sub.add_parser("polarisation", parents=[common, threshold],
+                       help="pro/contra share profiles")
     p.add_argument("--compare", metavar="FILE", help="earlier polarisation.json to diff")
     p.add_argument("--out", default="polarisation.json")
 
@@ -144,10 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fractions", metavar="LIST", help="comma-separated top fractions")
     p.add_argument("--out", default="activity.json")
 
-    p = sub.add_parser("report", parents=[common], help="bundle results and figure CSVs")
+    p = sub.add_parser("report", parents=[common, top_k], help="bundle results and figure CSVs")
     p.add_argument("--out", default="report.json")
-    p.add_argument("--top-k", dest="top_k", type=int, default=100,
-                   help="accounts ranked per composition")
 
     p = sub.add_parser("export", parents=[common], help="write a GEXF file for Gephi")
     p.add_argument("--network", required=True, metavar="TAG")
@@ -158,18 +161,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, metavar="FILE")
     p.add_argument("--truth", metavar="FILE", help="write planted ground truth here")
 
-    p = sub.add_parser("pipeline", parents=[common], help="run several stages in order")
+    p = sub.add_parser("pipeline", parents=[common, resolution, threshold, top_k],
+                       help="run several stages in order")
     p.add_argument("stages", nargs="+", metavar="stage",
                    help="stage names, e.g. ingest build communities")
     p.add_argument("--input", metavar="FILE")
     p.add_argument("--tracked", metavar="TAGS")
-    p.add_argument("--resolution", type=float, default=1.0)
     p.add_argument("--labels", metavar="FILE")
     p.add_argument("--targets", metavar="TAGS")
     p.add_argument("--fractions", metavar="LIST")
-    p.add_argument("--threshold", type=float, default=0.05)
     p.add_argument("--compare", metavar="FILE")
-    p.add_argument("--top-k", dest="top_k", type=int, default=100)
     return parser
 
 

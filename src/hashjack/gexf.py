@@ -88,10 +88,10 @@ def gexf_document(
         nodes += ([f"{head}>", *_element("        ", "attvalues", values), "      </node>"]
                   if values else [f"{head} />"])
 
-    ranked = sorted(net.edges.items(), key=lambda kv: (accounts[kv[0][0]], accounts[kv[0][1]]))
+    ranked = sorted(net.edges, key=lambda edge: (accounts[edge[0]], accounts[edge[1]]))
     edges = [
         f'      <edge id="{eid}" source="{names[src]}" target="{names[dst]}" weight="{w}" />'
-        for eid, ((src, dst), w) in enumerate(ranked)
+        for eid, (src, dst, w) in enumerate(ranked)
     ]
     description = _escape(f"retweet network #{net.hashtag}", _ATTRIB[:3])
     attributes = _element("    ", 'attributes class="node"', declared) if declared else []

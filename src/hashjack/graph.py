@@ -9,15 +9,15 @@ compared index-for-index. Clustering consumes the symmetrized projection,
 run on: a CompactGraph of sorted node ids and position rows.
 
 One numpy aggregation, `network_obj`, turns stored event pairs into the
-network file's object; a RetweetNetwork's dicts are built only when a
-network is decoded (`network_from_stored`).
+network file's object; a RetweetNetwork keeps its [retweeter, retweeted,
+count] rows, which the projection and the GEXF writer read as they are.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple
 
 from .ingest import TweetRecord, _distinct, normalize_hashtag
 
@@ -56,20 +56,29 @@ class AccountRegistry:
 
 @dataclass
 class RetweetNetwork:
-    """Directed weighted retweet graph for one hashtag.
+    """Directed weighted retweet graph for one hashtag, in its file's form.
 
-    edges maps (retweeter, retweeted) index pairs to event counts; the sum
-    of all weights equals the number of retweet records in the stream.
-    Self-edges cannot occur (self-retweets are rejected upstream).
+    edges holds distinct [retweeter, retweeted, count] rows whose counts sum
+    to the number of retweet records in the stream; self-edges cannot occur
+    (self-retweets are rejected upstream). The constructor tallies retweets
+    made and received per node and makes both ends of every edge nodes.
     """
 
     hashtag: str
-    nodes: set[int] = field(default_factory=set)
-    edges: dict[tuple[int, int], int] = field(default_factory=dict)
-    retweets_made: dict[int, int] = field(default_factory=dict)
-    retweets_received: dict[int, int] = field(default_factory=dict)
-    retweet_count: int = 0
+    nodes: set[int]
+    edges: list[list[int]]
     original_count: int = 0
+    retweets_made: dict[int, int] = field(init=False, repr=False)
+    retweets_received: dict[int, int] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        made: dict[int, int] = {}
+        received: dict[int, int] = {}
+        for i, j, w in self.edges:
+            made[i] = made.get(i, 0) + w
+            received[j] = received.get(j, 0) + w
+        self.retweets_made, self.retweets_received = made, received
+        self.nodes.update(made, received)
 
     def made(self, node: int) -> int:
         return self.retweets_made.get(node, 0)
@@ -79,25 +88,6 @@ class RetweetNetwork:
 
 
 ORIGINAL = -1  # retweeted index of an original tweet in an event pair
-
-
-def add_edges(net: RetweetNetwork, weighted: Iterable[Sequence[int]]) -> None:
-    """Add (retweeter, retweeted, count) edges to net with their tallies;
-    both ends of every edge become nodes of net.
-
-    This is the one place where edge weights, retweets_made,
-    retweets_received and retweet_count are accumulated.
-    """
-    edges = net.edges
-    made = net.retweets_made
-    received = net.retweets_received
-    for i, j, w in weighted:
-        key = (i, j)
-        edges[key] = edges.get(key, 0) + w
-        made[i] = made.get(i, 0) + w
-        received[j] = received.get(j, 0) + w
-        net.retweet_count += w
-    net.nodes.update(made, received)
 
 
 def network_obj(hashtag: str, pairs) -> dict:
@@ -124,18 +114,10 @@ def network_obj(hashtag: str, pairs) -> dict:
     }
 
 
-def network_from_stored(obj: Mapping) -> RetweetNetwork:
-    """The RetweetNetwork of a network_obj, with its per-node tallies."""
-    net = RetweetNetwork(hashtag=obj["hashtag"])
-    net.nodes.update(obj["nodes"])
-    net.original_count = obj["original_count"]
-    add_edges(net, obj["edges"])
-    return net
-
-
 def network_from_events(hashtag: str, pairs) -> RetweetNetwork:
     """The RetweetNetwork of network_obj(hashtag, pairs), as it decodes."""
-    return network_from_stored(network_obj(hashtag, pairs))
+    obj = network_obj(hashtag, pairs)
+    return RetweetNetwork(obj["hashtag"], set(obj["nodes"]), obj["edges"], obj["original_count"])
 
 
 def stream_registry(streams: Iterable[Iterable[TweetRecord]]) -> AccountRegistry:
@@ -213,17 +195,18 @@ def undirected_projection(net: RetweetNetwork) -> CompactGraph:
 
     Each edge enters the keys pos_i << 32 | pos_j from both ends; each
     distinct key, in sorted order, is one row entry with its summed weight.
-    Edge ends are looked up in net.nodes; add_edges makes every end a node.
+    Edge ends are looked up in net.nodes, which holds every end.
     """
     import numpy as np
 
     nodes = np.sort(np.fromiter(net.nodes, dtype=np.int64, count=len(net.nodes)))
-    ends = np.fromiter(chain.from_iterable(net.edges), dtype=np.int64, count=2 * len(net.edges))
-    pos = np.searchsorted(nodes, ends).reshape(-1, 2)
-    weights = np.fromiter(net.edges.values(), dtype=np.float64, count=len(net.edges))
+    edges = np.fromiter(chain.from_iterable(net.edges), dtype=np.int64,
+                        count=3 * len(net.edges)).reshape(-1, 3)
+    pos = np.searchsorted(nodes, edges[:, :2])
+    weights = edges[:, 2].astype(np.float64)
     loop = pos[:, 0] == pos[:, 1]
     selfw = np.zeros(len(nodes))
-    selfw[pos[loop, 0]] = weights[loop]  # a node has at most one self-edge
+    selfw[pos[loop, 0]] = weights[loop]  # rows are distinct: one self-edge a node at most
     i, j, w = pos[~loop, 0], pos[~loop, 1], weights[~loop]
     keys, run = np.unique(np.concatenate((i << 32 | j, j << 32 | i)), return_inverse=True)
     sums = np.bincount(run, np.concatenate((w, w)), minlength=len(keys))

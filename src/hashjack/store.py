@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import IO, Callable, Mapping, Sequence
 
 from .community import CommunityPartition
-from .graph import AccountRegistry, RetweetNetwork, network_from_stored
+from .graph import AccountRegistry, RetweetNetwork
 from .ingest import normalize_hashtag
 from .labeling import ClusterLabeling
 
@@ -142,8 +142,8 @@ def registry_from_obj(obj: Mapping) -> AccountRegistry:
 
 def network_from_obj(obj: Mapping) -> RetweetNetwork:
     """The network of a decoded network file (`graph.network_obj` form); its
-    per-node tallies are not stored but rebuilt from the edge list."""
-    return network_from_stored(obj)
+    per-node tallies are not stored but rebuilt from the edge rows."""
+    return RetweetNetwork(obj["hashtag"], set(obj["nodes"]), obj["edges"], obj["original_count"])
 
 
 # -- community partitions -----------------------------------------------

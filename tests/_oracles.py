@@ -13,7 +13,7 @@ from typing import Iterable, Mapping, Sequence
 
 from hashjack.community import MIN_GAIN, _strengths
 from hashjack.errors import SynthConfigError
-from hashjack.graph import ORIGINAL, CompactGraph, RetweetNetwork, add_edges
+from hashjack.graph import ORIGINAL, CompactGraph, RetweetNetwork
 from hashjack.ingest import (
     CSV_COLUMNS,
     _FIELDS,
@@ -90,7 +90,7 @@ def dict_projection(net: RetweetNetwork) -> UndirectedGraph:
     graph = UndirectedGraph()
     for node in net.nodes:
         graph.add_node(node)
-    for (i, j), w in net.edges.items():
+    for i, j, w in net.edges:
         graph.add_edge(i, j, float(w))
     return graph
 
@@ -226,29 +226,32 @@ def record_store(records: Sequence, tracked: Iterable[str]) -> tuple[list[str], 
 
 
 def network_to_obj(net: RetweetNetwork) -> dict:
-    """The network file's object from a RetweetNetwork's dicts: nodes and
-    weighted edges by registry index, sorted, plus original_count. What
+    """The network file's object from a RetweetNetwork: nodes and weighted
+    edge rows by registry index, sorted, plus original_count. What
     graph.network_obj gives from the network's events."""
     return {
         "hashtag": net.hashtag,
         "nodes": sorted(net.nodes),
-        "edges": [[i, j, w] for (i, j), w in sorted(net.edges.items())],
+        "edges": sorted([i, j, w] for i, j, w in net.edges),
         "original_count": net.original_count,
     }
 
 
 def dict_network_from_events(hashtag: str, pairs: Sequence[Sequence[int]]) -> RetweetNetwork:
     """network_from_events as a loop over Python (author, retweeted) pairs,
-    one event at a time, with the edges added in event order."""
-    net = RetweetNetwork(hashtag=hashtag)
+    one event at a time, with the edge counts in a dict keyed by pair."""
+    nodes: set[int] = set()
+    counts: dict[tuple[int, int], int] = {}
+    originals = 0
     for author, target in pairs:
-        net.nodes.add(author)
+        nodes.add(author)
         if target == ORIGINAL:
-            net.original_count += 1
+            originals += 1
         else:
-            net.nodes.add(target)
-    add_edges(net, ((a, t, 1) for a, t in pairs if t != ORIGINAL))
-    return net
+            nodes.add(target)
+            counts[author, target] = counts.get((author, target), 0) + 1
+    return RetweetNetwork(hashtag, nodes, [[i, j, w] for (i, j), w in sorted(counts.items())],
+                          originals)
 
 
 def dict_local_move(

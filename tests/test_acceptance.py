@@ -21,7 +21,6 @@ from _oracles import (
     blocks_to_assignment,
     planted_partition_graph,
     set_partitions,
-    synth_records,
     UndirectedGraph,
 )
 from hashjack.cli import entrypoint
@@ -29,10 +28,10 @@ from hashjack.community import _total_weight, louvain, modularity
 from hashjack.graph import (
     AccountRegistry,
     build_network,
-    build_networks,
+    network_from_events,
     undirected_projection,
 )
-from hashjack.ingest import TweetRecord, parse_records, split_streams
+from hashjack.ingest import TweetRecord, read_columns
 from hashjack.labeling import ClusterLabeling, PartisanAssignment, label_by_seeds, partisans
 from hashjack.metrics import (
     cluster_composition,
@@ -61,14 +60,24 @@ from hashjack.store import load_json
 BARBELL_Q = 6.0 / 7.0 - 0.5
 
 
+def stage_networks(text, tracked):
+    """The networks and registry of a corpus text as the ingest and build
+    stages make them: read_columns, index_pairs, network_from_events."""
+    columns, rejects = read_columns(io.StringIO(text), "jsonl")
+    assert not rejects
+    accounts, pairs = columns.index_pairs(tracked)
+    nets = {tag: network_from_events(tag, tag_pairs) for tag, tag_pairs in pairs.items()}
+    return nets, AccountRegistry(accounts)
+
+
 def run_chain(cfg, resolution=0.5, seed_count=10):
-    """generate -> write and parse -> split -> build -> louvain -> seed
+    """generate -> write -> the stage path to networks -> louvain -> seed
     labeling, per network."""
     corpus, truth = generate(cfg)
-    records = synth_records(corpus)
+    text = io.StringIO()
+    write_corpus(corpus, text)
     tracked = [s.name for s in cfg.parties] + [s.name for s in cfg.publics]
-    streams, _ = split_streams(records, tracked)
-    nets, registry = build_networks(streams)
+    nets, registry = stage_networks(text.getvalue(), tracked)
     parts, labs = {}, {}
     for tag, net in nets.items():
         part = louvain(undirected_projection(net), resolution=resolution, seed=42)
@@ -375,9 +384,7 @@ def test_criterion_8_scale(criterion):
     del corpus, buf
 
     t0 = time.perf_counter()
-    parsed, _ = parse_records(io.StringIO(text), "jsonl")
-    streams, _ = split_streams(parsed, ["party1", "party2", "agenda"])
-    nets, registry = build_networks(streams)
+    nets, registry = stage_networks(text, ["party1", "party2", "agenda"])
     parts, labs = {}, {}
     for tag, net in nets.items():
         parts[tag] = louvain(undirected_projection(net), resolution=0.5, seed=42)
@@ -439,11 +446,12 @@ def _graph_tally_invariant(pairs):
     ]
     reg = AccountRegistry()
     net = build_network(records, reg, "x")
-    assert sum(net.retweets_made.values()) == net.retweet_count == len(pairs)
-    assert sum(net.retweets_received.values()) == net.retweet_count
-    assert sum(net.edges.values()) == net.retweet_count
+    retweets = sum(w for _, _, w in net.edges)
+    assert sum(net.retweets_made.values()) == retweets == len(pairs)
+    assert sum(net.retweets_received.values()) == retweets
+    assert len({(i, j) for i, j, _ in net.edges}) == len(net.edges)
     proj = undirected_projection(net)
-    assert _total_weight(proj) == pytest.approx(net.retweet_count)
+    assert _total_weight(proj) == pytest.approx(retweets)
 
 
 _cells = st.integers(min_value=1, max_value=400)

@@ -749,9 +749,10 @@ class TestBadInputExits2:
 
 
 # One number of a synth config, or one flag value, replaced by each of
-# these. Large finite values stay out: they legitimately generate huge
-# corpora.
-POOL = [math.nan, math.inf, -math.inf, -1, 0, 0.5, 3, 1e-300, "x", None, [], {}]
+# these. The large finite ones end quickly: a count or events_per_member
+# whose events would pass the synthetic clock's 10**8 ticks is refused
+# before any draw, and a count that is a float is not an integer.
+POOL = [math.nan, math.inf, -math.inf, -1, 0, 0.5, 3, 1e-300, 10**12, 1e308, "x", None, [], {}]
 FLAG_POOL = ["nan", "inf", "-inf", "-1", "0", "0.5", "3", "1e-300", "x", "null", "[]", "{}"]
 SYNTH_NUMBERS = [
     ("seed",),
@@ -806,6 +807,7 @@ class TestAnyNumberExits0Or2:
     @given(path=st.sampled_from(SYNTH_NUMBERS), value=st.sampled_from(POOL))
     @example(path=("activity", "events_per_member"), value=math.nan)
     @example(path=("activity", "events_per_member"), value=math.inf)
+    @example(path=("activity", "events_per_member"), value=1e308)
     @example(path=("activity", "zipf_s"), value=math.nan)
     @example(path=("activity", "zipf_s"), value=math.inf)
     @example(path=("activity", "attention_s"), value=math.nan)
@@ -919,6 +921,36 @@ class TestPipelineDispatch:
                 a.pop("completed")
                 b.pop("completed")
                 assert a == b
+
+    def test_default_options_match_the_subcommands(self, corpus, tmp_path, capsys):
+        """communities, polarisation and report with no optional flag take
+        the same defaults as subcommands and as `pipeline` stages."""
+        sub, pipe = tmp_path / "sub", tmp_path / "pipe"
+        steps = [
+            ("ingest", corpus["corpus"], "--tracked", TRACKED), ("build",), ("communities",),
+            ("label", "apply", "--labels", corpus["labels"]), ("polarisation",),
+            ("odds", "--targets", "agenda"), ("activity",), ("report",),
+        ]
+        for argv in steps:
+            stage = argv[0]
+            if stage not in ("communities", "polarisation", "report"):
+                for run in (sub, pipe):
+                    assert run_cli(*argv, "--run-dir", run) == 0
+                continue
+            capsys.readouterr()
+            assert run_cli(stage, "--run-dir", sub) == 0
+            sub_line = capsys.readouterr().out.replace(str(sub), "RUN")
+            assert run_cli("pipeline", stage, "--run-dir", pipe) == 0
+            pipe_line = capsys.readouterr().out.replace(str(pipe), "RUN")
+            assert pipe_line == sub_line and pipe_line.startswith(f"{stage}: ")
+        assert (sub / "report.json").read_bytes() == (pipe / "report.json").read_bytes()
+        a, b = manifest_stages(sub), manifest_stages(pipe)
+        for stage in ("communities", "polarisation"):
+            a[stage].pop("completed")
+            b[stage].pop("completed")
+            assert a[stage] == b[stage]
+        assert a["communities"]["params"]["networks"]["agenda"]["resolution"] == 1.0
+        assert a["polarisation"]["params"]["threshold"] == 0.05
 
     @pytest.mark.parametrize(
         "stage, given, flag",

@@ -11,7 +11,6 @@ from hashjack.graph import (
     AccountRegistry,
     CompactGraph,
     RetweetNetwork,
-    add_edges,
     build_network,
     build_networks,
     network_from_events,
@@ -52,10 +51,10 @@ class TestBuildNetwork:
         stream = [rt("t1", "a", "b"), rt("t2", "a", "b"), rt("t3", "b", "c")]
         net = build_network(stream, reg, "afd")
         a, b, c = reg.index_of("a"), reg.index_of("b"), reg.index_of("c")
-        assert net.edges == {(a, b): 2, (b, c): 1}
+        assert net.edges == [[a, b, 2], [b, c, 1]]
         assert net.made(a) == 2 and net.made(b) == 1 and net.made(c) == 0
         assert net.received(b) == 2 and net.received(c) == 1
-        assert net.retweet_count == 3
+        assert sum(w for _, _, w in net.edges) == 3
         assert net.nodes == {a, b, c}
 
     def test_originals_add_isolated_author(self):
@@ -67,7 +66,7 @@ class TestBuildNetwork:
         net = build_network(stream, reg, "afd")
         assert reg.index_of("lurker") in net.nodes
         assert net.original_count == 1
-        assert net.retweet_count == 1
+        assert sum(w for _, _, w in net.edges) == 1
 
     def test_stream_must_carry_the_hashtag(self):
         reg = AccountRegistry()
@@ -144,14 +143,10 @@ class TestTallyProperties:
         reg = AccountRegistry()
         stream = [rt(f"t{i}", f"u{a}", f"u{b}") for i, (a, b) in enumerate(pairs)]
         net = build_network(stream, reg, "afd")
-        assert sum(net.edges.values()) == net.retweet_count == len(pairs)
+        assert sum(w for _, _, w in net.edges) == len(pairs)
         for node in net.nodes:
-            assert net.made(node) == sum(
-                w for (src, _), w in net.edges.items() if src == node
-            )
-            assert net.received(node) == sum(
-                w for (_, dst), w in net.edges.items() if dst == node
-            )
+            assert net.made(node) == sum(w for src, _, w in net.edges if src == node)
+            assert net.received(node) == sum(w for _, dst, w in net.edges if dst == node)
 
     @given(events)
     def test_projection_preserves_total_weight(self, pairs):
@@ -159,7 +154,7 @@ class TestTallyProperties:
         stream = [rt(f"t{i}", f"u{a}", f"u{b}") for i, (a, b) in enumerate(pairs)]
         net = build_network(stream, reg, "afd")
         graph = undirected_projection(net)
-        assert _total_weight(graph) == float(net.retweet_count)
+        assert _total_weight(graph) == float(sum(w for _, _, w in net.edges))
         assert set(graph.nodes) == net.nodes
 
 
@@ -208,7 +203,6 @@ class TestProjectionOracle:
         assert repr(undirected_projection(net)) == repr(dict_projection(net).compact())
 
     def test_edge_ends_become_nodes(self):
-        net = RetweetNetwork("tide", nodes={0, 1})
-        add_edges(net, [(0, 1, 2), (1, 7, 1), (7, 0, 1)])
+        net = RetweetNetwork("tide", {0, 1}, [[0, 1, 2], [1, 7, 1], [7, 0, 1]])
         assert net.nodes == {0, 1, 7}
         assert repr(undirected_projection(net)) == repr(dict_projection(net).compact())

@@ -161,8 +161,12 @@ class TestNetworkRoundTrip:
         assert again.edges == net.edges
         assert again.retweets_made == net.retweets_made
         assert again.retweets_received == net.retweets_received
-        assert again.retweet_count == net.retweet_count
+        assert sum(w for _, _, w in again.edges) == 5  # one per retweet record
         assert again.original_count == net.original_count
+
+    def test_extra_key_still_decodes(self):
+        reg, net = sample_network()
+        assert network_from_obj({**network_to_obj(net), "dedup_count": 0}) == net
 
     def test_obj_shape_is_sorted_lists(self):
         reg, net = sample_network()
@@ -376,7 +380,7 @@ class TestGexf:
         remap = {i: backwards.index_of(reg.id_of(i)) for i in range(len(reg.ids))}
         net = network_from_events(
             "tide",
-            [(remap[s], remap[t]) for (s, t), w in sorted(net.edges.items()) for _ in range(w)],
+            [(remap[s], remap[t]) for s, t, w in net.edges for _ in range(w)],
         )
         part = CommunityPartition(
             assignment={remap[n]: c for n, c in part.assignment.items()},
@@ -444,10 +448,8 @@ def reference_gexf(net, registry, partition=None, labeling=None, partisan_sets=(
             for attr_id, value in values:
                 ET.SubElement(holder, "attvalue", {"for": attr_id, "value": value})
     edges_el = ET.SubElement(graph, "edges")
-    ranked = sorted(
-        net.edges.items(), key=lambda kv: (registry.id_of(kv[0][0]), registry.id_of(kv[0][1]))
-    )
-    for eid, ((src, dst), weight) in enumerate(ranked):
+    ranked = sorted(net.edges, key=lambda edge: (registry.id_of(edge[0]), registry.id_of(edge[1])))
+    for eid, (src, dst, weight) in enumerate(ranked):
         ET.SubElement(edges_el, "edge", {
             "id": str(eid), "source": registry.id_of(src), "target": registry.id_of(dst),
             "weight": str(weight),
