@@ -162,16 +162,9 @@ class SynthConfig:
             raise SynthConfigError("zipf_s must be finite and > 0")
         if act.attention_s is not None and not 0 < act.attention_s < math.inf:
             raise SynthConfigError("attention_s must be finite and > 0")
-        if not 0 <= act.events_per_member < math.inf:
-            raise SynthConfigError("events_per_member must be finite and >= 0")
-        # a side of n native members emits at least round(epm * n) events:
-        # refusing here needs no draw and keeps generate's budget sum finite
-        native = max([n for s in self.parties for n in (s.partisans, s.contras)]
-                     + [n for s in self.publics for n in (s.pro, s.contra)], default=0)
-        if act.events_per_member * native >= MAX_EVENTS + 1:
-            raise SynthConfigError(
-                f"events_per_member {act.events_per_member!r} gives a {native}-member side "
-                f"more than the synthetic clock's {MAX_EVENTS} events")
+        # a member's events must fit the clock; generate's budgets then stay finite
+        if not 0 <= act.events_per_member <= MAX_EVENTS:
+            raise SynthConfigError(f"events_per_member must be 0 to {MAX_EVENTS}, the clock size")
         mix = self.mixing
         if not 0.0 <= mix.p_out < mix.p_in <= 1.0:
             raise SynthConfigError("mixing requires 0 <= p_out < p_in <= 1")
