@@ -8,8 +8,10 @@ compared index-for-index. Clustering consumes the symmetrized projection,
 `undirected_projection`, which gives the one form Louvain and modularity
 run on: a CompactGraph of sorted node ids and position rows.
 
-One numpy aggregation, `network_obj`, turns stored event pairs into the
-network file's object; a RetweetNetwork keeps its [retweeter, retweeted,
+One numpy aggregation, `event_rows`, turns a stream's (author, retweeted)
+event pairs into the weighted [author, retweeted, count] rows the ingest
+store keeps; `network_obj` reads those rows, with no sort, into the network
+file's object. A RetweetNetwork keeps the file's [retweeter, retweeted,
 count] rows, which the projection and the GEXF writer read as they are.
 """
 
@@ -87,36 +89,49 @@ class RetweetNetwork:
         return self.retweets_received.get(node, 0)
 
 
-ORIGINAL = -1  # retweeted index of an original tweet in an event pair
+ORIGINAL = -1  # retweeted index of an original tweet in an event pair or row
 
 
-def network_obj(hashtag: str, pairs) -> dict:
-    """The stored network of a hashtag's (author, retweeted) registry-index
-    pairs, an (n, 2) array or a sequence of pairs: nodes ascending, [i, j,
-    count] edges ascending and original_count. Every pair is one event; one
-    whose retweeted is ORIGINAL adds its author as a node but no edge. Edge
-    counts are the run lengths of the sorted keys author << 32 | retweeted.
+def event_rows(pairs):
+    """The [author, retweeted, count] rows of (author, retweeted) event pairs,
+    an (n, 2) array or a sequence of pairs: one row per distinct pair with
+    its number of events, rows ascending. A pair whose retweeted is ORIGINAL
+    is an original tweet, so an author's row with ORIGINAL counts their
+    originals. Counts are the run lengths of the sorted keys
+    author << 32 | retweeted + 1.
     """
     import numpy as np
 
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    flat = pairs.ravel()
-    retweet = pairs[:, 1] != ORIGINAL
-    keys = np.sort(pairs[retweet, 0] << 32 | pairs[retweet, 1])
+    keys = np.sort(pairs[:, 0] << 32 | pairs[:, 1] + 1)
     first = np.flatnonzero(np.diff(keys, prepend=-1))  # where each run of equal keys starts
     counts = np.diff(np.append(first, len(keys)))
     keys = keys[first]
+    return np.stack((keys >> 32, (keys & 0xFFFFFFFF) - 1, counts), axis=1)
+
+
+def network_obj(hashtag: str, rows) -> dict:
+    """The stored network of a hashtag's event_rows: nodes ascending, the
+    rows that are retweets as its [i, j, count] edges, already ascending,
+    and original_count. An original's row adds its author as a node but no
+    edge.
+    """
+    import numpy as np
+
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1, 3)
+    retweet = rows[:, 1] != ORIGINAL
     return {
         "hashtag": hashtag,
-        "nodes": _distinct(flat[flat != ORIGINAL]).tolist(),
-        "edges": np.stack((keys >> 32, keys & 0xFFFFFFFF, counts), axis=1).tolist(),
-        "original_count": len(pairs) - int(np.count_nonzero(retweet)),
+        "nodes": _distinct(np.concatenate((rows[:, 0], rows[retweet, 1]))).tolist(),
+        "edges": rows[retweet].tolist(),
+        "original_count": int(rows[~retweet, 2].sum()),
     }
 
 
 def network_from_events(hashtag: str, pairs) -> RetweetNetwork:
-    """The RetweetNetwork of network_obj(hashtag, pairs), as it decodes."""
-    obj = network_obj(hashtag, pairs)
+    """The RetweetNetwork of a hashtag's event pairs, as ingest and build
+    make it: event_rows, then network_obj, as the file decodes."""
+    obj = network_obj(hashtag, event_rows(pairs))
     return RetweetNetwork(obj["hashtag"], set(obj["nodes"]), obj["edges"], obj["original_count"])
 
 

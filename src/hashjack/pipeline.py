@@ -5,7 +5,8 @@ A run directory holds one manifest plus the artifacts of seven stages:
     ingest -> build -> communities -> label -> polarisation | odds | activity
 
 The corpus is parsed once, by ingest, which stores each tracked hashtag's
-stream as registry-index pairs; build aggregates those pairs into networks
+stream as weighted [author, retweeted, count] registry-index rows, one per
+distinct pair; build reads those rows into networks, with no sort and
 without reading the corpus again.
 
 Each manifest entry records the stage's parameters, input digests, the
@@ -46,15 +47,15 @@ from typing import Mapping, Sequence
 from .community import louvain
 from .errors import EdgelessGraphError, LabelingError, StageError, RunLockError
 from .gexf import gexf_document
-from .graph import network_obj, undirected_projection
+from .graph import event_rows, network_obj, undirected_projection
 from .ingest import normalize_hashtag, read_columns, write_rejects
 from .labeling import DEFAULT_MIN_COMMUNITY_SIZE, PRO, CONTRA, OTHER, \
     apply_overrides, label_by_seeds, manual_labeling, partisans, top_retweeted
 from .metrics import BASIS_ACCOUNTS, BASIS_VOLUME, PolarisationProfile, \
     cluster_composition, concentration, polarisation, polarisation_shift
 from .odds import hashjack_matrix
-from .store import compact_text, file_digest, json_text, load_json, obj_digest, pairs_from_npy, \
-    pairs_to_npy, write_text_atomic, labeling_from_obj, labeling_to_obj, network_from_obj, \
+from .store import compact_text, file_digest, json_text, load_json, obj_digest, rows_from_npy, \
+    rows_to_npy, write_text_atomic, labeling_from_obj, labeling_to_obj, network_from_obj, \
     partition_from_obj, partition_to_obj, registry_from_obj
 
 STAGE_ORDER = (
@@ -419,12 +420,13 @@ def _per_network(run: RunDir, manifest: Mapping, name: str, params: Mapping, mak
 # -- writer stages ------------------------------------------------------
 
 def stage_ingest(run, input_path, tracked, fmt="jsonl", strict=False, out="store"):
-    """Check a corpus in one pass; store each tracked stream as index pairs.
+    """Check a corpus in one pass; store each tracked stream as edge rows.
 
     The store holds `registry.json` (the sorted ids of every account in a
-    tracked stream), one `<tag>.npy` of (author, retweeted) registry indices
-    per tracked hashtag, `stats.json`, and `rejects.jsonl` when lines were
-    rejected.
+    tracked stream), one `<tag>.npy` of `graph.event_rows` per tracked
+    hashtag (ascending [author, retweeted, count] registry-index rows,
+    retweeted -1 for originals), `stats.json`, and `rejects.jsonl` when
+    lines were rejected.
     """
     input_path = Path(input_path)
     if not input_path.is_file():
@@ -458,7 +460,7 @@ def stage_ingest(run, input_path, tracked, fmt="jsonl", strict=False, out="store
         accounts, pairs = columns.index_pairs(tags)
         write("registry.json", compact_text({"accounts": accounts}))
         for tag, tag_pairs in pairs.items():
-            write(f"{tag}.npy", pairs_to_npy(tag_pairs))
+            write(f"{tag}.npy", rows_to_npy(event_rows(tag_pairs)))
         stats = columns.stats().to_dict()
         stats["reject_count"] = len(rejects)
         write("stats.json", compact_text(stats))
@@ -476,22 +478,25 @@ def stage_ingest(run, input_path, tracked, fmt="jsonl", strict=False, out="store
 
 
 def stage_build(run, out="networks"):
-    """Build each tracked hashtag's network from the stored index pairs."""
+    """Build each tracked hashtag's network from the stored edge rows."""
     params = {"out": out}
 
     def execute(run, manifest, params, deps):
         ingest_entry = deps["ingest"]
         store = ingest_entry["params"]["out"]
+        older = StageError(
+            "the ingest store was written by an older hashjack; "
+            "ingest into a new run directory"
+        )
         if f"{store}/registry.json" not in ingest_entry["outputs"]:
-            raise StageError(
-                "the ingest store was written by an older hashjack; "
-                "ingest into a new run directory"
-            )
+            raise older
         nets = {}
         for tag in ingest_entry["params"]["tracked"]:
-            pairs = run.read("ingest", ingest_entry, f"{store}/{tag}.npy", pairs_from_npy)
-            if len(pairs):
-                nets[tag] = network_obj(tag, pairs)
+            rows = run.read("ingest", ingest_entry, f"{store}/{tag}.npy", rows_from_npy)
+            if rows.shape[1:] != (3,):  # an older store's (n, 2) event pairs
+                raise older
+            if len(rows):
+                nets[tag] = network_obj(tag, rows)
         if not nets:
             raise StageError("no tracked hashtag appears in the corpus")
         # The registry is copied byte for byte: build never needs it decoded.

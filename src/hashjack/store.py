@@ -6,11 +6,12 @@ JSON artifacts that grow with the corpus (registry, networks, partitions,
 `stats.json`) are one compact line from json's C encoder (`compact_text`),
 which `indent` would rule out; fixed-size ones people read are indented by
 two spaces (`json_text`). Either form reads. The ingest store keeps each tracked
-hashtag's events as an (n, 2) little-endian int32 .npy array of (author,
-retweeted) registry indices, -1 for an original tweet. Artifacts reference
+hashtag's events as a (k, 3) little-endian int32 .npy array of ascending
+[author, retweeted, count] registry-index rows, one per distinct pair,
+with retweeted -1 for original tweets. Artifacts reference
 accounts by string id where the file is meant to be read by people
 (partitions, labels) and by registry index where compactness matters
-(event pairs, network edge lists); the registry file pins the index order
+(event rows, network edge lists); the registry file pins the index order
 either way. Every file is written atomically. The encoders return text or bytes and the decoders take the
 parsed file, so a run directory (`pipeline.RunDir`) can hash exactly the
 bytes it writes and decode only bytes whose digest it has checked."""
@@ -114,19 +115,21 @@ def obj_digest(obj) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-# -- event index pairs --------------------------------------------------
+# -- event rows ---------------------------------------------------------
 
-def pairs_to_npy(pairs: Sequence[Sequence[int]]) -> bytes:
-    """(author, retweeted) index pairs as the bytes of an (n, 2) int32 .npy file."""
+def rows_to_npy(rows: Sequence[Sequence[int]]) -> bytes:
+    """[author, retweeted, count] rows (`graph.event_rows`) as the bytes of
+    a (k, 3) int32 .npy file."""
     import numpy as np
 
     buffer = io.BytesIO()
-    np.save(buffer, np.asarray(pairs, dtype="<i4").reshape(-1, 2), allow_pickle=False)
+    np.save(buffer, np.asarray(rows, dtype="<i4").reshape(-1, 3), allow_pickle=False)
     return buffer.getvalue()
 
 
-def pairs_from_npy(data: bytes) -> np.ndarray:
-    """The (n, 2) array of a pairs_to_npy file."""
+def rows_from_npy(data: bytes) -> np.ndarray:
+    """The array of a rows_to_npy file, in the shape it was saved in: an
+    older store's (n, 2) event pairs stay (n, 2)."""
     import numpy as np
 
     return np.load(io.BytesIO(data), allow_pickle=False)

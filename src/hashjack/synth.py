@@ -157,6 +157,13 @@ class SynthConfig:
             if not all(type(n) is int and n >= 0 for n in (spec.pro, spec.contra)):
                 raise SynthConfigError(f"public {spec.name}: pro ({spec.pro!r}) and "
                                        f"contra ({spec.contra!r}) must be integers >= 0")
+        # generate names every account before it counts the events, so the
+        # clock bounds the counts and the native sides' budgets (below)
+        sides = [n for s in self.parties for n in (s.partisans, s.contras)]
+        sides += [n for s in self.publics for n in (s.pro, s.contra)]
+        if max(sides, default=0) > MAX_EVENTS:
+            raise SynthConfigError(f"account count {max(sides)} is above {MAX_EVENTS}, "
+                                   "the clock size")
         act = self.activity
         if not 0 < act.zipf_s < math.inf:
             raise SynthConfigError("zipf_s must be finite and > 0")
@@ -165,6 +172,12 @@ class SynthConfig:
         # a member's events must fit the clock; generate's budgets then stay finite
         if not 0 <= act.events_per_member <= MAX_EVENTS:
             raise SynthConfigError(f"events_per_member must be 0 to {MAX_EVENTS}, the clock size")
+        # the native sides' budgets, without the partisans joining a public
+        # hashtag, are a floor on the events generate emits
+        native = sum(int(round(act.events_per_member * n)) for n in sides)
+        if native > MAX_EVENTS:
+            raise SynthConfigError(f"config emits {native} events or more; the synthetic "
+                                   f"clock holds at most {MAX_EVENTS}")
         mix = self.mixing
         if not 0.0 <= mix.p_out < mix.p_in <= 1.0:
             raise SynthConfigError("mixing requires 0 <= p_out < p_in <= 1")

@@ -209,10 +209,11 @@ def record_stats(records: Sequence) -> dict:
     }
 
 
-def record_store(records: Sequence, tracked: Iterable[str]) -> tuple[list[str], dict]:
-    """The store's registry and (author, retweeted) index pairs per tracked
-    tag by walking TweetRecords: the registry holds the sorted ids of every
-    account in a stream, and a stream keeps the records carrying its tag."""
+def record_pairs(records: Sequence, tracked: Iterable[str]) -> tuple[list[str], dict]:
+    """The registry and (author, retweeted) index pairs per tracked tag, in
+    stream order, by walking TweetRecords: the registry holds the sorted ids
+    of every account in a stream, and a stream keeps the records carrying
+    its tag."""
     streams = {tag: [r for r in records if tag in r.hashtags] for tag in sorted(tracked)}
     ids = sorted({account for stream in streams.values() for r in stream
                   for account in (r.author, r.retweeted_author) if account is not None})
@@ -225,10 +226,25 @@ def record_store(records: Sequence, tracked: Iterable[str]) -> tuple[list[str], 
     return ids, pairs
 
 
+def dict_rows(pairs: Sequence[Sequence[int]]) -> list[list[int]]:
+    """graph.event_rows as a dict count keyed by (author, retweeted) pair."""
+    counts: dict[tuple[int, int], int] = {}
+    for author, target in pairs:
+        counts[author, target] = counts.get((author, target), 0) + 1
+    return [[i, j, w] for (i, j), w in sorted(counts.items())]
+
+
+def record_store(records: Sequence, tracked: Iterable[str]) -> tuple[list[str], dict]:
+    """The store's registry and [author, retweeted, count] rows per tracked
+    tag by walking TweetRecords: record_pairs, each tag's pairs counted."""
+    ids, pairs = record_pairs(records, tracked)
+    return ids, {tag: dict_rows(tag_pairs) for tag, tag_pairs in pairs.items()}
+
+
 def network_to_obj(net: RetweetNetwork) -> dict:
     """The network file's object from a RetweetNetwork: nodes and weighted
     edge rows by registry index, sorted, plus original_count. What
-    graph.network_obj gives from the network's events."""
+    graph.network_obj gives from the rows of the network's events."""
     return {
         "hashtag": net.hashtag,
         "nodes": sorted(net.nodes),

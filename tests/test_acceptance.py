@@ -28,7 +28,8 @@ from hashjack.community import _total_weight, louvain, modularity
 from hashjack.graph import (
     AccountRegistry,
     build_network,
-    network_from_events,
+    event_rows,
+    network_obj,
     undirected_projection,
 )
 from hashjack.ingest import TweetRecord, read_columns
@@ -55,18 +56,20 @@ from hashjack.synth import (
     generate,
     write_corpus,
 )
-from hashjack.store import load_json
+from hashjack.store import load_json, network_from_obj
 
 BARBELL_Q = 6.0 / 7.0 - 0.5
 
 
 def stage_networks(text, tracked):
     """The networks and registry of a corpus text as the ingest and build
-    stages make them: read_columns, index_pairs, network_from_events."""
+    stages make them: read_columns, index_pairs and event_rows (ingest's
+    store rows), then network_obj (build) and network_from_obj."""
     columns, rejects = read_columns(io.StringIO(text), "jsonl")
     assert not rejects
     accounts, pairs = columns.index_pairs(tracked)
-    nets = {tag: network_from_events(tag, tag_pairs) for tag, tag_pairs in pairs.items()}
+    nets = {tag: network_from_obj(network_obj(tag, event_rows(tag_pairs)))
+            for tag, tag_pairs in pairs.items()}
     return nets, AccountRegistry(accounts)
 
 

@@ -48,7 +48,7 @@ PINNED_SHA256 = {
     "labels/agenda.json": "b8a9e6bd85b5559f22765855f0b2e9d6cb5d42358b3eb720217f23a45ca04923",
     "labels/party1.json": "a8c2bbeb5cdef7a273c5394d9197d0f3540a49e805c8fc6bd9a13d60b28a91b3",
     "labels/party2.json": "f36b80eddfb7591133f037244407f1a64060791b049619851b97b190592005c6",
-    "manifest.json": "8daf97a4db3d7f3bbff4035433cfcc2f875d8a29d754835cc6ab162886826264",
+    "manifest.json": "365d7e1ff58c0c79aa6f7af163b20b485867683665ba1c066cac4d67bb6ba4d8",
     "networks/agenda.json": "bf95bdb09554815d357426b9dfcb1ae515b90b8160332734e92c68c29e41081d",
     "networks/party1.json": "c32a043a78bba90d5f69358acee80a5281eca04881fd0e38f435ed6fccf92ebb",
     "networks/party2.json": "1bbbc0e53623cb23828b65b66cfc9b92fff1ab2d6a198d7d121ed7c08d96cc58",
@@ -61,9 +61,9 @@ PINNED_SHA256 = {
     "party2.gexf": "a9f627c9d6e1a0b4088fd88ae0aa23f6a2d5040b5ef8ccde7e2f4b2b04bfe39f",
     "polarisation.json": "5620d4f026ba28bf19b3725df78119c0b6a39f4576a2cb9adce287e0210b7f76",
     "report.json": "bee945ee70c71f2ff28e553602f3b273e3825c92b7d4e63d7e015384dc66e9cc",
-    "store/agenda.npy": "ca290a6fd7afc75ebe5bf87081b983d7c04892386c6b22777dd02d25d052ed0f",
-    "store/party1.npy": "983d3261466f99fd26dd757e3df331d69052529626240c4366f312dc89595edf",
-    "store/party2.npy": "13b1009e7d4e931b3f3f1c3e1c9fc9c96e3d463fa8b41844161fe4d331a086dd",
+    "store/agenda.npy": "f90c45742496d393b0bd696343e00e3a8bdfffe31ec795dabc722ab873867f7c",
+    "store/party1.npy": "1ac2cb071b7204925dbf2fdf7d0bfe67d64423663a0656354944ef001aa320a8",
+    "store/party2.npy": "51401b690b3024de2c6a3204a7f90a83b4cc9079a226d068905899702c59c3da",
     "store/registry.json": "7789cab79000104f1d8117ddbf50a99c03edac15182623fd62e3f61ce0896391",
     "store/stats.json": "32e56f44cdc1c4dbbac2aaf4ac27e53f8b61f2c726901eeb1e5a095d422458da",
 }

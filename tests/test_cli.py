@@ -16,6 +16,7 @@ import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -26,8 +27,8 @@ from hashjack.cli import entrypoint
 from hashjack.errors import StageError
 from hashjack.graph import build_networks
 from hashjack.ingest import CSV_COLUMNS, CorpusStats, parse_records, split_streams
-from hashjack.store import compact_text, file_digest, json_text, load_json, pairs_to_npy
-from _oracles import network_to_obj, record_stats, record_store, write_csv
+from hashjack.store import compact_text, file_digest, json_text, load_json, rows_to_npy
+from _oracles import network_to_obj, record_pairs, record_stats, record_store, write_csv
 
 
 GEXF_NS = "{http://www.gexf.net/1.2draft}"
@@ -751,8 +752,8 @@ class TestBadInputExits2:
 # One number of a synth config, or one flag value, replaced by each of
 # these. 1e308 ends quickly: an events_per_member past the synthetic
 # clock's 10**8 events is refused before any draw, and a count given as a
-# float is not an integer. Large integer counts stay out: a side of that
-# many accounts is built before the clock can refuse its events.
+# float is not an integer. Large integer counts stay out: validate refuses
+# one above 10**8, but one the clock allows still names that many accounts.
 POOL = [math.nan, math.inf, -math.inf, -1, 0, 0.5, 3, 1e-300, 1e308, "x", None, [], {}]
 FLAG_POOL = ["nan", "inf", "-inf", "-1", "0", "0.5", "3", "1e-300", "x", "null", "[]", "{}"]
 SYNTH_NUMBERS = [
@@ -1093,6 +1094,24 @@ class TestStoredEvents:
         assert run_cli("build", "--run-dir", run) == 2
         assert "older hashjack" in capsys.readouterr().err
 
+    def test_store_of_event_pairs_exits_2(self, corpus, tmp_path, capsys):
+        """A store of (n, 2) event pairs, the form older versions wrote, with
+        the manifest's digests to match: build refuses it and writes nothing."""
+        run = tmp_path / "run"
+        bootstrap(run, corpus, upto="ingest")
+        records, _ = parse_records(corpus["corpus"].read_text())
+        _, pairs = record_pairs(records, TRACKED.split(","))
+        manifest = load_json(run / "manifest.json")
+        for tag, tag_pairs in pairs.items():
+            path = run / "store" / f"{tag}.npy"
+            np.save(path, np.asarray(tag_pairs, dtype="<i4").reshape(-1, 2), allow_pickle=False)
+            manifest["stages"]["ingest"]["outputs"][f"store/{tag}.npy"] = file_digest(path)
+        (run / "manifest.json").write_text(json.dumps(manifest))
+        assert run_cli("build", "--out", "networks2", "--run-dir", run) == 2
+        assert ("the ingest store was written by an older hashjack; "
+                "ingest into a new run directory") in capsys.readouterr().err
+        assert not (run / "networks2").exists()
+
     def test_indented_network_files_still_read(self, finished, tmp_path, capsys):
         """A run directory whose network files are in the older indented form."""
         run = tmp_path / "run"
@@ -1218,10 +1237,10 @@ class TestColumnarIngest:
         run = tmp_path / "run"
         assert run_cli("ingest", source, "--tracked", TRACKED, "--run-dir", run) == 0
         records, _ = parse_records(source.read_text())
-        ids, pairs = record_store(records, TRACKED.split(","))
+        ids, rows = record_store(records, TRACKED.split(","))
         stats = CorpusStats(**record_stats(records)).to_dict()
         stats["reject_count"] = 0
-        expected = {f"{tag}.npy": pairs_to_npy(pairs[tag]) for tag in pairs}
+        expected = {f"{tag}.npy": rows_to_npy(rows[tag]) for tag in rows}
         expected["registry.json"] = compact_text({"accounts": ids}).encode()
         expected["stats.json"] = compact_text(stats).encode()
         assert len(stats["per_hashtag"]) == len(records) + 3

@@ -13,6 +13,7 @@ from hashjack.graph import (
     RetweetNetwork,
     build_network,
     build_networks,
+    event_rows,
     network_from_events,
     network_obj,
     undirected_projection,
@@ -169,9 +170,9 @@ def event_pair_lists(draw):
 
 
 class TestNetworkFromEvents:
-    """The sorted numpy tally equals a loop over the events, for the stored
-    (n, 2) int32 array and for a list of pairs, as the file object and as
-    the decoded network."""
+    """The sorted numpy tally equals a loop over the events, for the (n, 2)
+    int32 array index_pairs gives and for a list of pairs, as the file
+    object and as the decoded network."""
 
     @given(event_pair_lists())
     @example([])
@@ -182,7 +183,7 @@ class TestNetworkFromEvents:
         for given_pairs in (pairs, np.array(pairs, dtype="<i4").reshape(-1, 2)):
             net = network_from_events("tide", given_pairs)
             assert net == expected
-            obj = network_obj("tide", given_pairs)
+            obj = network_obj("tide", event_rows(given_pairs))
             assert compact_text(obj) == compact_text(network_to_obj(expected))
             # an in-memory network iterates its nodes as its file decodes
             assert list(net.nodes) == list(network_from_obj(network_to_obj(expected)).nodes)

@@ -3,8 +3,10 @@ import json
 import re
 from datetime import datetime, timedelta, timezone
 
+import numpy as np
 import pytest
-from _oracles import json_line, ordered_jsonl_check, record_stats, record_store, write_csv
+from _oracles import json_line, ordered_jsonl_check, record_pairs, record_stats, record_store, \
+    write_csv
 from hypothesis import example, given, strategies as st
 
 from hashjack.errors import IngestError, RejectRateError
@@ -26,7 +28,8 @@ from hashjack.ingest import (
     write_jsonl,
     write_rejects,
 )
-from hashjack.store import pairs_to_npy
+from hashjack.graph import event_rows
+from hashjack.store import rows_to_npy
 
 
 def jl(**kw):
@@ -603,11 +606,16 @@ class TestColumns:
         if stats.window is not None:
             assert all(moment.tzinfo is timezone.utc for moment in stats.window)
         ids, pairs = columns.index_pairs(tracked)
-        expected_ids, expected_pairs = record_store(records, tracked)
+        expected_ids, expected_pairs = record_pairs(records, tracked)
         assert ids == expected_ids
         assert sorted(pairs) == sorted(expected_pairs)
-        for tag, rows in pairs.items():
-            assert pairs_to_npy(rows) == pairs_to_npy(expected_pairs[tag])
+        for tag, tag_pairs in pairs.items():
+            assert tag_pairs.dtype == np.dtype("<i4") and tag_pairs.shape[1:] == (2,)
+            assert tag_pairs.tolist() == [list(pair) for pair in expected_pairs[tag]]
+        # the store's rows, as ingest writes them
+        _, expected_rows = record_store(records, tracked)
+        for tag, tag_pairs in pairs.items():
+            assert rows_to_npy(event_rows(tag_pairs)) == rows_to_npy(expected_rows[tag])
 
     @given(corpora())
     def test_from_records_matches_the_record_walk(self, records):
@@ -620,7 +628,8 @@ class TestColumns:
             "record_count": 0, "account_count": 0, "per_hashtag": {}, "window": None,
         }
         ids, pairs = columns.index_pairs(["a"])
-        assert ids == [] and pairs_to_npy(pairs["a"]) == pairs_to_npy([])
+        assert ids == [] and pairs["a"].shape == (0, 2) and pairs["a"].dtype == np.dtype("<i4")
+        assert rows_to_npy(event_rows(pairs["a"])) == rows_to_npy([])
 
 
 class TestWriteRejects:

@@ -4,14 +4,15 @@ import math
 import xml.etree.ElementTree as ET
 from datetime import datetime, timezone
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from _oracles import dict_network_from_events, network_to_obj
+from _oracles import dict_network_from_events, dict_rows, network_to_obj
 from hashjack.community import CommunityPartition
 from hashjack.gexf import gexf_document
-from hashjack.graph import ORIGINAL, AccountRegistry, build_network, network_from_events, \
-    network_obj
+from hashjack.graph import ORIGINAL, AccountRegistry, build_network, event_rows, \
+    network_from_events, network_obj
 from hashjack.ingest import TweetRecord
 from hashjack.labeling import ClusterLabeling, PartisanAssignment
 from hashjack.store import (
@@ -30,6 +31,8 @@ from hashjack.store import (
     partition_from_obj,
     partition_to_obj,
     registry_from_obj,
+    rows_from_npy,
+    rows_to_npy,
     write_text_atomic,
 )
 
@@ -177,11 +180,11 @@ class TestNetworkRoundTrip:
         assert all(len(edge) == 3 for edge in obj["edges"])
 
     def test_build_obj_is_the_encoded_network(self):
-        """What build encodes, graph.network_obj of the events, is the
+        """What build encodes, graph.network_obj of the events' rows, is the
         network's object from its dicts, and it decodes to that network."""
         pairs = [(0, 1), (2, 1), (0, 1), (3, ORIGINAL), (1, 0), (2, 1), (0, 1)]
         expected = dict_network_from_events("tide", pairs)
-        obj = network_obj("tide", pairs)
+        obj = network_obj("tide", event_rows(pairs))
         assert compact_text(obj) == compact_text(network_to_obj(expected))
         assert obj["edges"] == [[0, 1, 3], [1, 0, 1], [2, 1, 2]]
         assert network_from_obj(obj) == expected
@@ -192,6 +195,38 @@ class TestNetworkRoundTrip:
         assert text.endswith("\n") and text.count("\n") == 1
         assert json.loads(text) == network_to_obj(net)
         assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
+
+
+@st.composite
+def event_streams(draw):
+    """(author, retweeted) event pairs over a few accounts, so that pairs
+    repeat, with originals among them."""
+    ids = draw(st.lists(st.integers(min_value=0, max_value=2**31 - 1),
+                        min_size=1, max_size=5, unique=True))
+    account = st.sampled_from(ids)
+    return draw(st.lists(st.tuples(account, st.just(ORIGINAL) | account), max_size=30))
+
+
+class TestEventRows:
+    """The store's [author, retweeted, count] rows of a stream's events."""
+
+    @given(event_streams())
+    @example([])
+    @example([(4, 2)])
+    @example([(4, ORIGINAL)])
+    @example([(1, 0), (1, ORIGINAL), (1, 0), (0, 1), (1, 0), (0, ORIGINAL), (1, ORIGINAL)])
+    @example([(2**31 - 1, ORIGINAL), (2**31 - 1, 2**31 - 1), (0, 2**31 - 1)])
+    def test_rows_aggregate_the_events(self, pairs):
+        rows = event_rows(pairs)
+        keys = [(i, j) for i, j, _ in rows.tolist()]
+        assert keys == sorted(set(keys))  # strictly ascending
+        assert int(rows[:, 2].sum()) == len(pairs)
+        assert rows.tolist() == dict_rows(pairs)
+        # build reads the rows from the stored bytes and writes their network
+        stored = rows_from_npy(rows_to_npy(rows))
+        assert stored.dtype == np.dtype("<i4") and stored.shape == (len(rows), 3)
+        text = compact_text(network_obj("tide", stored))
+        assert network_from_obj(json.loads(text)) == dict_network_from_events("tide", pairs)
 
 
 class TestPartitionRoundTrip:

@@ -160,6 +160,33 @@ class TestConfigValidation:
         with pytest.raises(SynthConfigError, match="p_out=0"):
             cfg.validate()
 
+    @pytest.mark.parametrize("party, public, epm, message", [
+        ((10**12, 5), (5, 5), 8.0, "account count 1000000000000 is above 100000000"),
+        ((5, synth.MAX_EVENTS + 1), (5, 5), 0.0, "account count 100000001 is above"),
+        ((5, 5), (synth.MAX_EVENTS + 1, 5), 0.0, "account count 100000001 is above"),
+        ((5, 5), (5, 10**12), 0.0, "account count 1000000000000 is above"),
+        ((5 * 10**7, 0), (5 * 10**7, 1), 1.0, "config emits 100000001 events or more"),
+        ((3, 3), (3, 3), 10**7, "config emits 120000000 events or more"),
+        ((synth.MAX_EVENTS, 5), (5, 5), 0.0, None),
+        ((5 * 10**7, 0), (5 * 10**7, 0), 1.0, None),
+    ])
+    def test_counts_past_the_clock_rejected(self, party, public, epm, message):
+        """No account count may exceed the clock's 10**8 ticks, nor may the
+        native sides' budgets, round(events_per_member * n) summed: generate
+        builds every name list before it counts the events."""
+        cfg = SynthConfig(
+            seed=0,
+            parties=(PartySpec("afd", *party),),
+            publics=(PublicSpec("tide", *public),),
+            activity=ActivitySpec(1.0, epm),
+            mixing=MixingSpec(0.9, 0.1),
+        )
+        if message is None:
+            cfg.validate()
+        else:
+            with pytest.raises(SynthConfigError, match=message):
+                cfg.validate()
+
     @pytest.mark.parametrize("attention_s, members, ok", [
         (19.9, 2, True), (20.0, 2, False), (20.0, 1000, False), (1e4, 2, False),
         (40.0, 1, True),
