@@ -10,9 +10,10 @@ run on: a CompactGraph of sorted node ids and position rows.
 
 One numpy aggregation, `event_rows`, turns a stream's (author, retweeted)
 event pairs into the weighted [author, retweeted, count] rows the ingest
-store keeps; `network_obj` reads those rows, with no sort, into the network
-file's object. A RetweetNetwork keeps the file's [retweeter, retweeted,
-count] rows, which the projection and the GEXF writer read as they are.
+store keeps; `network_obj` reads those rows, with no count or sort of
+events, into the network file's object. A RetweetNetwork keeps the file's
+[retweeter, retweeted, count] rows, which the projection and the GEXF
+writer read as they are.
 """
 
 from __future__ import annotations
@@ -93,13 +94,11 @@ ORIGINAL = -1  # retweeted index of an original tweet in an event pair or row
 
 
 def event_rows(pairs):
-    """The [author, retweeted, count] rows of (author, retweeted) event pairs,
-    an (n, 2) array or a sequence of pairs: one row per distinct pair with
-    its number of events, rows ascending. A pair whose retweeted is ORIGINAL
-    is an original tweet, so an author's row with ORIGINAL counts their
-    originals. Counts are the run lengths of the sorted keys
-    author << 32 | retweeted + 1.
-    """
+    """The ascending [author, retweeted, count] rows of (author, retweeted)
+    event pairs (an (n, 2) array or a sequence of pairs), one per distinct
+    pair; an author's row with retweeted ORIGINAL counts their original
+    tweets. Counts are run lengths of the sorted keys author << 32 |
+    retweeted + 1."""
     import numpy as np
 
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
@@ -112,10 +111,8 @@ def event_rows(pairs):
 
 def network_obj(hashtag: str, rows) -> dict:
     """The stored network of a hashtag's event_rows: nodes ascending, the
-    rows that are retweets as its [i, j, count] edges, already ascending,
-    and original_count. An original's row adds its author as a node but no
-    edge.
-    """
+    retweet rows, already ascending, as its [i, j, count] edges, and
+    original_count. An original's row makes its author a node, not an edge."""
     import numpy as np
 
     rows = np.asarray(rows, dtype=np.int64).reshape(-1, 3)

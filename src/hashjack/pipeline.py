@@ -6,8 +6,8 @@ A run directory holds one manifest plus the artifacts of seven stages:
 
 The corpus is parsed once, by ingest, which stores each tracked hashtag's
 stream as weighted [author, retweeted, count] registry-index rows, one per
-distinct pair; build reads those rows into networks, with no sort and
-without reading the corpus again.
+distinct pair; build reads those rows into networks without counting
+events again or reading the corpus.
 
 Each manifest entry records the stage's parameters, input digests, the
 fingerprints of its prerequisite stages, and a digest per output file.
