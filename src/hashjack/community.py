@@ -69,12 +69,17 @@ class CommunityPartition:
 
 
 def modularity(
-    graph: CompactGraph, assignment: Mapping[int, int], resolution: float = 1.0
+    graph: CompactGraph, assignment: Mapping[int, int], resolution: float = 1.0,
+    total_weight: float | None = None,
 ) -> float:
-    """Weighted modularity of a partition; raises on an edgeless graph."""
+    """Weighted modularity of a partition; raises on an edgeless graph.
+
+    `total_weight` is the graph's m (`_total_weight`) when the caller has
+    already summed it, as `louvain` has.
+    """
     if resolution <= 0:
         raise ValueError("resolution must be positive")
-    m = _total_weight(graph)
+    m = _total_weight(graph) if total_weight is None else total_weight
     if m <= 0:
         raise EdgelessGraphError("modularity is undefined on an edgeless graph")
     # _quality sums communities in index order; indexing them by first
@@ -85,7 +90,8 @@ def modularity(
             raise ValueError(f"node {node} has no community assignment")
         relabel.setdefault(assignment[node], len(relabel))
     comm = [assignment[node] for node in graph.nodes]
-    return _quality(*_aggregate(graph.adj, graph.selfw, comm, relabel), m, resolution)
+    adj, selfw = _aggregate(graph.adj, graph.selfw, comm, relabel)
+    return _quality(selfw, _strengths(adj, selfw), m, resolution)
 
 
 def _strengths(adj: list[list[tuple[int, float]]], selfw: list[float]) -> list[float]:
@@ -98,28 +104,27 @@ def _total_weight(graph: CompactGraph) -> float:
     return sum(_strengths(graph.adj, graph.selfw)) / 2.0
 
 
-def _quality(
-    adj: list[list[tuple[int, float]]], selfw: list[float], m: float, resolution: float
-) -> float:
-    """Q of the singleton partition of a compact graph with total weight m.
+def _quality(selfw: list[float], strength: list[float], m: float, resolution: float) -> float:
+    """Q of the singleton partition of a compact graph with total weight m,
+    self-loop weights `selfw` and strengths `strength` (`_strengths`).
 
     On an aggregate graph this is Q of the partition it was aggregated by,
     since a supernode's self-loop weight is its community's internal weight.
     """
     return sum(
-        s / m - resolution * (k / (2.0 * m)) ** 2
-        for s, k in zip(selfw, _strengths(adj, selfw))
+        s / m - resolution * (k / (2.0 * m)) ** 2 for s, k in zip(selfw, strength)
     )
 
 
 def _local_move(
     adj: list[list[tuple[int, float]]],
-    selfw: list[float],
+    strength: list[float],
     m: float,
     resolution: float,
     rng: random.Random,
 ) -> tuple[list[int], bool]:
-    """One level of local moving over a compact 0..n-1 node space.
+    """One level of local moving over a compact 0..n-1 node space whose
+    node strengths (`_strengths`) are `strength`.
 
     Returns (community of each node, whether any move was accepted).
     Community ids start as node ids; ties between equally good candidates
@@ -129,7 +134,6 @@ def _local_move(
     order = list(range(n))
     rng.shuffle(order)
     comm = list(range(n))
-    strength = _strengths(adj, selfw)
     tot = strength.copy()
     two_m = 2.0 * m
     threshold = MIN_GAIN * m
@@ -211,26 +215,30 @@ def louvain(
     """
     if resolution <= 0:
         raise ValueError("resolution must be positive")
-    m = _total_weight(graph)
+    _, adj, selfw = graph
+    # Each level graph's strengths are summed once, here, and shared by m,
+    # the local move and the level's Q.
+    strength = _strengths(adj, selfw)
+    m = sum(strength) / 2.0  # _total_weight(graph)
     if m <= 0:
         raise EdgelessGraphError("community detection needs at least one edge")
-    _, adj, selfw = graph
     rng = random.Random(seed)
     membership = list(range(len(adj)))  # original compact node -> level node
     level_q: list[float] = []
     while True:
-        comm, moved = _local_move(adj, selfw, m, resolution, rng)
+        comm, moved = _local_move(adj, strength, m, resolution, rng)
         if not moved:
             break
         relabel = {label: idx for idx, label in enumerate(sorted(set(comm)))}
         membership = [relabel[comm[v]] for v in membership]
         adj, selfw = _aggregate(adj, selfw, comm, relabel)
-        level_q.append(_quality(adj, selfw, m, resolution))
+        strength = _strengths(adj, selfw)
+        level_q.append(_quality(selfw, strength, m, resolution))
 
     assignment = dict(zip(graph.nodes, membership))
     return CommunityPartition(
         assignment=assignment,
-        modularity=modularity(graph, assignment, resolution),
+        modularity=modularity(graph, assignment, resolution, total_weight=m),
         resolution=resolution,
         seed=seed,
         levels=len(level_q),

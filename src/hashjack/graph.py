@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .ingest import TweetRecord, _distinct, normalize_hashtag
 
@@ -29,10 +29,9 @@ class AccountRegistry:
     """Bijective account-id <-> dense index map, append-only within a run."""
 
     def __init__(self, ids: Iterable[str] = ()):
-        self._ids: list[str] = []
-        self._index: dict[str, int] = {}
-        for account in ids:
-            self.intern(account)
+        # first-seen order without repeats, as interning one by one gives
+        self._ids: list[str] = list(dict.fromkeys(ids))
+        self._index: dict[str, int] = dict(zip(self._ids, range(len(self._ids))))
 
     def __contains__(self, account: str) -> bool:
         return account in self._index
@@ -48,6 +47,10 @@ class AccountRegistry:
 
     def index_of(self, account: str) -> int:
         return self._index[account]
+
+    def indices(self, accounts: Iterable[str]) -> Iterator[int]:
+        """`index_of` of each account, in order."""
+        return map(self._index.__getitem__, accounts)
 
     def id_of(self, index: int) -> str:
         return self._ids[index]

@@ -20,10 +20,11 @@ on `.lock`, which a killed writer cannot leave behind, and read the
 manifest, which their params may depend on, only while they hold it.
 
 `RunDir.write` and `RunDir.read` are the only way artifacts enter and leave
-a run directory. A write records the SHA-256 of the bytes it wrote. A read
-decodes only bytes whose digest matches the manifest entry the caller
-verified, at most once per RunDir, so a view running next to a writer
-either refuses (exit 2) or sees one consistent version of every artifact.
+a run directory, and the one owner of the store's gzip codec. A write
+records the SHA-256 of the bytes it wrote. A read decodes only bytes whose
+digest matches the manifest entry the caller verified, at most once per
+RunDir, so a view running next to a writer either refuses (exit 2) or sees
+one consistent version of every artifact.
 
 Timestamps appear only in the manifest, never in fingerprints or in
 report.json; equal inputs and parameters give byte-equal artifacts.
@@ -39,9 +40,10 @@ import json
 import math
 import os
 import re
-import uuid
+import zlib
 from datetime import datetime, timezone
 from pathlib import Path
+from stat import S_ISREG
 from typing import Mapping, Sequence
 
 from .community import louvain
@@ -133,15 +135,38 @@ def _modified(stage: str) -> StageError:
 
 
 class RunDir:
-    """The manifest of one run directory and its artifact reader and writer."""
+    """The manifest of one run directory and its artifact reader and writer.
+
+    A path ending in `.gz` holds its data as one gzip member compressed at
+    level 1 with mtime 0, which zlib writes itself, so equal data gives equal
+    files under any Python version; its digest is that of the compressed
+    bytes on disk, and `read` decompresses only checked bytes.
+
+    Each file this RunDir writes or checks is remembered with its digest and
+    its inode, size and times, so a file that has not been replaced or
+    rewritten since is hashed once per RunDir, however many stages check it.
+    """
 
     def __init__(self, root: Path | str):
         self.root = Path(root)
         self._decoded: dict[str, tuple] = {}  # rel -> (digest and key, object)
+        self._verified: dict[str, tuple] = {}  # rel -> (digest, *_stat_key)
+
+    def _stat_key(self, rel: Path | str) -> tuple | None:
+        """(inode, size, mtime, ctime) of regular file `rel`, else None."""
+        try:
+            st = os.stat(self.root / rel)
+        except OSError:
+            return None
+        if not S_ISREG(st.st_mode):
+            return None
+        return st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns
 
     def load_manifest(self) -> dict:
         path = self.root / "manifest.json"
         if not path.exists():
+            import uuid
+
             return {
                 "run_id": uuid.uuid4().hex[:12],
                 "created": _now(),
@@ -171,27 +196,46 @@ class RunDir:
             raise StageError(f"{rel} is not a file inside the run directory {self.root}")
         if isinstance(data, str):
             data = data.encode("utf-8")
+        if str(rel).endswith(".gz"):
+            data = zlib.compress(data, 1, wbits=31)  # one gzip member, mtime 0
         write_text_atomic(self.root / rel, data)
-        return hashlib.sha256(data).hexdigest()
+        digest = hashlib.sha256(data).hexdigest()
+        self._verified[os.path.normpath(rel)] = (digest, *self._stat_key(rel))
+        return digest
 
     def intact(self, rel: str, digest: str) -> bool:
-        path = self.root / rel
-        return path.is_file() and file_digest(path) == digest
+        """Whether `rel` is a file with `digest`, hashed only when this
+        RunDir has not written or checked it, unchanged, with that digest."""
+        stat_key = self._stat_key(rel)
+        if stat_key is None:
+            return False
+        seen = (digest, *stat_key)
+        key = os.path.normpath(rel)
+        if self._verified.get(key) != seen:
+            if file_digest(self.root / rel) != digest:
+                return False
+            self._verified[key] = seen
+        return True
 
     def read(self, stage: str, entry: Mapping, rel: str, decode, *key):
         """`decode(bytes)` of output `rel` of `stage`'s entry, decoded only from
-        bytes with the recorded digest. The result is kept, one per path, for
-        the life of this RunDir and shared by every caller, which must not
-        change it; `key` is what else `decode` depends on."""
+        bytes with the recorded digest (decompressed after that check for a
+        `.gz` path). The result is kept, one per path, for the life of this
+        RunDir and shared by every caller, which must not change it; `key` is
+        what else `decode` depends on."""
         key = (entry["outputs"][rel], *key)
         cached = self._decoded.get(rel)
         if cached is None or cached[0] != key:
+            stat_key = self._stat_key(rel)  # taken first: a later change shows
             try:
                 data = (self.root / rel).read_bytes()
             except OSError:
                 raise _modified(stage) from None
-            if hashlib.sha256(data).hexdigest() != key[0]:
+            if stat_key is None or hashlib.sha256(data).hexdigest() != key[0]:
                 raise _modified(stage)
+            self._verified[os.path.normpath(rel)] = (key[0], *stat_key)
+            if rel.endswith(".gz"):
+                data = zlib.decompress(data, wbits=31)
             self._decoded[rel] = cached = (key, decode(data))
         return cached[1]
 
@@ -422,11 +466,11 @@ def _per_network(run: RunDir, manifest: Mapping, name: str, params: Mapping, mak
 def stage_ingest(run, input_path, tracked, fmt="jsonl", strict=False, out="store"):
     """Check a corpus in one pass; store each tracked stream as edge rows.
 
-    The store holds `registry.json` (the sorted ids of every account in a
-    tracked stream), one `<tag>.npy` of `graph.event_rows` per tracked
+    The store holds `registry.json.gz` (the sorted ids of every account in
+    a tracked stream), one `<tag>.npy.gz` of `graph.event_rows` per tracked
     hashtag (ascending [author, retweeted, count] registry-index rows,
-    retweeted -1 for originals), `stats.json`, and `rejects.jsonl` when
-    lines were rejected.
+    retweeted -1 for originals), both gzip-compressed by `RunDir.write`;
+    then the plain `stats.json`, and `rejects.jsonl` when lines were rejected.
     """
     input_path = Path(input_path)
     if not input_path.is_file():
@@ -458,9 +502,9 @@ def stage_ingest(run, input_path, tracked, fmt="jsonl", strict=False, out="store
             write_rejects(rejects, buffer)
             write("rejects.jsonl", buffer.getvalue())
         accounts, pairs = columns.index_pairs(tags)
-        write("registry.json", compact_text({"accounts": accounts}))
+        write("registry.json.gz", compact_text({"accounts": accounts}))
         for tag, tag_pairs in pairs.items():
-            write(f"{tag}.npy", rows_to_npy(event_rows(tag_pairs)))
+            write(f"{tag}.npy.gz", rows_to_npy(event_rows(tag_pairs)))
         stats = columns.stats().to_dict()
         stats["reject_count"] = len(rejects)
         write("stats.json", compact_text(stats))
@@ -468,7 +512,7 @@ def stage_ingest(run, input_path, tracked, fmt="jsonl", strict=False, out="store
         return outputs
 
     def plan(params, deps):
-        names = ["rejects.jsonl", "registry.json", "stats.json", *(f"{t}.npy" for t in tags)]
+        names = ["rejects.jsonl", "registry.json.gz", "stats.json", *(f"{t}.npy.gz" for t in tags)]
         return [f"{out}/{name}" for name in names]
 
     return run_stage(
@@ -484,23 +528,23 @@ def stage_build(run, out="networks"):
     def execute(run, manifest, params, deps):
         ingest_entry = deps["ingest"]
         store = ingest_entry["params"]["out"]
-        older = StageError(
-            "the ingest store was written by an older hashjack; "
-            "ingest into a new run directory"
-        )
-        if f"{store}/registry.json" not in ingest_entry["outputs"]:
-            raise older
+        rows_rel = {tag: f"{store}/{tag}.npy.gz" for tag in ingest_entry["params"]["tracked"]}
+        registry_rel = f"{store}/registry.json.gz"
+        if not {registry_rel, *rows_rel.values()} <= ingest_entry["outputs"].keys():
+            # an older hashjack wrote the store uncompressed, under other names
+            raise StageError(
+                "the ingest store was written by an older hashjack; "
+                "ingest into a new run directory"
+            )
         nets = {}
-        for tag in ingest_entry["params"]["tracked"]:
-            rows = run.read("ingest", ingest_entry, f"{store}/{tag}.npy", rows_from_npy)
-            if rows.shape[1:] != (3,):  # an older store's (n, 2) event pairs
-                raise older
+        for tag, rel in rows_rel.items():
+            rows = run.read("ingest", ingest_entry, rel, rows_from_npy)
             if len(rows):
                 nets[tag] = network_obj(tag, rows)
         if not nets:
             raise StageError("no tracked hashtag appears in the corpus")
-        # The registry is copied byte for byte: build never needs it decoded.
-        registry = run.read("ingest", ingest_entry, f"{store}/registry.json", bytes)
+        # The registry is copied decompressed: build never needs it decoded.
+        registry = run.read("ingest", ingest_entry, registry_rel, bytes)
         outputs = {f"{out}/registry.json": run.write(f"{out}/registry.json", registry)}
         for tag in sorted(nets):
             rel = f"{out}/{tag}.json"

@@ -8,7 +8,8 @@ which `indent` would rule out; fixed-size ones people read are indented by
 two spaces (`json_text`). Either form reads. The ingest store keeps each tracked
 hashtag's events as a (k, 3) little-endian int32 .npy array of ascending
 [author, retweeted, count] registry-index rows, one per distinct pair,
-with retweeted -1 for original tweets. Artifacts reference
+with retweeted -1 for original tweets; `pipeline.RunDir` keeps those
+arrays and the store's registry gzip-compressed. Artifacts reference
 accounts by string id where the file is meant to be read by people
 (partitions, labels) and by registry index where compactness matters
 (event rows, network edge lists); the registry file pins the index order
@@ -128,8 +129,7 @@ def rows_to_npy(rows: Sequence[Sequence[int]]) -> bytes:
 
 
 def rows_from_npy(data: bytes) -> np.ndarray:
-    """The array of a rows_to_npy file, in the shape it was saved in: an
-    older store's (n, 2) event pairs stay (n, 2)."""
+    """The (k, 3) array of a rows_to_npy file."""
     import numpy as np
 
     return np.load(io.BytesIO(data), allow_pickle=False)
@@ -170,11 +170,9 @@ def partition_to_obj(
 def partition_from_obj(obj: Mapping, registry: AccountRegistry) -> CommunityPartition:
     # Level history is a diagnostic of the clustering run; it is not part
     # of the stored artifact, so a reloaded partition reports zero levels.
-    assignment = {
-        registry.index_of(account): cid for account, cid in obj["assignment"].items()
-    }
+    accounts = obj["assignment"]
     return CommunityPartition(
-        assignment=assignment,
+        assignment=dict(zip(registry.indices(accounts), accounts.values())),
         modularity=obj["modularity"],
         resolution=obj["resolution"],
         seed=obj["seed"],

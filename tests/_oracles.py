@@ -11,7 +11,7 @@ from itertools import combinations
 from math import comb
 from typing import Iterable, Mapping, Sequence
 
-from hashjack.community import MIN_GAIN, _strengths
+from hashjack.community import MIN_GAIN
 from hashjack.errors import SynthConfigError
 from hashjack.graph import ORIGINAL, CompactGraph, RetweetNetwork
 from hashjack.ingest import (
@@ -272,7 +272,7 @@ def dict_network_from_events(hashtag: str, pairs: Sequence[Sequence[int]]) -> Re
 
 def dict_local_move(
     adj: list[list[tuple[int, float]]],
-    selfw: list[float],
+    strength: list[float],
     m: float,
     resolution: float,
     rng: random.Random,
@@ -282,7 +282,6 @@ def dict_local_move(
     order = list(range(n))
     rng.shuffle(order)
     comm = list(range(n))
-    strength = _strengths(adj, selfw)
     tot = strength.copy()
     two_m = 2.0 * m
     threshold = MIN_GAIN * m

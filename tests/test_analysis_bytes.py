@@ -4,7 +4,10 @@ The criterion-7 config runs through `synth`, `pipeline ingest ... report`,
 `export --gexf` for each network and `label report`. Every run-directory
 file, each GEXF, each label report and the manifest (run id, timestamps and
 source paths removed) must hash to the committed table, in this process
-and in a fresh interpreter under another PYTHONHASHSEED. A change that
+and in a fresh interpreter under another PYTHONHASHSEED. A `.gz` store file
+must be one gzip member with mtime 0, and the table pins its decompressed
+bytes: those do not depend on the zlib build, while the compressed bytes,
+and so the manifest's output digests, may. A change that
 alters some artifact's bytes on purpose updates the table and says which
 files changed and why.
 
@@ -18,6 +21,7 @@ import json
 import os
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 from hashjack.cli import entrypoint
@@ -48,7 +52,7 @@ PINNED_SHA256 = {
     "labels/agenda.json": "b8a9e6bd85b5559f22765855f0b2e9d6cb5d42358b3eb720217f23a45ca04923",
     "labels/party1.json": "a8c2bbeb5cdef7a273c5394d9197d0f3540a49e805c8fc6bd9a13d60b28a91b3",
     "labels/party2.json": "f36b80eddfb7591133f037244407f1a64060791b049619851b97b190592005c6",
-    "manifest.json": "365d7e1ff58c0c79aa6f7af163b20b485867683665ba1c066cac4d67bb6ba4d8",
+    "manifest.json": "b4d15db7c474863a8d2381f9d31e5cb42b81de4b42bb84e3646f296d95bc95b6",
     "networks/agenda.json": "bf95bdb09554815d357426b9dfcb1ae515b90b8160332734e92c68c29e41081d",
     "networks/party1.json": "c32a043a78bba90d5f69358acee80a5281eca04881fd0e38f435ed6fccf92ebb",
     "networks/party2.json": "1bbbc0e53623cb23828b65b66cfc9b92fff1ab2d6a198d7d121ed7c08d96cc58",
@@ -61,10 +65,10 @@ PINNED_SHA256 = {
     "party2.gexf": "a9f627c9d6e1a0b4088fd88ae0aa23f6a2d5040b5ef8ccde7e2f4b2b04bfe39f",
     "polarisation.json": "5620d4f026ba28bf19b3725df78119c0b6a39f4576a2cb9adce287e0210b7f76",
     "report.json": "bee945ee70c71f2ff28e553602f3b273e3825c92b7d4e63d7e015384dc66e9cc",
-    "store/agenda.npy": "f90c45742496d393b0bd696343e00e3a8bdfffe31ec795dabc722ab873867f7c",
-    "store/party1.npy": "1ac2cb071b7204925dbf2fdf7d0bfe67d64423663a0656354944ef001aa320a8",
-    "store/party2.npy": "51401b690b3024de2c6a3204a7f90a83b4cc9079a226d068905899702c59c3da",
-    "store/registry.json": "7789cab79000104f1d8117ddbf50a99c03edac15182623fd62e3f61ce0896391",
+    "store/agenda.npy.gz": "f90c45742496d393b0bd696343e00e3a8bdfffe31ec795dabc722ab873867f7c",
+    "store/party1.npy.gz": "1ac2cb071b7204925dbf2fdf7d0bfe67d64423663a0656354944ef001aa320a8",
+    "store/party2.npy.gz": "51401b690b3024de2c6a3204a7f90a83b4cc9079a226d068905899702c59c3da",
+    "store/registry.json.gz": "7789cab79000104f1d8117ddbf50a99c03edac15182623fd62e3f61ce0896391",
     "store/stats.json": "32e56f44cdc1c4dbbac2aaf4ac27e53f8b61f2c726901eeb1e5a095d422458da",
 }
 
@@ -79,6 +83,15 @@ def _run(argv: list[str]) -> str:
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def gunzip_member(data: bytes) -> bytes:
+    """The content of `data`, which must be one gzip member with mtime 0."""
+    assert data[:3] == b"\x1f\x8b\x08" and data[4:8] == bytes(4)
+    member = zlib.decompressobj(wbits=31)
+    content = member.decompress(data)
+    assert member.eof and not member.unused_data
+    return content
 
 
 def analysis_digests(tmp: Path) -> dict[str, str]:
@@ -107,7 +120,8 @@ def analysis_digests(tmp: Path) -> dict[str, str]:
     for path in sorted(run.rglob("*")):
         rel = path.relative_to(run).as_posix()
         if path.is_file() and rel not in (".lock", "manifest.json"):
-            digests[rel] = _sha(path.read_bytes())
+            data = path.read_bytes()
+            digests[rel] = _sha(gunzip_member(data) if rel.endswith(".gz") else data)
     manifest = json.loads((run / "manifest.json").read_text(encoding="utf-8"))
     del manifest["run_id"], manifest["created"]
     for entry in manifest["stages"].values():

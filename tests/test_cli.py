@@ -4,6 +4,7 @@ import contextlib
 import csv
 import fcntl
 import gc
+import gzip
 import io
 import json
 import math
@@ -430,12 +431,12 @@ class TestIngestDetails:
         run = tmp_path / "run"
         assert run_cli("ingest", corpus["corpus"], "--tracked", "party1,party2",
                        "--run-dir", run) == 0
-        assert (run / "store" / "party1.npy").exists()
+        assert (run / "store" / "party1.npy.gz").exists()
         assert run_cli("ingest", corpus["corpus"], "--tracked", "party2",
                        "--run-dir", run) == 0
         listed = manifest_stages(run)["ingest"]["outputs"]
         assert sorted(f"store/{p.name}" for p in (run / "store").iterdir()) == sorted(listed)
-        assert "store/party1.npy" not in listed
+        assert "store/party1.npy.gz" not in listed
 
     def test_rerun_keeps_compare_source(self, finished, tmp_path):
         run = tmp_path / "run"
@@ -1062,7 +1063,7 @@ class TestStoredEvents:
         expected = {"accounts": list(registry.ids)}
         assert expected["accounts"] == ["alice", "bob", "carol", "dave"]
         assert load_json(run / "networks" / "registry.json") == expected
-        assert load_json(run / "store" / "registry.json") == expected
+        assert json.loads(store_bytes(run)["registry.json.gz"]) == expected
 
     def test_store_is_byte_stable(self, corpus, tmp_path):
         stores = []
@@ -1071,14 +1072,14 @@ class TestStoredEvents:
             store = tmp_path / name / "store"
             stores.append({p.name: p.read_bytes() for p in store.iterdir()})
         assert sorted(stores[0]) == [
-            "agenda.npy", "party1.npy", "party2.npy", "registry.json", "stats.json"
+            "agenda.npy.gz", "party1.npy.gz", "party2.npy.gz", "registry.json.gz", "stats.json"
         ]
         assert stores[0] == stores[1]
 
     def test_edited_pairs_block_build(self, corpus, tmp_path, capsys):
         run = tmp_path / "run"
         bootstrap(run, corpus, upto="ingest")
-        path = run / "store" / "party1.npy"
+        path = run / "store" / "party1.npy.gz"
         data = bytearray(path.read_bytes())
         data[-1] ^= 1
         path.write_bytes(bytes(data))
@@ -1089,24 +1090,36 @@ class TestStoredEvents:
         run = tmp_path / "run"
         bootstrap(run, corpus, upto="ingest")
         manifest = load_json(run / "manifest.json")
-        del manifest["stages"]["ingest"]["outputs"]["store/registry.json"]
+        del manifest["stages"]["ingest"]["outputs"]["store/registry.json.gz"]
         (run / "manifest.json").write_text(json.dumps(manifest))
         assert run_cli("build", "--run-dir", run) == 2
         assert "older hashjack" in capsys.readouterr().err
 
     def test_store_of_event_pairs_exits_2(self, corpus, tmp_path, capsys):
-        """A store of (n, 2) event pairs, the form older versions wrote, with
-        the manifest's digests to match: build refuses it and writes nothing."""
+        """An uncompressed store of (n, 2) event pairs, the form older
+        versions wrote, with the manifest's digests to match: build refuses
+        it and writes nothing."""
         run = tmp_path / "run"
         bootstrap(run, corpus, upto="ingest")
         records, _ = parse_records(corpus["corpus"].read_text())
         _, pairs = record_pairs(records, TRACKED.split(","))
-        manifest = load_json(run / "manifest.json")
-        for tag, tag_pairs in pairs.items():
-            path = run / "store" / f"{tag}.npy"
-            np.save(path, np.asarray(tag_pairs, dtype="<i4").reshape(-1, 2), allow_pickle=False)
-            manifest["stages"]["ingest"]["outputs"][f"store/{tag}.npy"] = file_digest(path)
-        (run / "manifest.json").write_text(json.dumps(manifest))
+        uncompress_store(run, {f"{tag}.npy": np.asarray(tag_pairs, dtype="<i4").reshape(-1, 2)
+                               for tag, tag_pairs in pairs.items()})
+        assert run_cli("build", "--out", "networks2", "--run-dir", run) == 2
+        assert ("the ingest store was written by an older hashjack; "
+                "ingest into a new run directory") in capsys.readouterr().err
+        assert not (run / "networks2").exists()
+
+    def test_uncompressed_store_exits_2(self, corpus, tmp_path, capsys):
+        """A store of edge rows under the uncompressed names that versions
+        before the `.gz` store wrote, with the manifest's digests to match:
+        build refuses it and writes nothing."""
+        run = tmp_path / "run"
+        bootstrap(run, corpus, upto="ingest")
+        uncompress_store(run, {})
+        assert sorted(p.name for p in (run / "store").iterdir()) == [
+            "agenda.npy", "party1.npy", "party2.npy", "registry.json", "stats.json"
+        ]
         assert run_cli("build", "--out", "networks2", "--run-dir", run) == 2
         assert ("the ingest store was written by an older hashjack; "
                 "ingest into a new run directory") in capsys.readouterr().err
@@ -1134,7 +1147,7 @@ class TestStoredEvents:
         run = tmp_path / "run"
         shutil.copytree(finished, run)
         indent_outputs(run, {
-            "ingest": ["store/registry.json", "store/stats.json"],
+            "ingest": ["store/stats.json"],
             "build": ["networks/registry.json"],
             "communities": [f"partitions/{tag}.json" for tag in TRACKED.split(",")],
         })
@@ -1155,6 +1168,24 @@ class TestStoredEvents:
         again = tmp_path / "again.gexf"
         assert run_cli("export", "--network", "agenda", "--gexf", again, "--run-dir", run) == 0
         assert again.read_bytes() == original.read_bytes()
+
+
+def uncompress_store(run: Path, arrays: dict) -> None:
+    """Rewrite the ingest store under the uncompressed names that earlier
+    versions used, each file holding `arrays[name]` as .npy or else its
+    decompressed bytes, and record the digests in the manifest."""
+    manifest = load_json(run / "manifest.json")
+    outputs = manifest["stages"]["ingest"]["outputs"]
+    for rel in [rel for rel in outputs if rel.endswith(".gz")]:
+        packed, path = run / rel, run / rel[:-len(".gz")]
+        if path.name in arrays:
+            np.save(path, arrays[path.name], allow_pickle=False)
+        else:
+            path.write_bytes(gzip.decompress(packed.read_bytes()))
+        packed.unlink()
+        del outputs[rel]
+        outputs[rel[:-len(".gz")]] = file_digest(path)
+    (run / "manifest.json").write_text(json.dumps(manifest))
 
 
 def indent_outputs(run: Path, rels: dict) -> None:
@@ -1186,7 +1217,9 @@ OUT_OF_RANGE = ["9999-12-31T23:59:59-01:00", "0001-01-01T00:00:00+01:00"]
 
 
 def store_bytes(run: Path) -> dict:
-    return {p.name: p.read_bytes() for p in (run / "store").iterdir()}
+    """The content of each store file, decompressed from a `.gz` file."""
+    return {p.name: gzip.decompress(p.read_bytes()) if p.suffix == ".gz" else p.read_bytes()
+            for p in (run / "store").iterdir()}
 
 
 class TestColumnarIngest:
@@ -1208,7 +1241,7 @@ class TestColumnarIngest:
             "window": ["2020-03-01T04:00:00Z", "2020-03-02T01:00:00Z"],
             "reject_count": 0,
         }
-        assert load_json(run / "store" / "registry.json") == {
+        assert json.loads(store_bytes(run)["registry.json.gz"]) == {
             "accounts": ["alice", "bob", "carol"]
         }
 
@@ -1240,8 +1273,8 @@ class TestColumnarIngest:
         ids, rows = record_store(records, TRACKED.split(","))
         stats = CorpusStats(**record_stats(records)).to_dict()
         stats["reject_count"] = 0
-        expected = {f"{tag}.npy": rows_to_npy(rows[tag]) for tag in rows}
-        expected["registry.json"] = compact_text({"accounts": ids}).encode()
+        expected = {f"{tag}.npy.gz": rows_to_npy(rows[tag]) for tag in rows}
+        expected["registry.json.gz"] = compact_text({"accounts": ids}).encode()
         expected["stats.json"] = compact_text(stats).encode()
         assert len(stats["per_hashtag"]) == len(records) + 3
         assert store_bytes(run) == expected
@@ -1289,7 +1322,7 @@ class TestOutputsTaken:
     @pytest.mark.parametrize("argv", [
         ("communities", "--out", "networks"),
         ("label", "apply", "--labels", "{labels}", "--out", "partitions"),
-        ("ingest", "{corpus}", "--tracked", TRACKED, "--out", "networks"),
+        ("odds", "--targets", "agenda", "--out", "store/registry.json.gz"),
         ("polarisation", "--out", "store/stats.json"),
         ("odds", "--targets", "agenda", "--out", ".lock"),
         ("activity", "--out", "./manifest.json"),
@@ -1335,6 +1368,31 @@ class TestOutputsTaken:
 
 
 class TestArtifactIO:
+    def test_each_file_is_hashed_at_most_once(self, corpus, tmp_path, monkeypatch):
+        """A cold `pipeline ingest ... report` and a relabel run each hash a
+        file at most once: a file this run wrote or checked, unchanged since,
+        is not hashed again by the stages that check it later."""
+        hashed = []
+
+        def counting(path, _real=hashjack.pipeline.file_digest):
+            hashed.append(Path(path).resolve())
+            return _real(path)
+
+        monkeypatch.setattr(hashjack.pipeline, "file_digest", counting)
+        run = tmp_path / "run"
+        relabel = json.loads(corpus["labels"].read_text())
+        for entry in relabel:
+            entry["seeds"]["pro"] = entry["seeds"]["pro"][:3]
+        (tmp_path / "relabel.json").write_text(json.dumps(relabel))
+        for labels in (corpus["labels"], tmp_path / "relabel.json"):
+            hashed.clear()
+            assert run_cli(
+                "pipeline", *hashjack.pipeline.STAGE_ORDER, "report", "--input",
+                corpus["corpus"], "--tracked", TRACKED, "--resolution", "0.5",
+                "--labels", labels, "--targets", "agenda", "--run-dir", run) == 0
+            assert Path(corpus["corpus"]).resolve() in hashed
+            assert len(hashed) == len(set(hashed)), sorted(map(str, hashed))
+
     def test_relabel_decodes_once_and_never_reads_back(
         self, corpus, tmp_path, monkeypatch
     ):

@@ -15,7 +15,7 @@ from _oracles import (
 )
 import hashjack.community
 from hashjack.community import (
-    CommunityPartition, _local_move, _total_weight, louvain, modularity,
+    CommunityPartition, _local_move, _strengths, _total_weight, louvain, modularity,
 )
 from hashjack.errors import EdgelessGraphError
 
@@ -247,6 +247,23 @@ class TestLouvain:
             naive_modularity(g, part.assignment), abs=1e-12
         )
 
+    def test_each_level_graph_is_summed_once(self, monkeypatch):
+        """The full graph and each aggregate graph have their strengths
+        summed once, and the final Q sums its own aggregate once."""
+        calls = []
+
+        def counting(adj, selfw):
+            calls.append(len(adj))
+            return _strengths(adj, selfw)
+
+        monkeypatch.setattr(hashjack.community, "_strengths", counting)
+        g, _ = planted_partition_graph([20, 20, 20], 0.4, 0.02, seed=9)
+        part = louvain(g.compact(), seed=42)
+        assert part.levels >= 1
+        assert len(calls) == part.levels + 2
+        assert calls[0] == len(g.nodes)
+        assert calls[-1] == part.n_communities
+
     def test_partition_members_and_communities_agree(self):
         part = louvain(barbell().compact())
         for cid, members in part.communities().items():
@@ -322,8 +339,9 @@ class TestLocalMoveDifferential:
         if m == 0:
             return
         _, adj, selfw = graph
-        assert (_local_move(adj, selfw, m, resolution, random.Random(seed))
-                == dict_local_move(adj, selfw, m, resolution, random.Random(seed)))
+        strength = _strengths(adj, selfw)
+        assert (_local_move(adj, strength, m, resolution, random.Random(seed))
+                == dict_local_move(adj, strength, m, resolution, random.Random(seed)))
         part = louvain(graph, resolution=resolution, seed=seed)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(hashjack.community, "_local_move", dict_local_move)

@@ -1,6 +1,8 @@
+import gzip
 import hashlib
 import json
 import math
+import time
 import xml.etree.ElementTree as ET
 from datetime import datetime, timezone
 
@@ -15,6 +17,7 @@ from hashjack.graph import ORIGINAL, AccountRegistry, build_network, event_rows,
     network_from_events, network_obj
 from hashjack.ingest import TweetRecord
 from hashjack.labeling import ClusterLabeling, PartisanAssignment
+from hashjack.pipeline import RunDir
 from hashjack.store import (
     COMPACT_KWARGS,
     JSON_KWARGS,
@@ -152,6 +155,47 @@ class TestRegistryRoundTrip:
         obj = {"accounts": ["zoe", "adam", "mia"]}
         again = registry_from_obj(obj)
         assert [again.id_of(i) for i in range(3)] == ["zoe", "adam", "mia"]
+
+    def test_repeats_keep_first_seen_order(self):
+        ids = ["bo", "al", "bo", "cy", "al"]
+        interned = AccountRegistry()
+        for account in ids:
+            interned.intern(account)
+        reg = AccountRegistry(ids)
+        assert reg.ids == interned.ids == ("bo", "al", "cy")
+        assert list(reg.indices(ids)) == [reg.index_of(a) for a in ids] == [0, 1, 0, 2, 1]
+        assert reg.intern("dee") == 3
+
+
+class TestRunDirCodec:
+    """A `.gz` path holds its data gzip-compressed at level 1 with mtime 0;
+    the digest is that of the file, and `read` gives back the data."""
+
+    def test_round_trip_and_stable_bytes(self, tmp_path, monkeypatch):
+        rel = "store/agenda.npy.gz"
+        data = rows_to_npy([[0, -1, 2], [0, 1, 3], [2, 0, 1]])
+        first = RunDir(tmp_path / "one")
+        digest = first.write(rel, data)
+        monkeypatch.setattr(time, "time", lambda: 1.6e9)  # a write at another time
+        second = RunDir(tmp_path / "two")
+        assert second.write(rel, data) == digest
+        packed = (first.root / rel).read_bytes()
+        assert (second.root / rel).read_bytes() == packed
+        assert hashlib.sha256(packed).hexdigest() == digest == file_digest(first.root / rel)
+        assert packed[:4] == b"\x1f\x8b\x08\x00" and packed[4:8] == bytes(4)
+        assert gzip.decompress(packed) == data and packed != data
+        entry = {"outputs": {rel: digest}}
+        assert first.read("ingest", entry, rel, bytes) == data
+        fresh = RunDir(first.root)
+        assert fresh.read("ingest", entry, rel, rows_from_npy).tolist() == [
+            [0, -1, 2], [0, 1, 3], [2, 0, 1]]
+        assert first.intact(rel, digest) and fresh.intact(rel, digest)
+
+    def test_plain_paths_stay_plain(self, tmp_path):
+        run = RunDir(tmp_path)
+        digest = run.write("store/stats.json", compact_text({"a": 1}))
+        assert (tmp_path / "store" / "stats.json").read_text() == '{"a":1}\n'
+        assert digest == file_digest(tmp_path / "store" / "stats.json")
 
 
 class TestNetworkRoundTrip:
