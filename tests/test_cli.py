@@ -1176,15 +1176,15 @@ def uncompress_store(run: Path, arrays: dict) -> None:
     decompressed bytes, and record the digests in the manifest."""
     manifest = load_json(run / "manifest.json")
     outputs = manifest["stages"]["ingest"]["outputs"]
-    for rel in [rel for rel in outputs if rel.endswith(".gz")]:
-        packed, path = run / rel, run / rel[:-len(".gz")]
-        if path.name in arrays:
-            np.save(path, arrays[path.name], allow_pickle=False)
+    for packed in [rel for rel in outputs if rel.endswith(".gz")]:
+        rel = packed[:-len(".gz")]
+        if Path(rel).name in arrays:
+            np.save(run / rel, arrays[Path(rel).name], allow_pickle=False)
         else:
-            path.write_bytes(gzip.decompress(packed.read_bytes()))
-        packed.unlink()
-        del outputs[rel]
-        outputs[rel[:-len(".gz")]] = file_digest(path)
+            (run / rel).write_bytes(gzip.decompress((run / packed).read_bytes()))
+        (run / packed).unlink()
+        del outputs[packed]
+        outputs[rel] = file_digest(run / rel)
     (run / "manifest.json").write_text(json.dumps(manifest))
 
 
