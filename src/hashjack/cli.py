@@ -2,9 +2,13 @@
 
 Every subcommand operates on a run directory (``--run-dir``, default the
 current directory) except ``synth``, which writes wherever it is told.
-Global flags may be given before or after the subcommand. The stage
-subcommands and ``pipeline`` dispatch through one ``_run_stage``, so
-``pipeline`` prints the same line per stage. Exit codes: 0 success,
+Global flags may be given before or after the subcommand. A stage is
+added in one place, its record in the table ``pipeline.STAGES``: the stage
+subcommands and ``pipeline`` take their stage flags from it and run each
+stage through one loop over it (``_run_stages``), so ``pipeline`` prints
+the same line per stage. A stage's own subcommand, where it has one, is a
+``_stage_parser`` call that adds its help, its ``--out`` and any option
+only the subcommand takes. Exit codes: 0 success,
 2 usage, input or stage errors and any OSError (a path that cannot be
 read or written), 1 internal errors.
 """
@@ -13,51 +17,16 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from . import pipeline as pl
 from .errors import HashjackError, StageError
-from .store import compact_text, load_json, write_text_atomic
+from .store import compact_text, write_text_atomic
 from .synth import SynthConfig, generate, write_corpus
 
 DEFAULT_SEED = 42
-
-
-def _split_tags(text: str) -> list[str]:
-    tags = [part.strip() for part in text.split(",") if part.strip()]
-    if not tags:
-        raise StageError("expected a comma-separated hashtag list")
-    return tags
-
-
-def _split_fractions(text: str) -> list[float]:
-    try:
-        return [float(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise StageError(f"bad fraction list: {text!r}") from None
-
-
-def _load_user_json(path: str):
-    try:
-        obj = load_json(path)
-        json.dumps(obj, ensure_ascii=False).encode("utf-8")
-    except UnicodeEncodeError:
-        raise StageError(f"{path} holds a lone surrogate escape") from None
-    except (ValueError, RecursionError) as exc:
-        raise StageError(f"{path} is not valid JSON: {exc}") from None
-    return obj
-
-
-def _label_requests(path: str) -> list[dict]:
-    obj = _load_user_json(path)
-    requests = obj if isinstance(obj, list) else [obj]
-    for entry in requests:
-        if not isinstance(entry, dict):
-            raise StageError(f"{path}: every labels entry must be a JSON object")
-    return requests
 
 
 def _common_parser() -> argparse.ArgumentParser:
@@ -83,14 +52,21 @@ def _common_parser() -> argparse.ArgumentParser:
     return common
 
 
+def _stage_parser(sub, common, stage: str, text: str, command: str | None = None):
+    """The subcommand (`stage` unless `command` is given) that runs `stage`,
+    with the stage's flags and `text` as its help."""
+    p = sub.add_parser(command or stage, parents=[common], help=text)
+    p.set_defaults(stages=[stage])
+    for name, spec in pl.STAGES[stage].flags.items():
+        if name == "--input":  # a subcommand takes its input file as a positional
+            p.add_argument("input", help=spec["help"])
+        else:
+            p.add_argument(name, **spec)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = _common_parser()
-    # stage options that `pipeline` takes too, each with its one default
-    resolution, threshold, top_k = (argparse.ArgumentParser(add_help=False) for _ in range(3))
-    resolution.add_argument("--resolution", type=float, default=1.0, help="modularity resolution")
-    threshold.add_argument("--threshold", type=float, default=0.05, help="stability threshold")
-    top_k.add_argument("--top-k", dest="top_k", type=int, default=100,
-                       help="accounts ranked per composition")
     parser = argparse.ArgumentParser(
         prog="hashjack",
         description="Polarisation and hashtag-hijacking analysis of retweet networks.",
@@ -98,21 +74,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", metavar="command", required=True)
 
-    p = sub.add_parser(
-        "ingest", parents=[common],
-        help="validate and normalize a corpus into the run directory",
-    )
-    p.add_argument("input", help="JSONL or CSV event file")
-    p.add_argument(
-        "--tracked", required=True, metavar="TAGS",
-        help='comma-separated hashtags, e.g. "#afd,#fckafd"',
-    )
+    p = _stage_parser(sub, common, "ingest",
+                      "validate and normalize a corpus into the run directory")
     p.add_argument("--out", default="store", help="store subdirectory (default: store)")
 
-    p = sub.add_parser("build", parents=[common], help="build per-hashtag retweet networks")
+    p = _stage_parser(sub, common, "build", "build per-hashtag retweet networks")
     p.add_argument("--out", default="networks", help="network subdirectory")
 
-    p = sub.add_parser("communities", parents=[common, resolution], help="cluster networks")
+    p = _stage_parser(sub, common, "communities", "cluster networks")
     p.add_argument("--network", metavar="TAG", help="one network (default: all built)")
     p.add_argument("--out", default="partitions", help="partition subdirectory")
 
@@ -124,32 +93,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--network", required=True, metavar="TAG")
     p.add_argument("--top", type=int, default=50, help="accounts per community")
-    p = label_sub.add_parser(
-        "apply", parents=[common], help="apply seed lists and manual overrides",
-    )
-    p.add_argument(
-        "--labels", required=True, metavar="FILE",
-        help="labels.json: one object or an array of them",
-    )
+    p = _stage_parser(label_sub, common, "label", "apply seed lists and manual overrides",
+                      command="apply")
     p.add_argument("--out", default="labels", help="labeling subdirectory")
 
-    p = sub.add_parser("polarisation", parents=[common, threshold],
-                       help="pro/contra share profiles")
-    p.add_argument("--compare", metavar="FILE", help="earlier polarisation.json to diff")
+    p = _stage_parser(sub, common, "polarisation", "pro/contra share profiles")
     p.add_argument("--out", default="polarisation.json")
 
-    p = sub.add_parser("odds", parents=[common], help="hashtag-hijacking odds matrix")
-    p.add_argument("--targets", required=True, metavar="TAGS", help="target hashtags")
+    p = _stage_parser(sub, common, "odds", "hashtag-hijacking odds matrix")
     p.add_argument("--out", default="odds.json")
 
-    p = sub.add_parser("activity", parents=[common], help="activity concentration curves")
-    p.add_argument(
-        "--targets", metavar="TAGS", help="target hashtags (default: the odds targets)",
-    )
-    p.add_argument("--fractions", metavar="LIST", help="comma-separated top fractions")
+    p = _stage_parser(sub, common, "activity", "activity concentration curves")
     p.add_argument("--out", default="activity.json")
 
-    p = sub.add_parser("report", parents=[common, top_k], help="bundle results and figure CSVs")
+    p = _stage_parser(sub, common, "report", "bundle results and figure CSVs")
     p.add_argument("--out", default="report.json")
 
     p = sub.add_parser("export", parents=[common], help="write a GEXF file for Gephi")
@@ -161,21 +118,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, metavar="FILE")
     p.add_argument("--truth", metavar="FILE", help="write planted ground truth here")
 
-    p = sub.add_parser("pipeline", parents=[common, resolution, threshold, top_k],
-                       help="run several stages in order")
+    p = sub.add_parser("pipeline", parents=[common], help="run several stages in order")
     p.add_argument("stages", nargs="+", metavar="stage",
                    help="stage names, e.g. ingest build communities")
-    p.add_argument("--input", metavar="FILE")
-    p.add_argument("--tracked", metavar="TAGS")
-    p.add_argument("--labels", metavar="FILE")
-    p.add_argument("--targets", metavar="TAGS")
-    p.add_argument("--fractions", metavar="LIST")
-    p.add_argument("--compare", metavar="FILE")
+    flags = {}  # each flag once, as the first stage that takes it gives it
+    for stage in pl.STAGES.values():
+        for name, spec in stage.flags.items():
+            flags.setdefault(name, {**spec, "required": False})
+    for name, spec in flags.items():
+        p.add_argument(name, **spec)
     return parser
 
 
 def _run_synth(args, fmt: str, seed: int | None) -> int:
-    config = SynthConfig.from_dict(_load_user_json(args.config))
+    config = SynthConfig.from_dict(pl.load_user_json(args.config))
     if seed is not None:
         config = replace(config, seed=seed)
     out = Path(args.out)
@@ -205,92 +161,46 @@ def _run_synth(args, fmt: str, seed: int | None) -> int:
     return 0
 
 
-def _pipeline_stages(names: list[str]) -> list[str]:
-    known = pl.STAGE_ORDER + ("report",)
-    for stage in names:
-        if stage not in known:
-            raise StageError(
-                f"unknown pipeline stage {stage!r}; choose from: " + ", ".join(known)
-            )
-    return sorted(set(names), key=known.index)
-
-
-def _need(args, flag: str, stage: str):
-    """A flag that `pipeline` leaves optional but `stage` requires."""
-    value = getattr(args, flag)
-    if value is None:
-        raise StageError(f"pipeline stage {stage} needs --{flag}")
-    return value
-
-
-def _run_stage(stage: str, run, args, seed: int, strict: bool, fmt: str) -> None:
-    """Run one stage for its subcommand or for `pipeline` and print its line.
+def _run_stages(run, args) -> None:
+    """Run the stages `args.stages` names in table order, printing a line each.
 
     A subcommand passes its --out; `pipeline` has none, so each stage
-    writes to its default location.
+    writes to its default location. `pipeline` leaves every stage flag
+    optional, so a stage refuses to run without one it requires.
     """
+    for name in args.stages:
+        if name not in pl.STAGES:
+            known = ", ".join(pl.STAGES)
+            raise StageError(f"unknown pipeline stage {name!r}; choose from: {known}")
+    defaults = {"seed": DEFAULT_SEED, "strict": False, "format": "jsonl"}
+    given = argparse.Namespace(**{**defaults, **vars(args)})
     out = {"out": args.out} if "out" in args else {}
-    if stage == "report":
-        print(f"report: -> {pl.write_report(run, top_k=args.top_k, **out)}")
-        return
-    count = None  # a stage writing a directory counts what it wrote there
-    if stage == "ingest":
-        ran, entry = pl.stage_ingest(
-            run, _need(args, "input", stage), _split_tags(_need(args, "tracked", stage)),
-            fmt=fmt, strict=strict, **out,
-        )
-        count = f"{len(entry['outputs'])} artifacts"
-    elif stage == "build":
-        ran, entry = pl.stage_build(run, **out)
-        count = f"{len(entry['outputs']) - 1} networks"
-    elif stage == "communities":
-        network = getattr(args, "network", None)
-        ran, entry = pl.stage_communities(
-            run, [network] if network else None, resolution=args.resolution,
-            seed=seed, **out,
-        )
-        count = f"{len(entry['params']['networks'])} partitions"
-    elif stage == "label":
-        ran, entry = pl.stage_label(
-            run, _label_requests(_need(args, "labels", stage)), **out
-        )
-        count = f"{len(entry['outputs'])} labelings"
-    elif stage == "polarisation":
-        ran, entry = pl.stage_polarisation(
-            run, threshold=args.threshold, compare=args.compare, **out
-        )
-    elif stage == "odds":
-        ran, entry = pl.stage_odds(run, _split_tags(_need(args, "targets", stage)), **out)
-    else:
-        targets = _split_tags(args.targets) if args.targets else None
-        fractions = (
-            _split_fractions(args.fractions) if args.fractions else pl.DEFAULT_FRACTIONS
-        )
-        ran, entry = pl.stage_activity(run, targets, fractions, **out)
-    dest = entry["params"]["out"]
-    detail = f"{count} -> {dest}/" if count else f"-> {dest}"
-    print(f"{stage}: {detail}" if ran else f"{stage}: up to date")
+    for stage in [stage for stage in pl.STAGES.values() if stage.name in args.stages]:
+        for name, spec in stage.flags.items():
+            if spec.get("required") and getattr(given, name[2:].replace("-", "_")) is None:
+                raise StageError(f"pipeline stage {stage.name} needs {name}")
+        result = stage.call(run, given, **out)
+        if stage.view:
+            detail = f"-> {result}"
+        elif not result[0]:
+            detail = "up to date"
+        else:
+            dest = result[1]["params"]["out"]
+            detail = f"{stage.count(result[1])} -> {dest}/" if stage.count else f"-> {dest}"
+        print(f"{stage.name}: {detail}")
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    seed_given = hasattr(args, "seed")
-    seed = getattr(args, "seed", DEFAULT_SEED)
-    strict = getattr(args, "strict", False)
-    fmt = getattr(args, "format", "jsonl")
     run = pl.RunDir(getattr(args, "run_dir", "."))
-    command = args.command
-
-    if command == "synth":
-        return _run_synth(args, fmt, seed if seed_given else None)
-    if command == "export":
+    if args.command == "synth":
+        return _run_synth(args, getattr(args, "format", "jsonl"), getattr(args, "seed", None))
+    if args.command == "export":
         print(f"export: -> {pl.write_gexf(run, args.network, args.gexf)}")
-    elif command == "label" and args.action == "report":
+    elif "stages" in args:  # `pipeline` or a stage's subcommand
+        _run_stages(run, args)
+    else:  # label report
         sys.stdout.write(pl.label_report(run, args.network, top=args.top))
-    else:
-        stages = _pipeline_stages(args.stages) if command == "pipeline" else [command]
-        for stage in stages:
-            _run_stage(stage, run, args, seed, strict, fmt)
     return 0
 
 

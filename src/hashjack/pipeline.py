@@ -19,12 +19,18 @@ take no lock, so they may run next to a writer. Writers take a kernel lock
 on `.lock`, which a killed writer cannot leave behind, and read the
 manifest, which their params may depend on, only while they hold it.
 
+A stage is added in one place, its record in `STAGES`, which gives its
+order, prerequisites, reads and flags, how its stage function is called
+and how its summary line counts its outputs; `pipeline` and the stage
+subcommands of `cli` run every stage through that table.
+
 `RunDir.write` and `RunDir.read` are the only way artifacts enter and leave
 a run directory, and the one owner of the store's gzip codec. A write
 records the SHA-256 of the bytes it wrote. A read decodes only bytes whose
 digest matches the manifest entry the caller verified, at most once per
 RunDir, so a view running next to a writer either refuses (exit 2) or sees
-one consistent version of every artifact.
+one consistent version of every artifact; bytes that match but do not
+decode are refused (exit 2) as modified.
 
 Timestamps appear only in the manifest, never in fingerprints or in
 report.json; equal inputs and parameters give byte-equal artifacts.
@@ -44,7 +50,7 @@ import zlib
 from datetime import datetime, timezone
 from pathlib import Path
 from stat import S_ISREG
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .community import louvain
 from .errors import EdgelessGraphError, LabelingError, StageError, RunLockError
@@ -60,29 +66,104 @@ from .store import compact_text, file_digest, json_text, load_json, obj_digest, 
     rows_to_npy, write_text_atomic, labeling_from_obj, labeling_to_obj, network_from_obj, \
     partition_from_obj, partition_to_obj, registry_from_obj
 
-STAGE_ORDER = (
-    "ingest", "build", "communities", "label", "polarisation", "odds", "activity"
-)
-PREREQS: dict[str, tuple[str, ...]] = {
-    "ingest": (),
-    "build": ("ingest",),
-    "communities": ("build",),
-    "label": ("communities",),
-    "polarisation": ("label",),
-    "odds": ("label",),
-    "activity": ("label",),
-}
-# The stages whose artifacts each stage loads. run_stage verifies them once
-# and hands their entries to the stage; only PREREQS enter the fingerprint.
-READS: dict[str, tuple[str, ...]] = {
-    "ingest": (),
-    "build": ("ingest",),
-    "communities": ("build",),
-    "label": ("build", "communities"),
-    "polarisation": ("build", "communities", "label"),
-    "odds": ("build", "communities", "label"),
-    "activity": ("build", "communities", "label"),
-}
+
+def load_user_json(path: str):
+    try:
+        obj = load_json(path)
+        json.dumps(obj, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError:
+        raise StageError(f"{path} holds a lone surrogate escape") from None
+    except (ValueError, RecursionError) as exc:
+        raise StageError(f"{path} is not valid JSON: {exc}") from None
+    return obj
+
+
+def _label_requests(path: str) -> list[dict]:
+    obj = load_user_json(path)
+    requests = obj if isinstance(obj, list) else [obj]
+    for entry in requests:
+        if not isinstance(entry, dict):
+            raise StageError(f"{path}: every labels entry must be a JSON object")
+    return requests
+
+
+def _split_tags(text: str) -> list[str]:
+    tags = [part.strip() for part in text.split(",") if part.strip()]
+    if not tags:
+        raise StageError("expected a comma-separated hashtag list")
+    return tags
+
+
+def _split_fractions(text: str) -> list[float]:
+    try:
+        return [float(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        raise StageError(f"bad fraction list: {text!r}") from None
+
+
+class Stage(NamedTuple):
+    """A record of STAGES. `prereqs` are the stages whose fingerprints enter
+    this one's, `reads` those whose artifacts it loads. `flags` maps each
+    of its options to argparse keywords; `pipeline` takes them too, each
+    optional. `call(run, args, **out)` makes the flag strings arguments and
+    runs the stage. `count(entry)` says what a writer wrote into its output
+    directory; a `view` writes no manifest entry and returns its path."""
+
+    name: str
+    prereqs: tuple[str, ...]
+    reads: tuple[str, ...]
+    call: Callable
+    flags: Mapping[str, dict] = {}
+    count: Callable[[Mapping], str] | None = None
+    view: bool = False
+
+
+_LABELED = ("build", "communities", "label")
+
+# Every stage of `pipeline`, in the order it runs them. A `call` names its
+# stage function in its body, so that a wrapper set in the function's place
+# in this module (as bench/shim.py does) is the one called.
+STAGES: dict[str, Stage] = {stage.name: stage for stage in (
+    Stage("ingest", (), (),
+          lambda run, a, **out: stage_ingest(
+              run, a.input, _split_tags(a.tracked), fmt=a.format, strict=a.strict, **out),
+          {"--input": dict(required=True, metavar="FILE", help="JSONL or CSV event file"),
+           "--tracked": dict(required=True, metavar="TAGS",
+                             help='comma-separated hashtags, e.g. "#afd,#fckafd"')},
+          lambda entry: f"{len(entry['outputs'])} artifacts"),
+    Stage("build", ("ingest",), ("ingest",), lambda run, a, **out: stage_build(run, **out),
+          count=lambda entry: f"{len(entry['outputs']) - 1} networks"),  # but the registry
+    Stage("communities", ("build",), ("build",),
+          lambda run, a, **out: stage_communities(  # only the subcommand takes --network
+              run, [a.network] if getattr(a, "network", None) else None,
+              resolution=a.resolution, seed=a.seed, **out),
+          {"--resolution": dict(type=float, default=1.0, help="modularity resolution")},
+          lambda entry: f"{len(entry['params']['networks'])} partitions"),
+    Stage("label", ("communities",), ("build", "communities"),
+          lambda run, a, **out: stage_label(run, _label_requests(a.labels), **out),
+          {"--labels": dict(required=True, metavar="FILE",
+                            help="labels.json: one object or an array of them")},
+          lambda entry: f"{len(entry['outputs'])} labelings"),
+    Stage("polarisation", ("label",), _LABELED,
+          lambda run, a, **out: stage_polarisation(
+              run, threshold=a.threshold, compare=a.compare, **out),
+          {"--threshold": dict(type=float, default=0.05, help="stability threshold"),
+           "--compare": dict(metavar="FILE", help="earlier polarisation.json to diff")}),
+    Stage("odds", ("label",), _LABELED,
+          lambda run, a, **out: stage_odds(run, _split_tags(a.targets), **out),
+          {"--targets": dict(required=True, metavar="TAGS", help="target hashtags")}),
+    Stage("activity", ("label",), _LABELED,
+          lambda run, a, **out: stage_activity(
+              run, _split_tags(a.targets) if a.targets else None,
+              _split_fractions(a.fractions) if a.fractions else DEFAULT_FRACTIONS, **out),
+          {"--targets": dict(metavar="TAGS", help="target hashtags (default: the odds targets)"),
+           "--fractions": dict(metavar="LIST", help="comma-separated top fractions")}),
+    Stage("report", (), ("polarisation", "odds", "activity", *_LABELED),
+          lambda run, a, **out: write_report(run, top_k=a.top_k, **out),
+          {"--top-k": dict(type=int, default=100, help="accounts ranked per composition")},
+          view=True),
+)}
+STAGE_ORDER = tuple(name for name, stage in STAGES.items() if not stage.view)  # the writers
 DEFAULT_FRACTIONS = (0.01, 0.05, 0.1, 0.25, 0.5, 1.0)
 EVIDENCE_K = 10
 TEMPORARY = re.compile(r".+\.([1-9]\d{0,8})\.tmp")  # write_text_atomic's temporaries
@@ -222,7 +303,8 @@ class RunDir:
         bytes with the recorded digest (decompressed after that check for a
         `.gz` path). The result is kept, one per path, for the life of this
         RunDir and shared by every caller, which must not change it; `key` is
-        what else `decode` depends on."""
+        what else `decode` depends on. Bytes that do not decode are refused
+        like bytes that do not match."""
         key = (entry["outputs"][rel], *key)
         cached = self._decoded.get(rel)
         if cached is None or cached[0] != key:
@@ -233,10 +315,16 @@ class RunDir:
                 raise _modified(stage) from None
             if stat_key is None or hashlib.sha256(data).hexdigest() != key[0]:
                 raise _modified(stage)
+            try:
+                if rel.endswith(".gz"):
+                    data = zlib.decompress(data, wbits=31)
+                obj = decode(data)
+            except (zlib.error, ValueError, TypeError, KeyError, AttributeError, EOFError,
+                    RecursionError):
+                # bytes of the wrong shape, written with a digest to match
+                raise _modified(stage) from None
             self._verified[os.path.normpath(rel)] = (key[0], *stat_key)
-            if rel.endswith(".gz"):
-                data = zlib.decompress(data, wbits=31)
-            self._decoded[rel] = cached = (key, decode(data))
+            self._decoded[rel] = cached = (key, obj)
         return cached[1]
 
 
@@ -269,7 +357,7 @@ def _chain_valid(manifest: Mapping, name: str) -> bool:
     if entry is None or entry["fingerprint"] != _fingerprint(
             name, entry["params"], entry.get("inputs"), entry["upstream"]):
         return False
-    for dep in PREREQS[name]:
+    for dep in STAGES[name].prereqs:
         if not _chain_valid(manifest, dep):
             return False
         recorded = entry["upstream"].get(dep)
@@ -326,15 +414,15 @@ def run_stage(run, name, make_params, execute, inputs=None, source=None, plan=No
     """Execute one writer stage under the run lock.
 
     The manifest is read once, under the lock, and the stage's params are
-    `make_params(manifest, deps)` with `deps` the verified PREREQS entries
-    by name. Returns (ran, entry). A stage whose fingerprint matches the
-    recorded entry and whose outputs are intact is skipped. Otherwise,
-    before anything is written, the stage is refused when a file it may
-    write, `plan(params, deps)` (by default the one file `params["out"]`),
-    is the manifest, the lock or an output of another stage's entry; its
-    own earlier outputs may be rewritten. Then each
-    stage in READS[name] is verified once and
-    `execute(run, manifest, params, deps)` gets their entries by name.
+    `make_params(manifest, deps)` with `deps` the verified entries of its
+    `prereqs` in STAGES, by name. Returns (ran, entry). A stage whose
+    fingerprint matches the recorded entry and whose outputs are intact is
+    skipped. Otherwise, before anything is written, the stage is refused
+    when a file it may write, `plan(params, deps)` (by default the one file
+    `params["out"]`), is the manifest, the lock or an output of another
+    stage's entry; its own earlier outputs may be rewritten. Then each of
+    its `reads` is verified once and `execute(run, manifest, params, deps)`
+    gets their entries by name.
     After a real run every stage whose upstream chain no longer matches is
     dropped from the manifest. When the stage wrote to the same `out` as
     its previous entry, and that entry still counts as run, the files inside
@@ -349,7 +437,8 @@ def run_stage(run, name, make_params, execute, inputs=None, source=None, plan=No
     with RunLock(run.root):
         _remove_orphans(run.root)
         manifest = run.load_manifest()
-        deps = {dep: require_stage(run, manifest, dep) for dep in PREREQS[name]}
+        stage = STAGES[name]
+        deps = {dep: require_stage(run, manifest, dep) for dep in stage.prereqs}
         params = make_params(manifest, deps)
         upstream = {dep: entry["fingerprint"] for dep, entry in deps.items()}
         fp = _fingerprint(name, params, inputs, upstream)
@@ -359,7 +448,7 @@ def run_stage(run, name, make_params, execute, inputs=None, source=None, plan=No
             return False, prev
         _refuse_taken(run, manifest, name,
                       [params["out"]] if plan is None else plan(params, deps))
-        for dep in READS[name]:
+        for dep in stage.reads:
             if dep not in deps:
                 deps[dep] = require_stage(run, manifest, dep)
         outputs = execute(run, manifest, params, deps)
@@ -831,10 +920,7 @@ def write_report(run: RunDir, out="report.json", top_k=100):
     base = Path(out).parent
     figures = [base / name for name in ("fig1.csv", "fig3a.csv", "fig3b.csv")]
     _refuse_taken(run, manifest, None, [out, *figures])
-    deps = {
-        name: require_stage(run, manifest, name)
-        for name in ("polarisation", "odds", "activity", "build", "communities", "label")
-    }
+    deps = {name: require_stage(run, manifest, name) for name in STAGES["report"].reads}
     polar, odds_obj, act = (
         run.read(name, deps[name], deps[name]["params"]["out"], json.loads)
         for name in ("polarisation", "odds", "activity")

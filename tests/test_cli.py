@@ -1367,6 +1367,24 @@ class TestOutputsTaken:
                 assert (run / path).read_bytes() == (finished / path).read_bytes()
 
 
+def _pickled_rows() -> bytes:
+    """A gzip member of a .npy file that holds a pickled object array."""
+    buffer = io.BytesIO()
+    np.save(buffer, np.array([{"author": 1}], dtype=object), allow_pickle=True)
+    return gzip.compress(buffer.getvalue())
+
+
+# (artifact, its new bytes, a command that decodes it, the stage that wrote it)
+UNDECODABLE = [
+    ("store/party1.npy.gz", _pickled_rows(), ("build", "--out", "networks2"), "ingest"),
+    ("store/party1.npy.gz", b"not gzip", ("build", "--out", "networks2"), "ingest"),
+    ("networks/agenda.json", b"{not json\n", ("communities", "--resolution", "0.7"), "build"),
+    ("networks/agenda.json", b"[]\n", ("communities", "--resolution", "0.7"), "build"),
+    ("networks/agenda.json", b"[]\n",
+     ("export", "--network", "agenda", "--gexf", "{tmp}/agenda.gexf"), "build"),
+]
+
+
 class TestArtifactIO:
     def test_each_file_is_hashed_at_most_once(self, corpus, tmp_path, monkeypatch):
         """A cold `pipeline ingest ... report` and a relabel run each hash a
@@ -1517,6 +1535,26 @@ class TestArtifactIO:
                        "--run-dir", tmp_path / "fresh") == 0
         assert (root / "labels" / "agenda.json").read_bytes() == (
             tmp_path / "fresh" / "labels" / "agenda.json").read_bytes()
+
+    @pytest.mark.parametrize("rel, data, argv, stage", UNDECODABLE, ids=[
+        "pickled rows", "rows not gzip", "network not JSON", "network a list",
+        "network a list, export",
+    ])
+    def test_bytes_that_match_but_do_not_decode(
+        self, rel, data, argv, stage, finished, tmp_path, capsys
+    ):
+        """An artifact whose manifest digest was edited to match bytes of the
+        wrong shape is refused as modified, like bytes that do not match."""
+        run = tmp_path / "run"
+        shutil.copytree(finished, run)
+        (run / rel).write_bytes(data)
+        manifest = load_json(run / "manifest.json")
+        manifest["stages"][stage]["outputs"][rel] = file_digest(run / rel)
+        (run / "manifest.json").write_text(json_text(manifest))
+        assert run_cli(*(a.format(tmp=tmp_path) for a in argv), "--run-dir", run) == 2
+        err = capsys.readouterr().err
+        assert f"artifacts of stage '{stage}' are missing or modified" in err
+        assert "internal error" not in err
 
     def test_killed_writer_leaves_no_temporary_file(self, corpus, tmp_path):
         run = tmp_path / "run"
