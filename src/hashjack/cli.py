@@ -24,8 +24,8 @@ from pathlib import Path
 from . import pipeline as pl
 from .errors import HashjackError, StageError
 from .store import compact_text, write_text_atomic
-from .synth import SynthConfig, generate, write_corpus
 
+synth = pl.lazy_module("synth")
 DEFAULT_SEED = 42
 
 
@@ -131,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_synth(args, fmt: str, seed: int | None) -> int:
-    config = SynthConfig.from_dict(pl.load_user_json(args.config))
+    config = synth.SynthConfig.from_dict(pl.load_user_json(args.config))
     if seed is not None:
         config = replace(config, seed=seed)
     out = Path(args.out)
@@ -144,9 +144,9 @@ def _run_synth(args, fmt: str, seed: int | None) -> int:
         ancestor = next(a for a in Path(dest).parents if a.exists())
         if not ancestor.is_dir():
             raise StageError(f"{ancestor} is not a directory")
-    corpus, truth = generate(config)
+    corpus, truth = synth.generate(config)
     # the corpus goes to the temporary file a chunk at a time
-    write_text_atomic(out, lambda sink: write_corpus(corpus, sink, fmt))
+    write_text_atomic(out, lambda sink: synth.write_corpus(corpus, sink, fmt))
     detail = f"synth: {truth.event_count} records -> {out}"
     if args.truth:
         try:

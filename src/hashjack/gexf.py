@@ -68,25 +68,27 @@ def gexf_document(
         default = ["        <default>false</default>"] if kind == "boolean" else []
         tag = f'attribute id="{ids[title]}" title="{_escape(title)}" type="{kind}"'
         declared += _element("      ", tag, default)
-    attvalue = '          <attvalue for="{}" value="{}" />'.format
+    attvalue = '          <attvalue for="{}" value="{}" />\n'.format  # a line, with its end
     accounts = registry.ids
     ordered = sorted(net.nodes, key=accounts.__getitem__)
-    names = {node: _escape(accounts[node]) for node in ordered}
+    joined = "".join(map(accounts.__getitem__, ordered))
+    plain = joined.isascii() and not any(char in joined for char, _ in _ATTRIB)
+    names = accounts if plain else {node: _escape(accounts[node]) for node in ordered}
     assignment = {} if partition is None else partition.assignment
-    sides = {} if labeling is None else {c: _escape(s) for c, s in labeling.labels.items()}
+    # each community's attvalue lines, formatted once
+    clusters = {cid: attvalue(ids["cluster"], cid) for cid in set(assignment.values())}
+    if labeling is not None:
+        for cid in clusters:
+            clusters[cid] += attvalue(ids["side"], _escape(labeling.labels.get(cid, "other")))
     members = [(attvalue(ids[f"partisan_#{p.party}"], "true"), p.accounts) for p in psets]
     nodes = []
     for node in ordered:
-        values = []
-        if node in assignment:
-            cid = assignment[node]
-            values.append(attvalue(ids["cluster"], cid))
-            if labeling is not None:
-                values.append(attvalue(ids["side"], sides.get(cid, "other")))
-        values += [line for line, party in members if node in party]
-        head = f'      <node id="{names[node]}" label="{names[node]}"'
-        nodes += ([f"{head}>", *_element("        ", "attvalues", values), "      </node>"]
-                  if values else [f"{head} />"])
+        name = names[node]
+        values = clusters.get(assignment.get(node), "") + "".join(
+            [line for line, party in members if node in party])
+        nodes.append(f'      <node id="{name}" label="{name}">\n        <attvalues>\n'
+                     f'{values}        </attvalues>\n      </node>' if values
+                     else f'      <node id="{name}" label="{name}" />')
 
     ranked = sorted(net.edges, key=lambda edge: (accounts[edge[0]], accounts[edge[1]]))
     edges = [

@@ -14,15 +14,44 @@ store keeps; `network_obj` reads those rows, with no count or sort of
 events, into the network file's object. A RetweetNetwork keeps the file's
 [retweeter, retweeted, count] rows, which the projection and the GEXF
 writer read as they are.
+
+`normalize_hashtag`, the one hashtag rule, lives here; `ingest` uses it.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
 
-from .ingest import TweetRecord, _distinct, normalize_hashtag
+from .errors import HashtagError
+
+if TYPE_CHECKING:
+    from .ingest import TweetRecord
+
+_HASHTAG_RE = re.compile(r"[a-z0-9_]+\Z")
+
+
+def normalize_hashtag(tag: str) -> str:
+    """Lowercase, strip a leading '#'. Raises HashtagError if the rest is not [a-z0-9_]+."""
+    tag = tag.strip().lower()
+    if tag.startswith("#"):
+        tag = tag[1:]
+    if not _HASHTAG_RE.match(tag):
+        raise HashtagError(f"invalid hashtag: {tag!r}")
+    return tag
+
+
+def _distinct(values):
+    """The distinct values of an int array, ascending. np.unique gives the
+    same, but this numpy hashes first and is many times slower."""
+    import numpy as np
+
+    values = np.sort(values)
+    keep = np.ones(len(values), dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
 
 
 class AccountRegistry:
@@ -135,18 +164,6 @@ def network_from_events(hashtag: str, pairs) -> RetweetNetwork:
     return RetweetNetwork(obj["hashtag"], set(obj["nodes"]), obj["edges"], obj["original_count"])
 
 
-def stream_registry(streams: Iterable[Iterable[TweetRecord]]) -> AccountRegistry:
-    """Registry of every author and retweeted account in the streams, in
-    account-id order, so indices do not depend on stream order."""
-    return AccountRegistry(sorted({
-        account
-        for stream in streams
-        for record in stream
-        for account in (record.author, record.retweeted_author)
-        if account is not None
-    }))
-
-
 def event_pairs(
     stream: Iterable[TweetRecord], registry: AccountRegistry
 ) -> list[tuple[int, int]]:
@@ -185,9 +202,14 @@ def build_network(
 def build_networks(
     streams: Mapping[str, Iterable[TweetRecord]],
 ) -> tuple[dict[str, RetweetNetwork], AccountRegistry]:
-    """Build all hashtag networks over one registry in account-id order."""
+    """Build all hashtag networks over one registry of every author and
+    retweeted account in account-id order, so indices do not depend on
+    stream order."""
     streams = {tag: list(stream) for tag, stream in streams.items()}
-    registry = stream_registry(streams.values())
+    registry = AccountRegistry(sorted({
+        account for stream in streams.values() for record in stream
+        for account in (record.author, record.retweeted_author) if account is not None
+    }))
     nets = {
         tag: build_network(stream, registry, tag) for tag, stream in sorted(streams.items())
     }

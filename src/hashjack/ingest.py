@@ -24,7 +24,8 @@ without the JSON decoder by one pattern, when no string in it holds '"',
 names and the timestamp ends in 'Z'; a match then needs only the emptiness
 and self-retweet tests, the tag set and the timestamp parse. Every other
 valid JSON line is still accepted, through the decoder and the ordered
-checks, with the same reject reasons.
+checks, with the same reject reasons. `normalize_hashtag` lives in `graph`,
+so that readers of stored artifacts need not load this parser.
 """
 
 from __future__ import annotations
@@ -40,11 +41,10 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import IO, Iterable
 
-from .errors import HashtagError, IngestError, RejectRateError
+from .errors import IngestError, RejectRateError
+from .graph import _distinct, normalize_hashtag
 
 log = logging.getLogger(__name__)
-
-_HASHTAG_RE = re.compile(r"[a-z0-9_]+\Z")
 
 CSV_COLUMNS = ("tweet_id", "author", "retweeted_author", "hashtags", "timestamp")
 _FIELDS = frozenset(CSV_COLUMNS)
@@ -53,16 +53,6 @@ _FIELDS = frozenset(CSV_COLUMNS)
 # controls other than tab, newline and carriage return, U+FFFE, U+FFFF)
 # and lone surrogates, which UTF-8 cannot encode.
 _BAD_ID_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
-
-
-def normalize_hashtag(tag: str) -> str:
-    """Lowercase, strip a leading '#'. Raises HashtagError if the rest is not [a-z0-9_]+."""
-    tag = tag.strip().lower()
-    if tag.startswith("#"):
-        tag = tag[1:]
-    if not _HASHTAG_RE.match(tag):
-        raise HashtagError(f"invalid hashtag: {tag!r}")
-    return tag
 
 
 def parse_rfc3339(value: str) -> datetime:
@@ -332,17 +322,6 @@ def parse_records(
         for tweet_id, author, retweeted, tags, moment in _scan(source, fmt, strict, rejects)
     ]
     return records, rejects
-
-
-def _distinct(values):
-    """The distinct values of an int array, ascending. np.unique gives the
-    same, but this numpy hashes first and is many times slower."""
-    import numpy as np
-
-    values = np.sort(values)
-    keep = np.ones(len(values), dtype=bool)
-    keep[1:] = values[1:] != values[:-1]
-    return values[keep]
 
 
 class EventColumns:

@@ -10,6 +10,7 @@ members of the pro community of that party's network.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
@@ -78,12 +79,11 @@ def top_retweeted(
     if k < 1:
         raise ValueError("k must be >= 1")
     ranked: dict[int, list[tuple[str, int]]] = {}
+    ids, received = registry.ids, net.retweets_received.get
     for cid, members in partition.communities().items():
-        rows = sorted(
-            ((registry.id_of(node), net.received(node)) for node in members),
-            key=lambda row: (-row[1], row[0]),
-        )
-        ranked[cid] = rows[:k]
+        # the k smallest (-count, id), which sorting every member would put first
+        best = heapq.nsmallest(k, [(-received(node, 0), ids[node]) for node in members])
+        ranked[cid] = [(account, -count) for count, account in best]
     return ranked
 
 

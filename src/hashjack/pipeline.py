@@ -41,11 +41,13 @@ from __future__ import annotations
 import csv
 import fcntl
 import hashlib
+import importlib.util
 import io
 import json
 import math
 import os
 import re
+import sys
 import zlib
 from datetime import datetime, timezone
 from pathlib import Path
@@ -54,17 +56,28 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .community import louvain
 from .errors import EdgelessGraphError, LabelingError, StageError, RunLockError
-from .gexf import gexf_document
-from .graph import event_rows, network_obj, undirected_projection
-from .ingest import normalize_hashtag, read_columns, write_rejects
+from .graph import event_rows, network_obj, normalize_hashtag, undirected_projection
 from .labeling import DEFAULT_MIN_COMMUNITY_SIZE, PRO, CONTRA, OTHER, \
     apply_overrides, label_by_seeds, manual_labeling, partisans, top_retweeted
-from .metrics import BASIS_ACCOUNTS, BASIS_VOLUME, PolarisationProfile, \
-    cluster_composition, concentration, polarisation, polarisation_shift
-from .odds import hashjack_matrix
 from .store import compact_text, file_digest, json_text, load_json, obj_digest, rows_from_npy, \
     rows_to_npy, write_text_atomic, labeling_from_obj, labeling_to_obj, network_from_obj, \
     partition_from_obj, partition_to_obj, registry_from_obj
+
+
+def lazy_module(name: str):
+    """hashjack.<name>, in sys.modules at once but compiled and run only on its
+    first attribute access (importlib.util.LazyLoader)."""
+    full = f"{__package__}.{name}"
+    if full not in sys.modules:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        sys.modules[full] = module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return sys.modules[full]
+
+
+gexf, ingest, metrics, odds = map(lazy_module, ("gexf", "ingest", "metrics", "odds"))
 
 
 def load_user_json(path: str):
@@ -164,6 +177,7 @@ STAGES: dict[str, Stage] = {stage.name: stage for stage in (
           view=True),
 )}
 STAGE_ORDER = tuple(name for name, stage in STAGES.items() if not stage.view)  # the writers
+COMMANDS = {**{name: name for name in STAGES}, "label": "label apply"}  # each stage's CLI call
 DEFAULT_FRACTIONS = (0.01, 0.05, 0.1, 0.25, 0.5, 1.0)
 EVIDENCE_K = 10
 TEMPORARY = re.compile(r".+\.([1-9]\d{0,8})\.tmp")  # write_text_atomic's temporaries
@@ -210,9 +224,8 @@ class RunLock:
 
 
 def _modified(stage: str) -> StageError:
-    return StageError(
-        f"artifacts of stage '{stage}' are missing or modified; rerun `hashjack {stage}`"
-    )
+    return StageError(f"artifacts of stage '{stage}' are missing or modified; "
+                      f"rerun `hashjack {COMMANDS[stage]}`")
 
 
 class RunDir:
@@ -375,7 +388,7 @@ def _drop_stale(manifest: dict) -> None:
 def require_stage(run: RunDir, manifest: Mapping, name: str) -> dict:
     """The valid manifest entry for a prerequisite, or an actionable error."""
     if not _chain_valid(manifest, name):
-        raise StageError(f"stage '{name}' has not been run; run `hashjack {name}` first")
+        raise StageError(f"stage '{name}' has not been run; run `hashjack {COMMANDS[name]}` first")
     entry = manifest["stages"][name]
     if not _outputs_ok(run, entry):
         raise _modified(name)
@@ -577,7 +590,7 @@ def stage_ingest(run, input_path, tracked, fmt="jsonl", strict=False, out="store
 
     def execute(run, manifest, params, deps):
         with open(input_path, encoding="utf-8") as fh:
-            columns, rejects = read_columns(fh, fmt, strict=strict)
+            columns, rejects = ingest.read_columns(fh, fmt, strict=strict)
         if not columns:
             detail = f" (line {rejects[0].line}: {rejects[0].reason})" if rejects else ""
             raise StageError(f"no valid records in input{detail}")
@@ -588,7 +601,7 @@ def stage_ingest(run, input_path, tracked, fmt="jsonl", strict=False, out="store
 
         if rejects:
             buffer = io.StringIO()
-            write_rejects(rejects, buffer)
+            ingest.write_rejects(rejects, buffer)
             write("rejects.jsonl", buffer.getvalue())
         accounts, pairs = columns.index_pairs(tags)
         write("registry.json.gz", compact_text({"accounts": accounts}))
@@ -771,12 +784,12 @@ def stage_label(run, requests: Sequence[Mapping], out="labels"):
     )
 
 
-def _profile_from_row(row: Mapping, source) -> PolarisationProfile:
+def _profile_from_row(row: Mapping, source) -> metrics.PolarisationProfile:
     """A profile row of the comparison file `source`, or an exit-2 error."""
     values = [row.get(k) for k in ("share_pro", "share_contra", "share_other", "total")]
     if not all(type(v) is int or (type(v) is float and math.isfinite(v)) for v in values):
         raise StageError(f"{source} is not a polarisation artifact")
-    return PolarisationProfile(normalize_hashtag(row["network"]), row["basis"], *values)
+    return metrics.PolarisationProfile(normalize_hashtag(row["network"]), row["basis"], *values)
 
 
 def stage_polarisation(run, threshold=0.05, compare=None, out="polarisation.json"):
@@ -792,12 +805,12 @@ def stage_polarisation(run, threshold=0.05, compare=None, out="polarisation.json
 
     def execute(run, manifest, params, deps):
         profiles = [
-            polarisation(
+            metrics.polarisation(
                 _load(run, deps, "build", tag), _load(run, deps, "communities", tag),
                 _load(run, deps, "label", tag), basis,
             )
             for tag in _tags(deps["label"])
-            for basis in (BASIS_VOLUME, BASIS_ACCOUNTS)
+            for basis in (metrics.BASIS_VOLUME, metrics.BASIS_ACCOUNTS)
         ]
         obj: dict = {"profiles": [profile.to_dict() for profile in profiles]}
         if compare is not None:
@@ -814,7 +827,7 @@ def stage_polarisation(run, threshold=0.05, compare=None, out="polarisation.json
             for profile in profiles:
                 old = earlier.get(("#" + profile.network, profile.basis))
                 if old is not None:
-                    shifts.append(polarisation_shift(
+                    shifts.append(metrics.polarisation_shift(
                         _profile_from_row(old, compare), profile,
                         threshold=params["threshold"],
                     ))
@@ -863,7 +876,7 @@ def stage_odds(run, targets, out="odds.json"):
 
     def execute(run, manifest, params, deps):
         _, psets, loaded = _split_parties(run, deps, tags)
-        estimates = hashjack_matrix(psets, loaded)
+        estimates = odds.hashjack_matrix(psets, loaded)
         obj = {
             "targets": ["#" + t for t in tags],
             "rows": [estimate.to_dict() for estimate in estimates],
@@ -892,7 +905,7 @@ def stage_activity(run, targets=None, fractions=DEFAULT_FRACTIONS, out="activity
         registry, psets, _ = _split_parties(run, deps, params["targets"])
         nets = [_load(run, deps, "build", tag) for tag in _built_tags(deps["build"])]
         curves = [
-            concentration(pset, nets, fracs, registry).to_dict()
+            metrics.concentration(pset, nets, fracs, registry).to_dict()
             for pset in sorted(psets, key=lambda p: p.party)
         ]
         obj = {"fractions": fracs, "curves": curves}
@@ -936,7 +949,7 @@ def write_report(run: RunDir, out="report.json", top_k=100):
         if contra_cid is None:
             continue
         members = partition.members(contra_cid)
-        report = cluster_composition(members, pset_map, net, top_k, registry)
+        report = metrics.cluster_composition(members, pset_map, net, top_k, registry)
         compositions["#" + tag] = report.to_dict()
 
     bundle = {
@@ -1018,7 +1031,7 @@ def write_gexf(run: RunDir, network: str, out_path: Path | str):
                 other_partition = _load(run, deps, "communities", other)
                 psets.append(partisans(other_labeling, other_partition))
 
-    doc = gexf_document(
+    doc = gexf.gexf_document(
         net, _load(run, deps, "build"), partition=partition, labeling=labeling,
         partisan_sets=psets,
     )

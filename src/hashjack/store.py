@@ -28,8 +28,7 @@ from pathlib import Path
 from typing import IO, Callable, Mapping, Sequence
 
 from .community import CommunityPartition
-from .graph import AccountRegistry, RetweetNetwork
-from .ingest import normalize_hashtag
+from .graph import AccountRegistry, RetweetNetwork, normalize_hashtag
 from .labeling import ClusterLabeling
 
 JSON_KWARGS = {"sort_keys": True, "indent": 2, "ensure_ascii": False}

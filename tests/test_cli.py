@@ -22,6 +22,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import hashjack.cli
+import hashjack.ingest
 import hashjack.pipeline
 from hashjack import synth
 from hashjack.cli import entrypoint
@@ -254,6 +255,19 @@ class TestStageChain:
         assert run_cli("build", "--run-dir", run) == 2
         err = capsys.readouterr().err
         assert "ingest" in err and "error:" in err
+
+    def test_label_stage_is_named_by_its_command(self, corpus, tmp_path, capsys):
+        run = tmp_path / "run"
+        assert run_cli("pipeline", "ingest", "build", "communities", "--input", corpus["corpus"],
+                       "--tracked", TRACKED, "--run-dir", run) == 0
+        capsys.readouterr()
+        assert run_cli("polarisation", "--run-dir", run) == 2
+        assert "run `hashjack label apply` first" in capsys.readouterr().err
+        assert run_cli("label", "apply", "--labels", corpus["labels"], "--run-dir", run) == 0
+        (run / "labels" / "agenda.json").write_text("{}")
+        capsys.readouterr()
+        assert run_cli("polarisation", "--run-dir", run) == 2
+        assert "rerun `hashjack label apply`" in capsys.readouterr().err
 
     def test_lock_blocks_writers_not_report(self, corpus, tmp_path, capsys):
         run = tmp_path / "run"
@@ -1037,13 +1051,13 @@ def small_corpus(tmp_path):
 class TestStoredEvents:
     def test_pipeline_parses_corpus_once(self, corpus, tmp_path, monkeypatch):
         calls = []
-        real = hashjack.pipeline.read_columns
+        real = hashjack.ingest.read_columns
 
         def counting(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(hashjack.pipeline, "read_columns", counting)
+        monkeypatch.setattr(hashjack.ingest, "read_columns", counting)
         assert run_cli("pipeline", "ingest", "build", "--input", corpus["corpus"],
                        "--tracked", TRACKED, "--run-dir", tmp_path / "run") == 0
         assert len(calls) == 1

@@ -1,5 +1,6 @@
-"""Each submodule imports on its own, the package itself imports nothing, and
-a read-only CLI call loads no numpy.
+"""Each submodule imports on its own, the package itself imports nothing, a
+read-only CLI call loads no numpy, and a call leaves the modules of stages it
+does not run unexecuted.
 
 Every case runs in a fresh interpreter, so a module cannot lean on another
 module that an earlier import happened to load.
@@ -20,6 +21,16 @@ from hashjack.cli import entrypoint
 
 SRC = str(Path(hashjack.__file__).resolve().parent.parent)
 MODULES = sorted(info.name for info in pkgutil.iter_modules(hashjack.__path__))
+# The modules `cli` and `pipeline` hold lazily: in sys.modules from the start,
+# executed on first use.
+LAZY = ["gexf", "ingest", "metrics", "odds", "synth"]
+# Prints which LAZY modules sit in sys.modules unexecuted; `type()` of a lazy
+# module does not execute it.
+PRINT_UNEXECUTED = (
+    "import sys, types\n"
+    f"print([m for m in {LAZY!r} if 'hashjack.' + m in sys.modules\n"
+    "       and type(sys.modules['hashjack.' + m]) is not types.ModuleType])"
+)
 
 
 def run_fresh(code: str) -> subprocess.CompletedProcess:
@@ -61,6 +72,12 @@ def test_cli_import_loads_no_numpy():
     done = run_fresh("import sys, hashjack.cli\nprint('numpy' in sys.modules)")
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_cli_import_executes_no_stage_module():
+    done = run_fresh("import hashjack.cli\n" + PRINT_UNEXECUTED)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == str(LAZY)
 
 
 @pytest.fixture(scope="module")
@@ -109,3 +126,32 @@ def test_read_only_call_loads_no_numpy(finished, tmp_path, argv):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "0 False", done.stderr
+
+
+def run_unexecuted(argv: list[str]) -> tuple[str, str]:
+    """(exit code, unexecuted LAZY modules) of one CLI call in a fresh interpreter."""
+    done = run_fresh(
+        "from hashjack.cli import entrypoint\n"
+        f"code = entrypoint({argv!r})\n" + PRINT_UNEXECUTED + "\nprint(code)"
+    )
+    assert done.returncode == 0, done.stderr
+    *_, unexecuted, code = done.stdout.splitlines()
+    return code, unexecuted
+
+
+@pytest.mark.parametrize("argv,unexecuted", [
+    (["label", "report", "--network", "agenda"], LAZY),
+    (["export", "--network", "agenda", "--gexf", "{tmp}/agenda.gexf"],
+     ["ingest", "metrics", "odds", "synth"]),
+    (["report"], ["gexf", "ingest", "odds", "synth"]),
+], ids=["label report", "export", "report"])
+def test_read_only_call_executes_only_its_modules(finished, tmp_path, argv, unexecuted):
+    argv = [arg.format(tmp=tmp_path) for arg in argv] + ["--run-dir", str(finished)]
+    assert run_unexecuted(argv) == ("0", str(unexecuted))
+
+
+def test_up_to_date_pipeline_executes_no_stage_module(finished):
+    argv = ["pipeline", "ingest", "build", "communities", "--input",
+            str(finished.parent / "corpus.jsonl"), "--tracked", "party1,agenda",
+            "--run-dir", str(finished)]
+    assert run_unexecuted(argv) == ("0", str(LAZY))

@@ -1,10 +1,11 @@
 from datetime import datetime, timezone
 
 import pytest
+from hypothesis import given, strategies as st
 
 from hashjack.community import CommunityPartition
 from hashjack.errors import LabelingError
-from hashjack.graph import AccountRegistry, build_network
+from hashjack.graph import AccountRegistry, build_network, network_from_events
 from hashjack.ingest import TweetRecord
 from hashjack.labeling import (
     ClusterLabeling,
@@ -74,6 +75,20 @@ class TestTopRetweeted:
         reg, net, part = world
         ranked = top_retweeted(net, part, 10, reg)
         assert len(ranked[2]) == 2
+
+    @given(st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=60),
+           st.integers(1, 8))
+    def test_equals_sorting_every_member(self, pairs, k):
+        reg = AccountRegistry(f"u{(i * 5) % 12:02d}" for i in range(12))  # ids out of index order
+        net = network_from_events("afd", [(i, j) for i, j in pairs if i != j])
+        part = CommunityPartition(assignment={n: n % 3 for n in net.nodes}, modularity=0.0,
+                                  resolution=1.0, seed=1, levels=1)
+        expected = {
+            cid: sorted(((reg.id_of(n), net.received(n)) for n in members),
+                        key=lambda row: (-row[1], row[0]))[:k]
+            for cid, members in part.communities().items()
+        }
+        assert top_retweeted(net, part, k, reg) == expected
 
     def test_k_must_be_positive(self, world):
         reg, net, part = world

@@ -432,6 +432,24 @@ class TestGexf:
         )
         assert gexf_document(*args) == reference_gexf(*args)
 
+    @pytest.mark.parametrize("third", ["c", "c&d"], ids=["plain ids", "one escaped id"])
+    def test_gaps_and_overlaps_match_reference(self, third):
+        reg = AccountRegistry(["a", "b", third, "e", "f", "g"])
+        net = network_from_events("tide", [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 2)])
+        part = CommunityPartition(  # e (3) and f (4) in no community
+            assignment={0: 0, 1: 0, 2: 1, 5: 2}, modularity=0.0, resolution=1.0,
+            seed=1, levels=1,
+        )
+        lab = ClusterLabeling(network="tide", labels={0: "pro", 1: "contra"}, method="manual")
+        psets = [  # c (2) in both sets
+            PartisanAssignment("afd", frozenset({0, 2})),
+            PartisanAssignment("cdu", frozenset({2, 3})),
+        ]
+        doc = gexf_document(net, reg, part, lab, psets)
+        assert doc == reference_gexf(net, reg, part, lab, psets)
+        assert 'value="other"' in doc
+        assert ('id="c&amp;d"' in doc) == (third == "c&d")
+
     def test_hostile_ids_come_back_unchanged(self):
         reg = AccountRegistry(HOSTILE_IDS)
         net = network_from_events("tide", [(i, i - 1) for i in range(1, len(HOSTILE_IDS))])
