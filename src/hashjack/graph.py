@@ -13,7 +13,8 @@ event pairs into the weighted [author, retweeted, count] rows the ingest
 store keeps; `network_obj` reads those rows, with no count or sort of
 events, into the network file's object. A RetweetNetwork keeps the file's
 [retweeter, retweeted, count] rows, which the projection and the GEXF
-writer read as they are.
+writer read as they are. `build_networks` takes TweetRecords through the
+same two steps, one event per record.
 
 `normalize_hashtag`, the one hashtag rule, lives here; `ingest` uses it.
 """
@@ -55,24 +56,15 @@ def _distinct(values):
 
 
 class AccountRegistry:
-    """Bijective account-id <-> dense index map, append-only within a run."""
+    """Bijective account-id <-> dense index map, fixed once built."""
 
     def __init__(self, ids: Iterable[str] = ()):
-        # first-seen order without repeats, as interning one by one gives
-        self._ids: list[str] = list(dict.fromkeys(ids))
+        # first-seen order without repeats
+        self._ids: tuple[str, ...] = tuple(dict.fromkeys(ids))
         self._index: dict[str, int] = dict(zip(self._ids, range(len(self._ids))))
 
     def __contains__(self, account: str) -> bool:
         return account in self._index
-
-    def intern(self, account: str) -> int:
-        """Return the index for account, assigning the next free one if new."""
-        idx = self._index.get(account)
-        if idx is None:
-            idx = len(self._ids)
-            self._index[account] = idx
-            self._ids.append(account)
-        return idx
 
     def index_of(self, account: str) -> int:
         return self._index[account]
@@ -86,7 +78,7 @@ class AccountRegistry:
 
     @property
     def ids(self) -> tuple[str, ...]:
-        return tuple(self._ids)
+        return self._ids
 
 
 @dataclass
@@ -157,62 +149,35 @@ def network_obj(hashtag: str, rows) -> dict:
     }
 
 
-def network_from_events(hashtag: str, pairs) -> RetweetNetwork:
-    """The RetweetNetwork of a hashtag's event pairs, as ingest and build
-    make it: event_rows, then network_obj, as the file decodes."""
-    obj = network_obj(hashtag, event_rows(pairs))
-    return RetweetNetwork(obj["hashtag"], set(obj["nodes"]), obj["edges"], obj["original_count"])
-
-
-def event_pairs(
-    stream: Iterable[TweetRecord], registry: AccountRegistry
-) -> list[tuple[int, int]]:
-    """(author, retweeted) index per record, interning accounts in stream order."""
-    intern = registry.intern
-    return [
-        (
-            intern(record.author),
-            ORIGINAL if record.retweeted_author is None
-            else intern(record.retweeted_author),
-        )
-        for record in stream
-    ]
-
-
-def build_network(
-    stream: Iterable[TweetRecord], registry: AccountRegistry, hashtag: str
-) -> RetweetNetwork:
-    """Build one hashtag's network from its stream.
-
-    Every record must carry the hashtag and counts as one event; duplicate
-    tweet ids are rejected by parse_records, not here. Original tweets add
-    their author as a node but no edge; an empty stream yields an empty
-    network.
-    """
-    tag = normalize_hashtag(hashtag)
-    stream = list(stream)
-    for record in stream:
-        if tag not in record.hashtags:
-            raise ValueError(
-                f"record {record.tweet_id} does not carry #{tag}; stream is mixed"
-            )
-    return network_from_events(tag, event_pairs(stream, registry))
-
-
 def build_networks(
     streams: Mapping[str, Iterable[TweetRecord]],
 ) -> tuple[dict[str, RetweetNetwork], AccountRegistry]:
-    """Build all hashtag networks over one registry of every author and
-    retweeted account in account-id order, so indices do not depend on
-    stream order."""
-    streams = {tag: list(stream) for tag, stream in streams.items()}
+    """Build each stream's hashtag network over one registry of every author
+    and retweeted account in account-id order, so indices do not depend on
+    stream order. Each record is one (author, retweeted) event; the events
+    go through event_rows and network_obj, as ingest and build run them,
+    and decode as a network file does. A record that lacks its stream's
+    hashtag raises ValueError; duplicate tweet ids are rejected by
+    parse_records, not here."""
+    from .store import network_from_obj  # store imports this module
+
+    streams = {tag: list(stream) for tag, stream in sorted(streams.items())}
     registry = AccountRegistry(sorted({
         account for stream in streams.values() for record in stream
         for account in (record.author, record.retweeted_author) if account is not None
     }))
-    nets = {
-        tag: build_network(stream, registry, tag) for tag, stream in sorted(streams.items())
-    }
+    index = registry.index_of
+    nets = {}
+    for key, stream in streams.items():
+        tag = normalize_hashtag(key)
+        for record in stream:
+            if tag not in record.hashtags:
+                raise ValueError(
+                    f"record {record.tweet_id} does not carry #{tag}; stream is mixed"
+                )
+        pairs = [(index(record.author), ORIGINAL if record.retweeted_author is None
+                  else index(record.retweeted_author)) for record in stream]
+        nets[key] = network_from_obj(network_obj(tag, event_rows(pairs)))
     return nets, registry
 
 

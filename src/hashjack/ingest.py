@@ -15,17 +15,17 @@ stream per tracked hashtag; a record carrying several tracked hashtags is
 intentionally duplicated into each of those streams, which is what lets
 the same account show up in several hashtag networks downstream.
 
-The canonical line, json.dumps(record_to_obj(r), sort_keys=True,
-separators=(",", ":")), fills one template when no id or tag holds a
-character json.dumps escapes: per record in `write_jsonl`, per event from
-columns in `write_retweets`, which `synth` writes with. It is read back
-without the JSON decoder by one pattern, when no string in it holds '"',
-'\\' or a control character, no id holds a character that `_BAD_ID_CHAR`
-names and the timestamp ends in 'Z'; a match then needs only the emptiness
-and self-retweet tests, the tag set and the timestamp parse. Every other
-valid JSON line is still accepted, through the decoder and the ordered
-checks, with the same reject reasons. `normalize_hashtag` lives in `graph`,
-so that readers of stored artifacts need not load this parser.
+The canonical line is json.dumps(record_to_obj(r), sort_keys=True,
+separators=(",", ":")), as `write_jsonl` writes it per record.
+`write_retweets`, which `synth` writes with, fills one template with the
+strings of each event, none of which json.dumps escapes. A canonical line
+is read back without the JSON decoder by one pattern, when no string in it
+holds '"', '\\' or a control character, no id holds a character that
+`_BAD_ID_CHAR` names and the timestamp ends in 'Z'; a match then needs only
+the emptiness and self-retweet tests, the tag set and the timestamp parse.
+Every other valid JSON line is still accepted, through the decoder and the
+ordered checks, with the same reject reasons. `normalize_hashtag` lives in
+`graph`, so that readers of stored artifacts need not load this parser.
 """
 
 from __future__ import annotations
@@ -181,8 +181,6 @@ def _check_fields(
 
 _scan_json = json.JSONDecoder().scan_once  # the scanner json.loads runs
 
-# A character json.dumps escapes, which the canonical line's template cannot write
-_ESCAPED = re.compile(r'[^ !#-\[\]-~]')
 # The canonical line. Its strings (S) hold no '"', '\' or control character,
 # so each is the text json.loads would decode, and a tag list splits at
 # '","'. Its ids (I) also hold no character that _BAD_ID_CHAR names, and its
@@ -493,33 +491,20 @@ def record_to_obj(record: TweetRecord) -> dict:
     return obj
 
 
-# The canonical line for strings that need no escaping, filled with the
-# author, the tag list, "" or the retweet field, the timestamp and the tweet id
-_JSONL_LINE = '{"author":"%s","hashtags":%s%s,"timestamp":"%s","tweet_id":"%s"}'
-_RETWEET_FIELD = ',"retweeted_author":"%s"'
-
-
-def _tag_list(tags: list[str]) -> str:
-    return '["#' + '","#'.join(tags) + '"]' if tags else "[]"
-
-
-def record_to_json_line(record: TweetRecord) -> str:
-    """The record's canonical line (see the module docstring)."""
-    tags = sorted(record.hashtags)
-    retweeted = record.retweeted_author
-    if _ESCAPED.search("".join((record.tweet_id, record.author, retweeted or "", *tags))):
-        return json.dumps(record_to_obj(record), sort_keys=True, separators=(",", ":"))
-    retweet = "" if retweeted is None else _RETWEET_FIELD % retweeted
-    return _JSONL_LINE % (record.author, _tag_list(tags), retweet,
-                          format_rfc3339(record.timestamp), record.tweet_id)
-
-
 def write_jsonl(records: Iterable[TweetRecord], sink: IO[str]) -> int:
+    """Write each record's canonical line (see the module docstring)."""
     n = 0
     for record in records:
-        sink.write(record_to_json_line(record) + "\n")
+        sink.write(json.dumps(record_to_obj(record), sort_keys=True, separators=(",", ":")) + "\n")
         n += 1
     return n
+
+
+# The canonical line of a one-tag retweet whose strings need no escaping,
+# filled with the author, the tag, the retweeted account, the timestamp and
+# the tweet id
+_JSONL_LINE = ('{"author":"%s","hashtags":["#%s"],"retweeted_author":"%s",'
+               '"timestamp":"%s","tweet_id":"%s"}')
 
 
 def write_retweets(networks: Iterable[tuple], sink: IO[str], fmt: str = "jsonl") -> int:
@@ -536,7 +521,7 @@ def write_retweets(networks: Iterable[tuple], sink: IO[str], fmt: str = "jsonl")
             line = f"%s,%s,%s,#{tag},%s\n"
             rows = zip(tweet_ids, authors, retweeted, timestamps)
         else:
-            line = _JSONL_LINE % ("%s", _tag_list([tag]), _RETWEET_FIELD, "%s", "%s") + "\n"
+            line = _JSONL_LINE % ("%s", tag, "%s", "%s", "%s") + "\n"
             rows = zip(authors, retweeted, timestamps, tweet_ids)
         sink.write("".join(map(line.__mod__, rows)))
         n += len(tweet_ids)

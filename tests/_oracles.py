@@ -13,7 +13,8 @@ from typing import Iterable, Mapping, Sequence
 
 from hashjack.community import MIN_GAIN
 from hashjack.errors import SynthConfigError
-from hashjack.graph import ORIGINAL, CompactGraph, RetweetNetwork
+from hashjack.graph import ORIGINAL, AccountRegistry, CompactGraph, RetweetNetwork, \
+    event_rows, network_obj
 from hashjack.ingest import (
     CSV_COLUMNS,
     _FIELDS,
@@ -22,6 +23,7 @@ from hashjack.ingest import (
     parse_records,
     record_to_obj,
 )
+from hashjack.store import network_from_obj
 from hashjack.synth import NetworkEvents, _sorted_multinomial, write_corpus
 
 
@@ -253,9 +255,37 @@ def network_to_obj(net: RetweetNetwork) -> dict:
     }
 
 
+def stage_network(hashtag: str, pairs) -> RetweetNetwork:
+    """The network of (author, retweeted) event pairs as the stages make it:
+    event_rows (ingest), network_obj (build), then decoded from the file."""
+    return network_from_obj(network_obj(hashtag, event_rows(pairs)))
+
+
+class Interner(dict):
+    """Account id -> index, assigned one account at a time in first-seen
+    order: the registry the record walk grows."""
+
+    def __call__(self, account: str) -> int:
+        return self.setdefault(account, len(self))
+
+    def registry(self) -> AccountRegistry:
+        return AccountRegistry(self)
+
+
+def record_network(records: Iterable, accounts: Interner, hashtag: str) -> RetweetNetwork:
+    """The record walk: a hashtag's network from its TweetRecords, each one
+    event, interning the author and then the retweeted account of each
+    record in stream order."""
+    return stage_network(hashtag, [
+        (accounts(r.author),
+         ORIGINAL if r.retweeted_author is None else accounts(r.retweeted_author))
+        for r in records
+    ])
+
+
 def dict_network_from_events(hashtag: str, pairs: Sequence[Sequence[int]]) -> RetweetNetwork:
-    """network_from_events as a loop over Python (author, retweeted) pairs,
-    one event at a time, with the edge counts in a dict keyed by pair."""
+    """stage_network as a loop over Python (author, retweeted) pairs, one
+    event at a time, with the edge counts in a dict keyed by pair."""
     nodes: set[int] = set()
     counts: dict[tuple[int, int], int] = {}
     originals = 0
@@ -337,8 +367,8 @@ def ordered_jsonl_check(line: str):
 
 
 def json_line(record) -> str:
-    """The canonical JSONL line of a record, from the general JSON encoder,
-    as ingest.record_to_json_line writes it."""
+    """The canonical JSONL line of a record, from the general JSON encoder:
+    what ingest.write_retweets's template gives for a retweet."""
     return json.dumps(record_to_obj(record), sort_keys=True, separators=(",", ":"))
 
 

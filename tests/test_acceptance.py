@@ -17,19 +17,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _oracles import (
+    Interner,
     adjusted_rand_index,
     blocks_to_assignment,
     planted_partition_graph,
+    record_network,
     set_partitions,
+    stage_network,
     UndirectedGraph,
 )
 from hashjack.cli import entrypoint
 from hashjack.community import _total_weight, louvain, modularity
 from hashjack.graph import (
     AccountRegistry,
-    build_network,
-    event_rows,
-    network_obj,
+    build_networks,
     undirected_projection,
 )
 from hashjack.ingest import TweetRecord, read_columns
@@ -56,20 +57,18 @@ from hashjack.synth import (
     generate,
     write_corpus,
 )
-from hashjack.store import load_json, network_from_obj
+from hashjack.store import load_json
 
 BARBELL_Q = 6.0 / 7.0 - 0.5
 
 
 def stage_networks(text, tracked):
     """The networks and registry of a corpus text as the ingest and build
-    stages make them: read_columns, index_pairs and event_rows (ingest's
-    store rows), then network_obj (build) and network_from_obj."""
+    stages make them: read_columns and index_pairs, then stage_network."""
     columns, rejects = read_columns(io.StringIO(text), "jsonl")
     assert not rejects
     accounts, pairs = columns.index_pairs(tracked)
-    nets = {tag: network_from_obj(network_obj(tag, event_rows(tag_pairs)))
-            for tag, tag_pairs in pairs.items()}
+    nets = {tag: stage_network(tag, tag_pairs) for tag, tag_pairs in pairs.items()}
     return nets, AccountRegistry(accounts)
 
 
@@ -447,8 +446,7 @@ def _graph_tally_invariant(pairs):
         )
         for i, (a, b) in enumerate(pairs)
     ]
-    reg = AccountRegistry()
-    net = build_network(records, reg, "x")
+    net = build_networks({"x": records})[0]["x"]
     retweets = sum(w for _, _, w in net.edges)
     assert sum(net.retweets_made.values()) == retweets == len(pairs)
     assert sum(net.retweets_received.values()) == retweets
@@ -492,7 +490,7 @@ def _polarisation_shares_sum_to_one(rows):
     from datetime import datetime, timezone
 
     ts = datetime(2020, 3, 1, tzinfo=timezone.utc)
-    reg = AccountRegistry()
+    interned = Interner()
     authors = sorted({a for a, _ in rows})
     records = []
     for i, author in enumerate(authors[1:], start=1):
@@ -505,9 +503,9 @@ def _polarisation_shares_sum_to_one(rows):
                 timestamp=ts,
             )
         )
-    net = build_network(records, reg, "x")
+    net = record_network(records, interned, "x")
     labels_by_author = {a: lab for a, lab in rows}
-    assignment = {reg.index_of(f"u{a}"): labels_by_author[a] for a in authors}
+    assignment = {interned[f"u{a}"]: labels_by_author[a] for a in authors}
     part = CommunityPartition(
         assignment=assignment, modularity=0.0, resolution=1.0, seed=0, levels=0
     )
@@ -530,7 +528,7 @@ def _concentration_monotone(made_counts, fractions):
     from datetime import datetime, timezone
 
     ts = datetime(2020, 3, 1, tzinfo=timezone.utc)
-    reg = AccountRegistry()
+    interned = Interner()
     records = []
     tid = 0
     for i, n in enumerate(made_counts):
@@ -545,11 +543,11 @@ def _concentration_monotone(made_counts, fractions):
                 )
             )
             tid += 1
-    net = build_network(records, reg, "x")
+    net = record_network(records, interned, "x")
     group = PartisanAssignment(
-        "x", frozenset(reg.intern(f"m{i}") for i in range(len(made_counts)))
+        "x", frozenset(interned(f"m{i}") for i in range(len(made_counts)))
     )
-    curve = concentration(group, [net], fractions, reg)
+    curve = concentration(group, [net], fractions, interned.registry())
     shares = [s for _, s in curve.points]
     assert all(x <= y + 1e-12 for x, y in zip(shares, shares[1:]))
     assert curve.points[-1] == (1.0, pytest.approx(1.0))

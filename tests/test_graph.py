@@ -4,21 +4,20 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from _oracles import UndirectedGraph, dict_network_from_events, dict_projection, network_to_obj
+from _oracles import UndirectedGraph, dict_network_from_events, dict_projection, network_to_obj, \
+    stage_network
 from hashjack.community import _total_weight
 from hashjack.graph import (
     ORIGINAL,
     AccountRegistry,
     CompactGraph,
     RetweetNetwork,
-    build_network,
     build_networks,
     event_rows,
-    network_from_events,
     network_obj,
     undirected_projection,
 )
-from hashjack.ingest import TweetRecord
+from hashjack.ingest import EventColumns, TweetRecord, split_streams
 from hashjack.store import compact_text, network_from_obj
 
 TS = datetime(2020, 3, 1, tzinfo=timezone.utc)
@@ -34,13 +33,17 @@ def rt(tid, author, target, tags=("afd",)):
     )
 
 
+def build_one(stream, tag="afd"):
+    """The network of one stream, and its registry, from build_networks."""
+    nets, reg = build_networks({tag: stream})
+    return nets[tag], reg
+
+
 class TestAccountRegistry:
-    def test_intern_is_stable_and_dense(self):
-        reg = AccountRegistry()
-        assert reg.intern("bob") == 0
-        assert reg.intern("alice") == 1
-        assert reg.intern("bob") == 0
+    def test_ids_are_dense_and_fixed(self):
+        reg = AccountRegistry(["bob", "alice", "bob"])
         assert reg.ids == ("bob", "alice")
+        assert reg.ids is reg.ids  # one tuple, not a copy per call
         assert reg.id_of(1) == "alice"
         assert reg.index_of("bob") == 0
         assert "alice" in reg and "carol" not in reg
@@ -48,9 +51,8 @@ class TestAccountRegistry:
 
 class TestBuildNetwork:
     def test_edge_weights_accumulate(self):
-        reg = AccountRegistry()
         stream = [rt("t1", "a", "b"), rt("t2", "a", "b"), rt("t3", "b", "c")]
-        net = build_network(stream, reg, "afd")
+        net, reg = build_one(stream)
         a, b, c = reg.index_of("a"), reg.index_of("b"), reg.index_of("c")
         assert net.edges == [[a, b, 2], [b, c, 1]]
         assert net.made(a) == 2 and net.made(b) == 1 and net.made(c) == 0
@@ -59,55 +61,88 @@ class TestBuildNetwork:
         assert net.nodes == {a, b, c}
 
     def test_originals_add_isolated_author(self):
-        reg = AccountRegistry()
         stream = [
             TweetRecord("t1", "lurker", None, frozenset({"afd"}), TS),
             rt("t2", "a", "b"),
         ]
-        net = build_network(stream, reg, "afd")
+        net, reg = build_one(stream)
         assert reg.index_of("lurker") in net.nodes
         assert net.original_count == 1
         assert sum(w for _, _, w in net.edges) == 1
 
     def test_stream_must_carry_the_hashtag(self):
-        reg = AccountRegistry()
         with pytest.raises(ValueError):
-            build_network([rt("t1", "a", "b", tags=("other",))], reg, "afd")
+            build_one([rt("t1", "a", "b", tags=("other",))])
 
     def test_empty_stream_gives_empty_network(self):
-        net = build_network([], AccountRegistry(), "afd")
+        net, _ = build_one([])
         assert not net.nodes and not net.edges
 
 
 class TestBuildNetworks:
     def test_shared_registry_and_sorted_ids(self):
         streams = {
-            "afd": [rt("t1", "walter", "anna")],
+            "#AfD": [rt("t1", "walter", "anna")],
             "noafd": [rt("t2", "anna", "zoe", tags=("noafd",))],
         }
         nets, reg = build_networks(streams)
         assert list(reg.ids) == sorted(reg.ids)
         anna = reg.index_of("anna")
-        assert anna in nets["afd"].nodes and anna in nets["noafd"].nodes
+        assert anna in nets["#AfD"].nodes and anna in nets["noafd"].nodes
+        assert nets["#AfD"].hashtag == "afd"  # the caller's key, the normal tag
+
+
+TRACKED = ("afd", "tide")
+
+
+@st.composite
+def tagged_records(draw):
+    """TweetRecords over a few accounts, some of them non-ASCII, so that
+    pairs repeat: originals among them, and 1-3 tags each from the tracked
+    ones and one that is not tracked."""
+    ids = draw(st.lists(st.text(alphabet="az\u00df\u00e9\u4e2d\U0001f600", min_size=1,
+                                max_size=3), min_size=2, max_size=5, unique=True))
+    account = st.sampled_from(ids)
+    events = draw(st.lists(st.tuples(account, st.none() | account).filter(lambda p: p[0] != p[1]),
+                           max_size=30))
+    tag_sets = st.frozensets(st.sampled_from([*TRACKED, "other"]), min_size=1, max_size=3)
+    return [TweetRecord(f"t{i}", author, target, draw(tag_sets), TS)
+            for i, (author, target) in enumerate(events)]
+
+
+class TestRecordAdapter:
+    """build_networks over the tracked streams of some records is the stage
+    path over the columns of the same records: registry, then per tag the
+    network of its index pairs."""
+
+    @given(tagged_records())
+    @example([])
+    @example([TweetRecord("t0", "\u00e9", None, frozenset({"other"}), TS)])
+    def test_equals_the_stage_path(self, records):
+        nets, registry = build_networks(split_streams(records, TRACKED)[0])
+        accounts, pairs = EventColumns.from_records(records).index_pairs(TRACKED)
+        assert registry.ids == tuple(accounts)
+        assert nets.keys() == pairs.keys()
+        for tag in TRACKED:
+            assert nets[tag] == stage_network(tag, pairs[tag])
 
 
 class TestUndirectedProjection:
     def test_reciprocal_edges_sum(self):
-        reg = AccountRegistry()
         stream = [rt("t1", "a", "b"), rt("t2", "b", "a"), rt("t3", "a", "b")]
-        net = build_network(stream, reg, "afd")
+        net, reg = build_one(stream)
         graph = undirected_projection(net)
         assert (reg.index_of("a"), reg.index_of("b")) == (0, 1)
         assert graph == CompactGraph([0, 1], [[(1, 3.0)], [(0, 3.0)]], [0.0, 0.0])
         assert _total_weight(graph) == 3.0
 
     def test_isolated_nodes_survive(self):
-        reg = AccountRegistry()
         stream = [
             TweetRecord("t1", "solo", None, frozenset({"afd"}), TS),
             rt("t2", "a", "b"),
         ]
-        graph = undirected_projection(build_network(stream, reg, "afd"))
+        net, reg = build_one(stream)
+        graph = undirected_projection(net)
         solo = graph.nodes.index(reg.index_of("solo"))
         assert graph.adj[solo] == [] and graph.selfw[solo] == 0.0
 
@@ -141,9 +176,8 @@ events = st.lists(
 class TestTallyProperties:
     @given(events)
     def test_made_received_match_edge_sums(self, pairs):
-        reg = AccountRegistry()
         stream = [rt(f"t{i}", f"u{a}", f"u{b}") for i, (a, b) in enumerate(pairs)]
-        net = build_network(stream, reg, "afd")
+        net, _ = build_one(stream)
         assert sum(w for _, _, w in net.edges) == len(pairs)
         for node in net.nodes:
             assert net.made(node) == sum(w for src, _, w in net.edges if src == node)
@@ -151,9 +185,8 @@ class TestTallyProperties:
 
     @given(events)
     def test_projection_preserves_total_weight(self, pairs):
-        reg = AccountRegistry()
         stream = [rt(f"t{i}", f"u{a}", f"u{b}") for i, (a, b) in enumerate(pairs)]
-        net = build_network(stream, reg, "afd")
+        net, _ = build_one(stream)
         graph = undirected_projection(net)
         assert _total_weight(graph) == float(sum(w for _, _, w in net.edges))
         assert set(graph.nodes) == net.nodes
@@ -181,7 +214,7 @@ class TestNetworkFromEvents:
     def test_equals_the_event_loop(self, pairs):
         expected = dict_network_from_events("tide", pairs)
         for given_pairs in (pairs, np.array(pairs, dtype="<i4").reshape(-1, 2)):
-            net = network_from_events("tide", given_pairs)
+            net = stage_network("tide", given_pairs)
             assert net == expected
             obj = network_obj("tide", event_rows(given_pairs))
             assert compact_text(obj) == compact_text(network_to_obj(expected))
@@ -200,7 +233,7 @@ class TestProjectionOracle:
     @example([(0, 5), (5, 0), (0, 5), (9, ORIGINAL)])
     @example([(2**31 - 1, 2**31 - 1), (2**31 - 1, 0)])
     def test_equals_the_dict_builder(self, pairs):
-        net = network_from_events("tide", pairs)
+        net = stage_network("tide", pairs)
         assert repr(undirected_projection(net)) == repr(dict_projection(net).compact())
 
     def test_edge_ends_become_nodes(self):

@@ -3,9 +3,10 @@ from datetime import datetime, timezone
 import pytest
 from hypothesis import given, strategies as st
 
+from _oracles import Interner, record_network, stage_network
 from hashjack.community import CommunityPartition
 from hashjack.errors import LabelingError
-from hashjack.graph import AccountRegistry, build_network, network_from_events
+from hashjack.graph import AccountRegistry
 from hashjack.ingest import TweetRecord
 from hashjack.labeling import (
     ClusterLabeling,
@@ -36,7 +37,7 @@ def world():
     Hub a0 receives 5 retweets, b0 receives 4, so the evidence report has
     an unambiguous ordering.
     """
-    reg = AccountRegistry()
+    interned = Interner()
     records = []
     tid = 0
     for fan in ("a1", "a2", "a3", "a4", "a5"):
@@ -48,7 +49,8 @@ def world():
     records.append(rt(f"t{tid}", "b5", "b1"))
     tid += 1
     records.append(rt(f"t{tid}", "c0", "c1"))
-    net = build_network(records, reg, "afd")
+    net = record_network(records, interned, "afd")
+    reg = interned.registry()
     assignment = {}
     for account in ("a0", "a1", "a2", "a3", "a4", "a5"):
         assignment[reg.index_of(account)] = 0
@@ -80,7 +82,7 @@ class TestTopRetweeted:
            st.integers(1, 8))
     def test_equals_sorting_every_member(self, pairs, k):
         reg = AccountRegistry(f"u{(i * 5) % 12:02d}" for i in range(12))  # ids out of index order
-        net = network_from_events("afd", [(i, j) for i, j in pairs if i != j])
+        net = stage_network("afd", [(i, j) for i, j in pairs if i != j])
         part = CommunityPartition(assignment={n: n % 3 for n in net.nodes}, modularity=0.0,
                                   resolution=1.0, seed=1, levels=1)
         expected = {

@@ -3,8 +3,8 @@ from datetime import datetime, timezone
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _oracles import Interner, record_network
 from hashjack.community import CommunityPartition
-from hashjack.graph import AccountRegistry, build_network
 from hashjack.ingest import TweetRecord
 from hashjack.labeling import ClusterLabeling, PartisanAssignment
 from hashjack.metrics import (
@@ -33,7 +33,7 @@ def rt(tid, author, target, tag="tide"):
 def world():
     """Pro cluster {p0,p1,p2} makes 4 retweets, contra {c0,c1} makes 2,
     other {o0,o1} makes 0 (o0 retweets nothing, o1 only receives)."""
-    reg = AccountRegistry()
+    interned = Interner()
     records = [
         rt("t0", "p1", "p0"),
         rt("t1", "p2", "p0"),
@@ -42,8 +42,9 @@ def world():
         rt("t4", "c1", "c0"),
         rt("t5", "c0", "o1"),
     ]
-    net = build_network(records, reg, "tide")
-    net.nodes.add(reg.intern("o0"))
+    net = record_network(records, interned, "tide")
+    net.nodes.add(interned("o0"))
+    reg = interned.registry()
     assignment = {}
     for a in ("p0", "p1", "p2"):
         assignment[reg.index_of(a)] = 0
@@ -223,17 +224,17 @@ class TestConcentrationProperties:
         ),
     )
     def test_curve_monotone_and_bounded(self, made_counts, fractions):
-        reg = AccountRegistry()
+        interned = Interner()
         records = [
             rt(f"t{i}-{k}", f"m{i}", "hub")
             for i, n in enumerate(made_counts)
             for k in range(n)
         ]
-        net = build_network(records, reg, "tide")
+        net = record_network(records, interned, "tide")
         group = PartisanAssignment(
-            "tide", frozenset(reg.intern(f"m{i}") for i in range(len(made_counts)))
+            "tide", frozenset(interned(f"m{i}") for i in range(len(made_counts)))
         )
-        curve = concentration(group, [net], fractions, reg)
+        curve = concentration(group, [net], fractions, interned.registry())
         qs = [q for q, _ in curve.points]
         shares = [s for _, s in curve.points]
         assert qs == sorted(qs)

@@ -5,9 +5,9 @@ from datetime import datetime, timezone
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _oracles import Interner, record_network
 from hashjack.community import CommunityPartition
 from hashjack.errors import EstimationError
-from hashjack.graph import AccountRegistry, build_network
 from hashjack.ingest import TweetRecord
 from hashjack.labeling import ClusterLabeling, PartisanAssignment
 from hashjack.odds import (
@@ -103,7 +103,7 @@ class TestLogistic:
         assert fit.beta1 == pytest.approx(math.log(a * d / (b * c)), abs=1e-6)
 
 
-def tiny_target(reg):
+def tiny_target(interned):
     """Network over u0..u7 with cluster 0 = {u0..u3}, cluster 1 (contra) = {u4..u7}."""
     records = [
         TweetRecord(
@@ -116,8 +116,8 @@ def tiny_target(reg):
         for base in (0, 4)
         for i in range(base, base + 4)
     ]
-    net = build_network(records, reg, "tide")
-    assignment = {reg.index_of(f"u{i}"): (0 if i < 4 else 1) for i in range(8)}
+    net = record_network(records, interned, "tide")
+    assignment = {interned[f"u{i}"]: (0 if i < 4 else 1) for i in range(8)}
     part = CommunityPartition(
         assignment=assignment, modularity=0.4, resolution=1.0, seed=42, levels=1
     )
@@ -127,21 +127,21 @@ def tiny_target(reg):
 
 class TestContingency:
     def test_counts_only_accounts_present_in_target(self):
-        reg = AccountRegistry()
-        net, part, lab = tiny_target(reg)
-        outsiders = [reg.intern(f"x{i}") for i in range(5)]
+        interned = Interner()
+        net, part, lab = tiny_target(interned)
+        outsiders = [interned(f"x{i}") for i in range(5)]
         pset = PartisanAssignment(
             party="afd",
             accounts=frozenset(
-                [reg.index_of("u0"), reg.index_of("u4"), reg.index_of("u5"), *outsiders]
+                [interned["u0"], interned["u4"], interned["u5"], *outsiders]
             ),
         )
         t = contingency(pset, net, part, lab)
         assert t.cells == (2, 1, 2, 3)
 
     def test_missing_contra_community_raises(self):
-        reg = AccountRegistry()
-        net, part, _ = tiny_target(reg)
+        interned = Interner()
+        net, part, _ = tiny_target(interned)
         lab = ClusterLabeling(network="tide", labels={0: "pro", 1: "other"}, method="manual")
         with pytest.raises(EstimationError, match="no contra community"):
             contingency(PartisanAssignment("afd", frozenset()), net, part, lab)
@@ -149,12 +149,12 @@ class TestContingency:
 
 class TestEstimateCell:
     def test_full_cell(self):
-        reg = AccountRegistry()
-        net, part, lab = tiny_target(reg)
+        interned = Interner()
+        net, part, lab = tiny_target(interned)
         pset = PartisanAssignment(
             party="afd",
             accounts=frozenset(
-                reg.index_of(u) for u in ("u0", "u4", "u5", "u6")
+                interned[u] for u in ("u0", "u4", "u5", "u6")
             ),
         )
         cell = estimate_cell(pset, net, part, lab)
@@ -168,11 +168,11 @@ class TestEstimateCell:
         assert d["a"] == 3 and d["d"] == 3
 
     def test_zero_cell_flags_haldane_and_separation(self):
-        reg = AccountRegistry()
-        net, part, lab = tiny_target(reg)
+        interned = Interner()
+        net, part, lab = tiny_target(interned)
         pset = PartisanAssignment(
             party="afd",
-            accounts=frozenset(reg.index_of(u) for u in ("u4", "u5")),
+            accounts=frozenset(interned[u] for u in ("u4", "u5")),
         )
         cell = estimate_cell(pset, net, part, lab)
         assert FLAG_HALDANE in cell.flags
@@ -182,15 +182,15 @@ class TestEstimateCell:
         assert cell.odds_ratio is not None and cell.odds_ratio > 1.0
 
     def test_empty_partisan_overlap_is_degenerate(self):
-        reg = AccountRegistry()
-        net, part, lab = tiny_target(reg)
+        interned = Interner()
+        net, part, lab = tiny_target(interned)
         cell = estimate_cell(PartisanAssignment("afd", frozenset()), net, part, lab)
         assert FLAG_DEGENERATE in cell.flags
         assert cell.error is None
 
     def test_missing_contra_is_in_cell_error(self):
-        reg = AccountRegistry()
-        net, part, _ = tiny_target(reg)
+        interned = Interner()
+        net, part, _ = tiny_target(interned)
         lab = ClusterLabeling(network="tide", labels={0: "pro", 1: "other"}, method="manual")
         cell = estimate_cell(PartisanAssignment("afd", frozenset()), net, part, lab)
         assert cell.table is None
@@ -200,20 +200,20 @@ class TestEstimateCell:
 
 class TestMatrix:
     def test_rows_ordered_by_party_then_target(self):
-        reg = AccountRegistry()
-        net, part, lab = tiny_target(reg)
+        interned = Interner()
+        net, part, lab = tiny_target(interned)
         targets = {"tide": (net, part, lab)}
         psets = [
-            PartisanAssignment("spd", frozenset([reg.index_of("u0")])),
-            PartisanAssignment("afd", frozenset([reg.index_of("u4")])),
+            PartisanAssignment("spd", frozenset([interned["u0"]])),
+            PartisanAssignment("afd", frozenset([interned["u4"]])),
         ]
         cells = hashjack_matrix(psets, targets)
         assert [(c.party, c.target) for c in cells] == [("afd", "tide"), ("spd", "tide")]
 
     def test_mapping_input_accepted(self):
-        reg = AccountRegistry()
-        net, part, lab = tiny_target(reg)
-        pset = PartisanAssignment("afd", frozenset([reg.index_of("u4")]))
+        interned = Interner()
+        net, part, lab = tiny_target(interned)
+        pset = PartisanAssignment("afd", frozenset([interned["u4"]]))
         cells = hashjack_matrix({"afd": pset}, {"tide": (net, part, lab)})
         assert len(cells) == 1
 

@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from _oracles import dict_network_from_events, dict_rows, network_to_obj
+from _oracles import Interner, dict_network_from_events, dict_rows, network_to_obj, \
+    record_network, stage_network
 from hashjack.community import CommunityPartition
 from hashjack.gexf import gexf_document
-from hashjack.graph import ORIGINAL, AccountRegistry, build_network, event_rows, \
-    network_from_events, network_obj
+from hashjack.graph import ORIGINAL, AccountRegistry, event_rows, network_obj
 from hashjack.ingest import TweetRecord
 from hashjack.labeling import ClusterLabeling, PartisanAssignment
 from hashjack.pipeline import RunDir
@@ -45,7 +45,7 @@ GEXF_NS = "{http://www.gexf.net/1.2draft}"
 
 
 def sample_network():
-    reg = AccountRegistry()
+    interned = Interner()
     records = [
         TweetRecord(
             tweet_id=f"t{i}",
@@ -58,8 +58,8 @@ def sample_network():
             [("b", "a"), ("c", "a"), ("c", "a"), ("d", "c"), ("e", "d")]
         )
     ]
-    net = build_network(records, reg, "tide")
-    return reg, net
+    net = record_network(records, interned, "tide")
+    return interned.registry(), net
 
 
 def json_values(floats=st.floats()):
@@ -158,13 +158,9 @@ class TestRegistryRoundTrip:
 
     def test_repeats_keep_first_seen_order(self):
         ids = ["bo", "al", "bo", "cy", "al"]
-        interned = AccountRegistry()
-        for account in ids:
-            interned.intern(account)
         reg = AccountRegistry(ids)
-        assert reg.ids == interned.ids == ("bo", "al", "cy")
+        assert reg.ids == ("bo", "al", "cy")
         assert list(reg.indices(ids)) == [reg.index_of(a) for a in ids] == [0, 1, 0, 2, 1]
-        assert reg.intern("dee") == 3
 
 
 class TestRunDirCodec:
@@ -416,7 +412,7 @@ class TestGexf:
         ids = HOSTILE_IDS + ["plain", "\ud800"]
         reg = AccountRegistry(ids)
         pairs = [(i, (i + 1) % len(ids)) for i in range(len(ids))] + [(0, 3), (0, 3)]
-        net = network_from_events("tide", pairs)
+        net = stage_network("tide", pairs)
         part = CommunityPartition(
             assignment={n: n % 3 for n in net.nodes}, modularity=0.0, resolution=1.0,
             seed=1, levels=1,
@@ -435,7 +431,7 @@ class TestGexf:
     @pytest.mark.parametrize("third", ["c", "c&d"], ids=["plain ids", "one escaped id"])
     def test_gaps_and_overlaps_match_reference(self, third):
         reg = AccountRegistry(["a", "b", third, "e", "f", "g"])
-        net = network_from_events("tide", [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 2)])
+        net = stage_network("tide", [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 2)])
         part = CommunityPartition(  # e (3) and f (4) in no community
             assignment={0: 0, 1: 0, 2: 1, 5: 2}, modularity=0.0, resolution=1.0,
             seed=1, levels=1,
@@ -452,7 +448,7 @@ class TestGexf:
 
     def test_hostile_ids_come_back_unchanged(self):
         reg = AccountRegistry(HOSTILE_IDS)
-        net = network_from_events("tide", [(i, i - 1) for i in range(1, len(HOSTILE_IDS))])
+        net = stage_network("tide", [(i, i - 1) for i in range(1, len(HOSTILE_IDS))])
         root = ET.fromstring(gexf_document(net, reg))
         nodes = root.findall(f".//{GEXF_NS}node")
         assert [n.get("id") for n in nodes] == sorted(HOSTILE_IDS)
@@ -462,11 +458,11 @@ class TestGexf:
 
     def test_edgeless_and_empty_networks(self):
         reg = AccountRegistry(["b", "a"])
-        edgeless = network_from_events("tide", [(0, ORIGINAL), (1, ORIGINAL)])
+        edgeless = stage_network("tide", [(0, ORIGINAL), (1, ORIGINAL)])
         doc = gexf_document(edgeless, reg)
         assert "    <edges />\n" in doc
         assert doc == reference_gexf(edgeless, reg)
-        empty = network_from_events("tide", [])
+        empty = stage_network("tide", [])
         doc = gexf_document(empty, reg)
         assert "    <nodes />\n    <edges />\n" in doc
         assert doc == reference_gexf(empty, reg)
@@ -475,7 +471,7 @@ class TestGexf:
         reg, net, part, lab, pset = self.make_all()
         backwards = AccountRegistry(sorted(reg.ids, reverse=True))
         remap = {i: backwards.index_of(reg.id_of(i)) for i in range(len(reg.ids))}
-        net = network_from_events(
+        net = stage_network(
             "tide",
             [(remap[s], remap[t]) for s, t, w in net.edges for _ in range(w)],
         )
