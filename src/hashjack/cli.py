@@ -7,10 +7,10 @@ added in one place, its record in the table ``pipeline.STAGES``: the stage
 subcommands and ``pipeline`` take their stage flags from it and run each
 stage through one loop over it (``_run_stages``), so ``pipeline`` prints
 the same line per stage. A stage's own subcommand, where it has one, is a
-``_stage_parser`` call that adds its help, its ``--out`` and any option
-only the subcommand takes. Exit codes: 0 success,
-2 usage, input or stage errors and any OSError (a path that cannot be
-read or written), 1 internal errors.
+``_stage_parser`` call, which adds its flags and an ``--out`` passed only
+when given, so the stage function's default is the one that names each
+output. Exit codes: 0 success, 2 usage, input or stage errors and any
+OSError (a path that cannot be read or written), 1 internal errors.
 """
 
 from __future__ import annotations
@@ -52,9 +52,10 @@ def _common_parser() -> argparse.ArgumentParser:
     return common
 
 
-def _stage_parser(sub, common, stage: str, text: str, command: str | None = None):
+def _stage_parser(sub, common, stage: str, text: str, out_help=None, command=None):
     """The subcommand (`stage` unless `command` is given) that runs `stage`,
-    with the stage's flags and `text` as its help."""
+    with `text` as its help, the stage's flags and then `--out` (its help
+    `out_help`), which is absent from the parsed arguments unless given."""
     p = sub.add_parser(command or stage, parents=[common], help=text)
     p.set_defaults(stages=[stage])
     for name, spec in pl.STAGES[stage].flags.items():
@@ -62,6 +63,7 @@ def _stage_parser(sub, common, stage: str, text: str, command: str | None = None
             p.add_argument("input", help=spec["help"])
         else:
             p.add_argument(name, **spec)
+    p.add_argument("--out", default=argparse.SUPPRESS, help=out_help)
     return p
 
 
@@ -74,16 +76,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", metavar="command", required=True)
 
-    p = _stage_parser(sub, common, "ingest",
-                      "validate and normalize a corpus into the run directory")
-    p.add_argument("--out", default="store", help="store subdirectory (default: store)")
-
-    p = _stage_parser(sub, common, "build", "build per-hashtag retweet networks")
-    p.add_argument("--out", default="networks", help="network subdirectory")
-
-    p = _stage_parser(sub, common, "communities", "cluster networks")
+    _stage_parser(sub, common, "ingest", "validate and normalize a corpus into the run directory",
+                  "store subdirectory (default: store)")
+    _stage_parser(sub, common, "build", "build per-hashtag retweet networks",
+                  "network subdirectory")
+    p = _stage_parser(sub, common, "communities", "cluster networks", "partition subdirectory")
     p.add_argument("--network", metavar="TAG", help="one network (default: all built)")
-    p.add_argument("--out", default="partitions", help="partition subdirectory")
 
     label = sub.add_parser("label", parents=[common], help="pro/contra community labeling")
     label_sub = label.add_subparsers(dest="action", metavar="action", required=True)
@@ -93,21 +91,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--network", required=True, metavar="TAG")
     p.add_argument("--top", type=int, default=50, help="accounts per community")
-    p = _stage_parser(label_sub, common, "label", "apply seed lists and manual overrides",
-                      command="apply")
-    p.add_argument("--out", default="labels", help="labeling subdirectory")
-
-    p = _stage_parser(sub, common, "polarisation", "pro/contra share profiles")
-    p.add_argument("--out", default="polarisation.json")
-
-    p = _stage_parser(sub, common, "odds", "hashtag-hijacking odds matrix")
-    p.add_argument("--out", default="odds.json")
-
-    p = _stage_parser(sub, common, "activity", "activity concentration curves")
-    p.add_argument("--out", default="activity.json")
-
-    p = _stage_parser(sub, common, "report", "bundle results and figure CSVs")
-    p.add_argument("--out", default="report.json")
+    _stage_parser(label_sub, common, "label", "apply seed lists and manual overrides",
+                  "labeling subdirectory", command="apply")
+    _stage_parser(sub, common, "polarisation", "pro/contra share profiles")
+    _stage_parser(sub, common, "odds", "hashtag-hijacking odds matrix")
+    _stage_parser(sub, common, "activity", "activity concentration curves")
+    _stage_parser(sub, common, "report", "bundle results and figure CSVs")
 
     p = sub.add_parser("export", parents=[common], help="write a GEXF file for Gephi")
     p.add_argument("--network", required=True, metavar="TAG")
@@ -164,9 +153,10 @@ def _run_synth(args, fmt: str, seed: int | None) -> int:
 def _run_stages(run, args) -> None:
     """Run the stages `args.stages` names in table order, printing a line each.
 
-    A subcommand passes its --out; `pipeline` has none, so each stage
-    writes to its default location. `pipeline` leaves every stage flag
-    optional, so a stage refuses to run without one it requires.
+    A subcommand passes --out only when given and `pipeline` has none, so
+    by default each stage writes where its stage function's default says.
+    `pipeline` leaves every stage flag optional, so a stage refuses to run
+    without one it requires.
     """
     for name in args.stages:
         if name not in pl.STAGES:

@@ -54,6 +54,12 @@ class ContingencyTable2x2:
     def has_zero_cell(self) -> bool:
         return 0 in self.cells
 
+    @property
+    def corrected_cells(self) -> tuple[float, float, float, float]:
+        """The cells as floats, each +0.5 (Haldane-Anscombe) when any is zero."""
+        shift = 0.5 if self.has_zero_cell else 0.0
+        return tuple(cell + shift for cell in self.cells)
+
 
 @dataclass(frozen=True)
 class OddsRatioEstimate:
@@ -137,8 +143,7 @@ def odds_ratio(table: ContingencyTable2x2) -> OddsRatioEstimate:
     flagged as corrected; the CI is always computed on the cells the point
     estimate used.
     """
-    corrected = table.has_zero_cell
-    a, b, c, d = (cell + 0.5 if corrected else float(cell) for cell in table.cells)
+    a, b, c, d = table.corrected_cells
     value = (a * d) / (b * c)
     se = math.sqrt(1 / a + 1 / b + 1 / c + 1 / d)
     log_or = math.log(value)
@@ -146,15 +151,13 @@ def odds_ratio(table: ContingencyTable2x2) -> OddsRatioEstimate:
         value=value,
         ci_low=math.exp(log_or - Z_95 * se),
         ci_high=math.exp(log_or + Z_95 * se),
-        corrected=corrected,
+        corrected=table.has_zero_cell,
     )
 
 
 def risk_ratio(table: ContingencyTable2x2) -> float:
     """P(contra | partisan) / P(contra | non-partisan), on corrected cells if needed."""
-    a, b, c, d = (
-        cell + 0.5 if table.has_zero_cell else float(cell) for cell in table.cells
-    )
+    a, b, c, d = table.corrected_cells
     return (a / (a + b)) / (c / (c + d))
 
 

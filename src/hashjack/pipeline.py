@@ -145,10 +145,10 @@ STAGES: dict[str, Stage] = {stage.name: stage for stage in (
                              help='comma-separated hashtags, e.g. "#afd,#fckafd"')},
           lambda entry: f"{len(entry['outputs'])} artifacts"),
     Stage("build", ("ingest",), ("ingest",), lambda run, a, **out: stage_build(run, **out),
-          count=lambda entry: f"{len(entry['outputs']) - 1} networks"),  # but the registry
+          count=lambda entry: f"{len(_built_tags(entry))} networks"),
     Stage("communities", ("build",), ("build",),
           lambda run, a, **out: stage_communities(  # only the subcommand takes --network
-              run, [a.network] if getattr(a, "network", None) else None,
+              run, None if getattr(a, "network", None) is None else [a.network],
               resolution=a.resolution, seed=a.seed, **out),
           {"--resolution": dict(type=float, default=1.0, help="modularity resolution")},
           lambda entry: f"{len(entry['params']['networks'])} partitions"),
@@ -167,8 +167,9 @@ STAGES: dict[str, Stage] = {stage.name: stage for stage in (
           {"--targets": dict(required=True, metavar="TAGS", help="target hashtags")}),
     Stage("activity", ("label",), _LABELED,
           lambda run, a, **out: stage_activity(
-              run, _split_tags(a.targets) if a.targets else None,
-              _split_fractions(a.fractions) if a.fractions else DEFAULT_FRACTIONS, **out),
+              run, None if a.targets is None else _split_tags(a.targets),
+              DEFAULT_FRACTIONS if a.fractions is None else _split_fractions(a.fractions),
+              **out),
           {"--targets": dict(metavar="TAGS", help="target hashtags (default: the odds targets)"),
            "--fractions": dict(metavar="LIST", help="comma-separated top fractions")}),
     Stage("report", (), ("polarisation", "odds", "activity", *_LABELED),
@@ -180,6 +181,13 @@ STAGE_ORDER = tuple(name for name, stage in STAGES.items() if not stage.view)  #
 COMMANDS = {**{name: name for name in STAGES}, "label": "label apply"}  # each stage's CLI call
 DEFAULT_FRACTIONS = (0.01, 0.05, 0.1, 0.25, 0.5, 1.0)
 EVIDENCE_K = 10
+FIGURES = {  # the columns of each figure CSV that `report` writes, in order
+    "fig1.csv": ("network", "basis", "share_pro", "share_contra", "share_other",
+                 "share_pro_excl_other", "share_contra_excl_other", "total"),
+    "fig3a.csv": ("party", "target", "a", "b", "c", "d", "odds_ratio", "ci_low", "ci_high",
+                  "flags"),
+    "fig3b.csv": ("group", "fraction", "share"),
+}
 TEMPORARY = re.compile(r".+\.([1-9]\d{0,8})\.tmp")  # write_text_atomic's temporaries
 
 
@@ -379,6 +387,11 @@ def _chain_valid(manifest: Mapping, name: str) -> bool:
     return True
 
 
+def _previous(manifest: Mapping, name: str) -> dict | None:
+    """`name`'s entry while it still counts as run (`_chain_valid`), else None."""
+    return manifest["stages"][name] if _chain_valid(manifest, name) else None
+
+
 def _drop_stale(manifest: dict) -> None:
     for name in STAGE_ORDER:
         if name in manifest["stages"] and not _chain_valid(manifest, name):
@@ -456,7 +469,7 @@ def run_stage(run, name, make_params, execute, inputs=None, source=None, plan=No
         upstream = {dep: entry["fingerprint"] for dep, entry in deps.items()}
         fp = _fingerprint(name, params, inputs, upstream)
         # an entry that counts as not run is neither up to date nor cleaned up
-        prev = manifest["stages"][name] if _chain_valid(manifest, name) else None
+        prev = _previous(manifest, name)
         if prev is not None and prev["fingerprint"] == fp and _outputs_ok(run, prev):
             return False, prev
         _refuse_taken(run, manifest, name,
@@ -490,14 +503,11 @@ def run_stage(run, name, make_params, execute, inputs=None, source=None, plan=No
 
 # -- artifact loading ---------------------------------------------------
 
-def _tags(entry: Mapping) -> list[str]:
-    """The sorted tags of an entry's `<out>/<tag>.json` outputs."""
-    out = entry["params"]["out"]
-    return sorted(rel[len(out) + 1: -len(".json")] for rel in entry["outputs"])
-
-
 def _built_tags(entry: Mapping) -> list[str]:
-    return [tag for tag in _tags(entry) if tag != "registry"]
+    """The sorted tags of a build entry's `<out>/<tag>.json` networks."""
+    out = entry["params"]["out"]
+    return sorted(rel[len(out) + 1: -len(".json")] for rel in entry["outputs"]
+                  if rel != f"{out}/registry.json")
 
 
 _MISSING = {
@@ -526,11 +536,8 @@ def _load(run: RunDir, deps: Mapping, stage: str, tag: str = "registry"):
 def _merged_networks(manifest: Mapping, name: str, out: str, requested: Mapping) -> dict:
     """Params of a per-network stage: `requested` over the previous entry's
     networks, kept when that entry is valid and wrote to the same `out`."""
-    merged: dict[str, dict] = {}
-    if _chain_valid(manifest, name):
-        prev = manifest["stages"][name]["params"]
-        if prev["out"] == out:
-            merged = dict(prev["networks"])
+    prev = _previous(manifest, name)
+    merged = dict(prev["params"]["networks"]) if prev and prev["params"]["out"] == out else {}
     merged.update(requested)
     return {"networks": dict(sorted(merged.items())), "out": out}
 
@@ -546,8 +553,7 @@ def _per_network(run: RunDir, manifest: Mapping, name: str, params: Mapping, mak
     still counts as run, and whose file is intact keeps that file.
     """
     prev_networks, prev_outputs = {}, {}
-    if _chain_valid(manifest, name):
-        prev = manifest["stages"][name]
+    if (prev := _previous(manifest, name)) is not None:
         prev_networks, prev_outputs = prev["params"]["networks"], prev["outputs"]
     outputs = {}
     for tag, opts in params["networks"].items():
@@ -809,7 +815,7 @@ def stage_polarisation(run, threshold=0.05, compare=None, out="polarisation.json
                 _load(run, deps, "build", tag), _load(run, deps, "communities", tag),
                 _load(run, deps, "label", tag), basis,
             )
-            for tag in _tags(deps["label"])
+            for tag in deps["label"]["params"]["networks"]
             for basis in (metrics.BASIS_VOLUME, metrics.BASIS_ACCOUNTS)
         ]
         obj: dict = {"profiles": [profile.to_dict() for profile in profiles]}
@@ -845,7 +851,7 @@ def _split_parties(run, deps, targets):
 
     `deps` maps build, communities and label to their verified entries.
     """
-    labeled = _tags(deps["label"])
+    labeled = deps["label"]["params"]["networks"]
     for tag in targets:
         if tag not in labeled:
             raise StageError(
@@ -894,12 +900,11 @@ def stage_activity(run, targets=None, fractions=DEFAULT_FRACTIONS, out="activity
         raise StageError("fractions must lie in (0, 1]")
 
     def make_params(manifest, deps):
-        chosen = tags
-        if chosen is None:
-            if not _chain_valid(manifest, "odds"):
-                raise StageError("pass --targets, or run `hashjack odds` first")
-            chosen = manifest["stages"]["odds"]["params"]["targets"]
-        return {"targets": chosen, "fractions": fracs, "out": out}
+        if tags is not None:
+            return {"targets": tags, "fractions": fracs, "out": out}
+        if (odds_entry := _previous(manifest, "odds")) is None:
+            raise StageError("pass --targets, or run `hashjack odds` first")
+        return {"targets": odds_entry["params"]["targets"], "fractions": fracs, "out": out}
 
     def execute(run, manifest, params, deps):
         registry, psets, _ = _split_parties(run, deps, params["targets"])
@@ -916,12 +921,13 @@ def stage_activity(run, targets=None, fractions=DEFAULT_FRACTIONS, out="activity
 
 # -- derived views (no lock, no manifest entry) -------------------------
 
-def _csv_text(header, rows) -> str:
+def _csv_text(columns, rows) -> str:
+    """A header of `columns`, then each row's value of each, None or missing empty."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
+    writer.writerow(columns)
     for row in rows:
-        writer.writerow(["" if v is None else v for v in row])
+        writer.writerow(["" if row.get(col) is None else row[col] for col in columns])
     return buffer.getvalue()
 
 
@@ -931,7 +937,7 @@ def write_report(run: RunDir, out="report.json", top_k=100):
         raise StageError(f"top-k must be at least 1, got {top_k}")
     manifest = run.load_manifest()
     base = Path(out).parent
-    figures = [base / name for name in ("fig1.csv", "fig3a.csv", "fig3b.csv")]
+    figures = [base / name for name in FIGURES]
     _refuse_taken(run, manifest, None, [out, *figures])
     deps = {name: require_stage(run, manifest, name) for name in STAGES["report"].reads}
     polar, odds_obj, act = (
@@ -965,44 +971,14 @@ def write_report(run: RunDir, out="report.json", top_k=100):
     }
     run.write(out, json_text(bundle))
 
-    fig1 = _csv_text(
-        (
-            "network", "basis", "share_pro", "share_contra", "share_other",
-            "share_pro_excl_other", "share_contra_excl_other", "total",
-        ),
-        [
-            (
-                r["network"], r["basis"], r["share_pro"], r["share_contra"],
-                r["share_other"], r["share_pro_excl_other"],
-                r["share_contra_excl_other"], r["total"],
-            )
-            for r in polar["profiles"]
-        ],
+    rows = (
+        polar["profiles"],
+        [{**r, "odds_ratio": r["or"], "flags": "|".join(r["flags"])} for r in odds_obj["rows"]],
+        [{"group": curve["group"], "fraction": fraction, "share": share}
+         for curve in act["curves"] for fraction, share in curve["points"]],
     )
-    fig3a = _csv_text(
-        (
-            "party", "target", "a", "b", "c", "d",
-            "odds_ratio", "ci_low", "ci_high", "flags",
-        ),
-        [
-            (
-                r["party"], r["target"], r.get("a"), r.get("b"), r.get("c"),
-                r.get("d"), r["or"], r["ci_low"], r["ci_high"],
-                "|".join(r["flags"]),
-            )
-            for r in odds_obj["rows"]
-        ],
-    )
-    fig3b = _csv_text(
-        ("group", "fraction", "share"),
-        [
-            (curve["group"], point[0], point[1])
-            for curve in act["curves"]
-            for point in curve["points"]
-        ],
-    )
-    for path, text in zip(figures, (fig1, fig3a, fig3b)):
-        run.write(path, text)
+    for path, columns, figure_rows in zip(figures, FIGURES.values(), rows):
+        run.write(path, _csv_text(columns, figure_rows))
     return run.root / out
 
 
@@ -1023,7 +999,7 @@ def write_gexf(run: RunDir, network: str, out_path: Path | str):
             partition = _load(run, deps, "communities", tag)
     if partition is not None and _chain_valid(manifest, "label"):
         deps["label"] = require_stage(run, manifest, "label")
-        for other in _tags(deps["label"]):
+        for other in deps["label"]["params"]["networks"]:
             other_labeling = _load(run, deps, "label", other)
             if other == tag:
                 labeling = other_labeling

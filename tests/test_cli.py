@@ -656,6 +656,16 @@ STEEP_ATTENTION = {
     "mixing": {"p_in": 1.0, "p_out": 0.0},
 }
 BAD_INPUTS += [(SYNTH_ARGV, STEEP_ATTENTION)]
+# An empty value is given, not left out: the tags and the fraction list it
+# gives are empty. Kept out of BAD_TAGS and BAD_VALUES above so that the
+# cases before them keep their parameter ids.
+BAD_INPUTS += [
+    (argv, None) for argv in [
+        ("communities", "--network", ""),
+        ("activity", "--targets", ""),
+        ("activity", "--fractions", ""),
+    ]
+]
 
 
 class TestBadInputExits2:
@@ -903,6 +913,43 @@ class TestPerNetworkReuse:
         assert run_cli("communities", "--resolution", "0.5", "--run-dir", run) == 0
         assert capsys.readouterr().out == "communities: 3 partitions -> partitions/\n"
         assert path.read_bytes() == original
+
+    def test_entry_dropped_by_a_new_ingest_is_not_merged(self, corpus, tmp_path):
+        run = tmp_path / "run"
+        bootstrap(run, corpus, upto="communities")
+        assert run_cli("ingest", corpus["corpus"], "--tracked", "party1,party2",
+                       "--run-dir", run) == 0
+        assert run_cli("build", "--run-dir", run) == 0
+        assert run_cli("communities", "--network", "party1", "--run-dir", run) == 0
+        assert list(manifest_stages(run)["communities"]["params"]["networks"]) == ["party1"]
+
+    def test_activity_takes_the_targets_of_a_fresh_odds_run(self, corpus, tmp_path):
+        run = tmp_path / "run"
+        bootstrap(run, corpus, upto="odds")
+        assert run_cli("odds", "--targets", "agenda,party2", "--run-dir", run) == 0
+        assert run_cli("activity", "--run-dir", run) == 0
+        assert manifest_stages(run)["activity"]["params"]["targets"] == ["agenda", "party2"]
+
+    @pytest.mark.parametrize("how", ["never ran", "relabel dropped it", "entry edited"])
+    def test_activity_without_a_valid_odds_entry_exits_2(self, how, corpus, tmp_path, capsys):
+        run = tmp_path / "run"
+        bootstrap(run, corpus, upto="label" if how == "never ran" else "odds")
+        if how == "relabel dropped it":
+            one = [json.loads(corpus["labels"].read_text())[0]]
+            one[0]["seeds"]["pro"] = one[0]["seeds"]["pro"][:3]
+            (tmp_path / "one.json").write_text(json.dumps(one))
+            assert run_cli("label", "apply", "--labels", tmp_path / "one.json",
+                           "--run-dir", run) == 0
+            assert "odds" not in manifest_stages(run)
+        elif how == "entry edited":  # an entry that counts as not run
+            manifest = load_json(run / "manifest.json")
+            manifest["stages"]["odds"]["params"]["targets"] = ["party2"]
+            (run / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run_cli("activity", "--run-dir", run) == 2
+        err = capsys.readouterr().err
+        assert "pass --targets, or run `hashjack odds` first" in err
+        assert "activity" not in manifest_stages(run)
 
 
 PIPELINE_FLAGS = (
