@@ -77,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", metavar="command", required=True)
 
     _stage_parser(sub, common, "ingest", "validate and normalize a corpus into the run directory",
-                  "store subdirectory (default: store)")
+                  "store subdirectory")
     _stage_parser(sub, common, "build", "build per-hashtag retweet networks",
                   "network subdirectory")
     p = _stage_parser(sub, common, "communities", "cluster networks", "partition subdirectory")

@@ -13,8 +13,10 @@ yields the cross-product odds ratio a*d / (b*c) with a log-normal 95%
 interval, and an equivalent one-predictor logistic regression fitted by
 iteratively reweighted least squares; on non-degenerate tables the fitted
 slope equals ln(OR) (closed form), which doubles as a cross-check between
-the two routes. Zero cells get the Haldane-Anscombe +0.5 correction and
-are flagged rather than hidden.
+the two routes. The fit is plain float arithmetic on `math.exp`, so its
+bits do not depend on which SIMD or BLAS kernels the CPU selects. Zero
+cells get the Haldane-Anscombe +0.5 correction and are flagged rather
+than hidden.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ from .graph import RetweetNetwork
 from .labeling import ClusterLabeling, PartisanAssignment
 
 Z_95 = 1.96
+IRLS_TOL = 1e-8
+IRLS_MAX_ITER = 25
 
 FLAG_HALDANE = "haldane"
 FLAG_DEGENERATE = "degenerate"
@@ -161,46 +165,40 @@ def risk_ratio(table: ContingencyTable2x2) -> float:
     return (a / (a + b)) / (c / (c + d))
 
 
-def _fit_irls(
-    counts: np.ndarray, successes: np.ndarray, tol: float = 1e-8, max_iter: int = 25
-) -> tuple[float, float, bool, int]:
-    """Weighted IRLS on the two covariate classes x=1 and x=0."""
-    import numpy as np
-
-    x = np.array([[1.0, 1.0], [1.0, 0.0]])
-    beta = np.zeros(2)
-    for iteration in range(1, max_iter + 1):
-        mu = 1.0 / (1.0 + np.exp(-(x @ beta)))
-        gradient = x.T @ (successes - counts * mu)
-        weights = counts * mu * (1.0 - mu)
-        hessian = (x * weights[:, None]).T @ x
-        try:
-            step = np.linalg.solve(hessian, gradient)
-        except np.linalg.LinAlgError:
-            return float(beta[0]), float(beta[1]), False, iteration
-        beta = beta + step
-        if float(np.max(np.abs(step))) < tol:
-            return float(beta[0]), float(beta[1]), True, iteration
-    return float(beta[0]), float(beta[1]), False, max_iter
+def _newton_ratio(n: int, s: int, eta: float) -> float:
+    """r/w of one covariate class: r = s - n*mu and w = n*mu*(1 - mu)."""
+    mu = 1.0 / (1.0 + math.exp(-eta))
+    return (s - n * mu) / (n * mu * (1.0 - mu))
 
 
 def fit_logistic_counts(table: ContingencyTable2x2) -> LogisticFit:
     """Logistic fit of contra membership on the binary partisan flag.
 
     A zero cell means complete separation (or a degenerate margin): the fit
-    is reported unconverged instead of chasing infinite coefficients.
+    is reported unconverged instead of chasing infinite coefficients. Else
+    IRLS runs on the two covariate classes, where the 2x2 Newton system
+    decouples: the intercept step is the non-partisan class's r/w, the slope
+    step the partisan class's r/w minus it. A zero weight or an overflowing
+    `math.exp` ends the fit unconverged at that iteration.
     """
-    import numpy as np
-
     if table.has_zero_cell:
         return LogisticFit(
             beta0=math.nan, beta1=math.nan, converged=False, iterations=0, separation=True
         )
-    counts = np.array([table.a + table.b, table.c + table.d], dtype=float)
-    successes = np.array([table.a, table.c], dtype=float)
-    beta0, beta1, converged, iterations = _fit_irls(counts, successes)
+    beta0 = beta1 = 0.0
+    converged = False
+    for iteration in range(1, IRLS_MAX_ITER + 1):
+        try:
+            step0 = _newton_ratio(table.c + table.d, table.c, beta0)
+            step1 = _newton_ratio(table.a + table.b, table.a, beta0 + beta1) - step0
+        except (OverflowError, ZeroDivisionError):
+            break
+        beta0, beta1 = beta0 + step0, beta1 + step1
+        if max(abs(step0), abs(step1)) < IRLS_TOL:
+            converged = True
+            break
     return LogisticFit(
-        beta0=beta0, beta1=beta1, converged=converged, iterations=iterations, separation=False
+        beta0=beta0, beta1=beta1, converged=converged, iterations=iteration, separation=False
     )
 
 

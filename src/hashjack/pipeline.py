@@ -909,10 +909,11 @@ def stage_activity(run, targets=None, fractions=DEFAULT_FRACTIONS, out="activity
     def execute(run, manifest, params, deps):
         registry, psets, _ = _split_parties(run, deps, params["targets"])
         nets = [_load(run, deps, "build", tag) for tag in _built_tags(deps["build"])]
-        curves = [
-            metrics.concentration(pset, nets, fracs, registry).to_dict()
-            for pset in sorted(psets, key=lambda p: p.party)
-        ]
+        try:
+            curves = [metrics.concentration(pset, nets, fracs, registry).to_dict()
+                      for pset in sorted(psets, key=lambda p: p.party)]
+        except ValueError as exc:  # a pro community of isolated accounts has no activity
+            raise StageError(str(exc)) from None
         obj = {"fractions": fracs, "curves": curves}
         return {out: run.write(out, json_text(obj))}
 

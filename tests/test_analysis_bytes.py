@@ -12,12 +12,18 @@ disk, and is replaced by the digest of its content before the manifest is
 hashed. A change that alters some artifact's bytes on purpose updates the
 table and says which files changed and why.
 
+The exact bits of the logistic slope over a small grid of tables are pinned
+too. The fresh interpreter runs under each of `KERNELS`: numpy and
+OpenBLAS pick their SIMD and BLAS kernels by CPU at start-up, and no
+artifact may depend on that choice.
+
 Run alone: python tests/test_analysis_bytes.py DIR  (prints the digests)
 """
 
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -25,7 +31,10 @@ import sys
 import zlib
 from pathlib import Path
 
+import pytest
+
 from hashjack.cli import entrypoint
+from hashjack.odds import ContingencyTable2x2, fit_logistic_counts
 
 CONFIG = {  # test_acceptance.test_criterion_7_end_to_end_determinism
     "seed": 11,
@@ -53,25 +62,36 @@ PINNED_SHA256 = {
     "labels/agenda.json": "b8a9e6bd85b5559f22765855f0b2e9d6cb5d42358b3eb720217f23a45ca04923",
     "labels/party1.json": "a8c2bbeb5cdef7a273c5394d9197d0f3540a49e805c8fc6bd9a13d60b28a91b3",
     "labels/party2.json": "f36b80eddfb7591133f037244407f1a64060791b049619851b97b190592005c6",
-    "manifest.json": "3b25eee0aadcc426f0a6b3a45d65680e4dacec3460cfe7438daa6dab43e47408",
+    "manifest.json": "d26b9bebad2e814392a710fcd732aa92dd556c8ad920d178e1d77dd5e745e012",
     "networks/agenda.json": "bf95bdb09554815d357426b9dfcb1ae515b90b8160332734e92c68c29e41081d",
     "networks/party1.json": "c32a043a78bba90d5f69358acee80a5281eca04881fd0e38f435ed6fccf92ebb",
     "networks/party2.json": "1bbbc0e53623cb23828b65b66cfc9b92fff1ab2d6a198d7d121ed7c08d96cc58",
     "networks/registry.json": "7789cab79000104f1d8117ddbf50a99c03edac15182623fd62e3f61ce0896391",
-    "odds.json": "2b54bf35912d0910212803399b206aabc66c88c46f114d56274a12286a407094",
+    "odds.json": "68977791dcb25a6d22d90673a2e81037a104d697ee1950679a3757466018c9ef",
     "partitions/agenda.json": "1a1f75777289be5aeb40fa2b72c706a8c460579b9d37d49d894e7a0341f822a9",
     "partitions/party1.json": "33c0f7aec4098636484705611e3cd0bffd87de41b3aef3d4c75b09b4da030982",
     "partitions/party2.json": "56aa748786a7e29f87e1c79abb46e45cc96a246fcfbc58d698a52b5ffa282072",
     "party1.gexf": "3787451cfef6ac3a5172280af6e7f73b01937d8ea44d2dcf0174401e9baf7c08",
     "party2.gexf": "a9f627c9d6e1a0b4088fd88ae0aa23f6a2d5040b5ef8ccde7e2f4b2b04bfe39f",
     "polarisation.json": "5620d4f026ba28bf19b3725df78119c0b6a39f4576a2cb9adce287e0210b7f76",
-    "report.json": "bee945ee70c71f2ff28e553602f3b273e3825c92b7d4e63d7e015384dc66e9cc",
+    "report.json": "d6c88e4722260cebccca6a25065d187c2a08e342e189699131b75706fb4d155d",
     "store/agenda.npy.gz": "f90c45742496d393b0bd696343e00e3a8bdfffe31ec795dabc722ab873867f7c",
     "store/party1.npy.gz": "1ac2cb071b7204925dbf2fdf7d0bfe67d64423663a0656354944ef001aa320a8",
     "store/party2.npy.gz": "51401b690b3024de2c6a3204a7f90a83b4cc9079a226d068905899702c59c3da",
     "store/registry.json.gz": "7789cab79000104f1d8117ddbf50a99c03edac15182623fd62e3f61ce0896391",
     "store/stats.json": "32e56f44cdc1c4dbbac2aaf4ac27e53f8b61f2c726901eeb1e5a095d422458da",
 }
+
+# The child environments of the fresh-interpreter test: the kernels numpy
+# and OpenBLAS select for the CPU at hand, OpenBLAS's Haswell kernels, and
+# numpy without its AVX-512 paths.
+KERNELS = {
+    "default": {},
+    "openblas haswell": {"OPENBLAS_CORETYPE": "Haswell"},
+    "numpy no avx512": {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+}
+BETA1_GRID = list(itertools.product((1, 9, 120, 499), repeat=4))
+BETA1_GRID_SHA256 = "0ce831dda4e35f1ce8b50fdc9aa91c709a8e8352ebfbfea450ee531e51b5c237"
 
 
 def _run(argv: list[str]) -> str:
@@ -137,20 +157,33 @@ def analysis_digests(tmp: Path) -> dict[str, str]:
     return digests
 
 
+def beta1_grid_digest() -> str:
+    """SHA-256 of the exact bits of the fitted slope over BETA1_GRID."""
+    fits = (fit_logistic_counts(ContingencyTable2x2(*cells)) for cells in BETA1_GRID)
+    return _sha(" ".join(fit.beta1.hex() for fit in fits).encode("ascii"))
+
+
 def test_analysis_bytes_pinned(tmp_path):
     assert analysis_digests(tmp_path) == PINNED_SHA256
 
 
-def test_analysis_bytes_pinned_in_a_fresh_interpreter(tmp_path):
+def test_beta1_grid_pinned():
+    assert beta1_grid_digest() == BETA1_GRID_SHA256
+
+
+@pytest.mark.parametrize("kernels", KERNELS.values(), ids=KERNELS)
+def test_analysis_bytes_pinned_in_a_fresh_interpreter(kernels, tmp_path):
     hash_seed = "7" if os.environ.get("PYTHONHASHSEED") != "7" else "8"
     here = Path(__file__).resolve().parent
-    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join(
+    env = {name: value for name, value in os.environ.items()
+           if not any(name in setting for setting in KERNELS.values())}
+    env.update(kernels, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join(
         [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run([sys.executable, str(Path(__file__).resolve()), str(tmp_path)],
                           env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == PINNED_SHA256
+    assert json.loads(done.stdout) == {**PINNED_SHA256, "beta1 grid": BETA1_GRID_SHA256}
 
 
 if __name__ == "__main__":
-    print(json.dumps(analysis_digests(Path(sys.argv[1]))))
+    print(json.dumps({**analysis_digests(Path(sys.argv[1])), "beta1 grid": beta1_grid_digest()}))

@@ -540,6 +540,11 @@ def manifest_stages(run):
     return load_json(run / "manifest.json")["stages"]
 
 
+def tree_digests(root: Path) -> dict:
+    """SHA-256 of every file under `root`, by path."""
+    return {path: file_digest(path) for path in root.rglob("*") if path.is_file()}
+
+
 @pytest.fixture(scope="module")
 def finished(corpus, tmp_path_factory):
     """A run directory driven through every stage; tests only read it."""
@@ -675,7 +680,7 @@ class TestBadInputExits2:
     ):
         labels = tmp_path / "labels.json"
         labels.write_text(json.dumps(labels_obj))
-        before = (finished / "manifest.json").read_bytes()
+        before = tree_digests(finished)
         fields = {"corpus": corpus["corpus"], "tmp": tmp_path, "labels": labels}
         argv = [a.format(**fields) for a in argv]
         if "--run-dir" not in argv:
@@ -684,7 +689,7 @@ class TestBadInputExits2:
         err = capsys.readouterr().err
         assert code == 2, err
         assert "internal error" not in err
-        assert (finished / "manifest.json").read_bytes() == before
+        assert tree_digests(finished) == before
 
     @pytest.mark.parametrize("argv", [
         ("report",), ("build",), ("label", "report", "--network", "agenda"),
@@ -732,6 +737,39 @@ class TestBadInputExits2:
         err = capsys.readouterr().err
         assert "stage 'ingest' has not been run" in err
         assert "internal error" not in err
+
+    def test_partisans_without_activity(self, tmp_path, capsys):
+        """The pro community of #party is one account that only posted an
+        original tweet, so its partisans have no activity to rank."""
+        events = [("solo", None, "party")]
+        events += [(a, b, "party") for a, b in [("p1", "p2"), ("p2", "p3"), ("p3", "p1")]]
+        events += [(a, b, "agenda") for a, b in [("p1", "x1"), ("x1", "x2"), ("x2", "p1"),
+                                                 ("y1", "y2"), ("y2", "y3"), ("y3", "y1")]]
+        source = tmp_path / "c.jsonl"
+        source.write_text("".join(json.dumps(
+            {"tweet_id": f"t{i}", "author": author, "hashtags": [tag],
+             "timestamp": "2020-05-01T12:00:00Z",
+             **({} if target is None else {"retweeted_author": target})}) + "\n"
+            for i, (author, target, tag) in enumerate(events)))
+        run = tmp_path / "run"
+        assert run_cli("pipeline", "ingest", "build", "communities", "--input", source,
+                       "--tracked", "party,agenda", "--run-dir", run) == 0
+        cids = {tag: load_json(run / "partitions" / f"{tag}.json")["assignment"]
+                for tag in ("party", "agenda")}
+        labels = tmp_path / "labels.json"
+        labels.write_text(json.dumps([
+            {"network": "party", "labels": {cids["party"]["solo"]: "pro",
+                                            cids["party"]["p1"]: "contra"}},
+            {"network": "agenda", "labels": {cids["agenda"]["x1"]: "pro",
+                                             cids["agenda"]["y1"]: "contra"}},
+        ]))
+        assert run_cli("label", "apply", "--labels", labels, "--run-dir", run) == 0
+        capsys.readouterr()
+        assert run_cli("activity", "--targets", "agenda", "--run-dir", run) == 2
+        err = capsys.readouterr().err
+        assert "partisan group #party has no activity" in err
+        assert "internal error" not in err
+        assert "activity" not in manifest_stages(run)
 
     @pytest.mark.parametrize("resolution", ["2", "1"])
     def test_hand_edited_previous_entry_is_not_used(self, resolution, corpus, tmp_path, capsys):

@@ -1,6 +1,6 @@
 """Each submodule imports on its own, the package itself imports nothing, a
-read-only CLI call loads no numpy, and a call leaves the modules of stages it
-does not run unexecuted.
+read-only CLI call and a relabel pipeline load no numpy, and a call leaves the
+modules of stages it does not run unexecuted.
 
 Every case runs in a fresh interpreter, so a module cannot lean on another
 module that an earlier import happened to load.
@@ -9,6 +9,7 @@ module that an earlier import happened to load.
 import json
 import os
 import pkgutil
+import shutil
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -111,13 +112,9 @@ def finished(tmp_path_factory):
     return run
 
 
-@pytest.mark.parametrize("argv", [
-    ["label", "report", "--network", "agenda"],
-    ["export", "--network", "agenda", "--gexf", "{tmp}/agenda.gexf"],
-    ["report"],
-], ids=["label report", "export", "report"])
-def test_read_only_call_loads_no_numpy(finished, tmp_path, argv):
-    argv = [arg.format(tmp=tmp_path) for arg in argv] + ["--run-dir", str(finished)]
+def run_numpy_loaded(argv: list[str]) -> subprocess.CompletedProcess:
+    """One CLI call in a fresh interpreter; its last line is the exit code and
+    whether numpy was loaded."""
     done = run_fresh(
         "import sys\n"
         "from hashjack.cli import entrypoint\n"
@@ -125,7 +122,36 @@ def test_read_only_call_loads_no_numpy(finished, tmp_path, argv):
         "print(code, 'numpy' in sys.modules)"
     )
     assert done.returncode == 0, done.stderr
+    return done
+
+
+@pytest.mark.parametrize("argv", [
+    ["label", "report", "--network", "agenda"],
+    ["export", "--network", "agenda", "--gexf", "{tmp}/agenda.gexf"],
+    ["report"],
+], ids=["label report", "export", "report"])
+def test_read_only_call_loads_no_numpy(finished, tmp_path, argv):
+    argv = [arg.format(tmp=tmp_path) for arg in argv] + ["--run-dir", str(finished)]
+    done = run_numpy_loaded(argv)
     assert done.stdout.splitlines()[-1] == "0 False", done.stderr
+
+
+def test_relabel_pipeline_loads_no_numpy(finished, tmp_path):
+    """A second labels file reruns every stage from label on, numpy-free."""
+    run = tmp_path / "run"
+    shutil.copytree(finished, run)
+    sides = json.loads((finished.parent / "truth.json").read_text())["sides"]
+    labels = [
+        {"network": tag, "seeds": {side: sides[tag][side][3:6] for side in ("pro", "contra")}}
+        for tag in ("party1", "agenda")
+    ]
+    (tmp_path / "labels.json").write_text(json.dumps(labels))
+    stages = ["label", "polarisation", "odds", "activity", "report"]
+    done = run_numpy_loaded(["pipeline", *stages, "--labels", str(tmp_path / "labels.json"),
+                             "--targets", "agenda", "--run-dir", str(run)])
+    *ran, last = done.stdout.splitlines()
+    assert [line.split(":")[0] for line in ran] == stages
+    assert last == "0 False", done.stderr
 
 
 def run_unexecuted(argv: list[str]) -> tuple[str, str]:

@@ -94,6 +94,14 @@ class TestLogistic:
         assert not fit.converged
         assert math.isnan(fit.beta1)
 
+    def test_zero_weight_ends_the_fit_unconverged(self, monkeypatch):
+        # With c/(c+d) = 1 - 1e-30, mu reaches exactly 1.0 (w = 0) on the way
+        # to logit = 69, once the iteration cap no longer stops it first.
+        monkeypatch.setattr("hashjack.odds.IRLS_MAX_ITER", 100)
+        fit = fit_logistic_counts(ContingencyTable2x2(1, 1, 10**30, 1))
+        assert not fit.converged and not fit.separation
+        assert fit.iterations < 100 and math.isfinite(fit.beta1)
+
     @settings(max_examples=200, deadline=None)
     @given(st.tuples(*[st.integers(min_value=1, max_value=500)] * 4))
     def test_irls_recovers_closed_form(self, cells):
